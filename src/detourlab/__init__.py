@@ -22,7 +22,7 @@ from .errors import (
     MatchError,
     NoRouteError,
 )
-from .matching import AbstractTrajectory, MatchConfig, TrajStep, match_trajectory
+from .matching import MatchConfig, match_trajectory
 from .network import (
     GpsPoint,
     LatLng,
@@ -45,17 +45,17 @@ from .pricing import (
     compute_alpha4,
     detour_utility,
     fare,
-    fare_for_trip,
-    fill_driver_incomes,
     fit_ratio_utility,
     interval_report,
     solve_price_adjustment,
 )
 from .routing import RoutePlanStep, RoutingWeights, path_distance, path_est_time, route_plan
-from .simulate import SimConfig, SimulatedTrip, generate_network, generate_trips
+from .simulate import SimConfig, generate_network, generate_trips
 from .trips import (
+    AbstractTrajectory,
     DriverRecord,
     FilterRules,
+    TrajStep,
     TripRecord,
     destination_change_probability,
     filter_dataset,

@@ -10,15 +10,45 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from . import charts, classifier, online, pricing, trips as trips_mod
-from .errors import DataFormatError, DetourlabError
+from .errors import DataFormatError, DetourlabError, InputError
 from .matching import MatchConfig
 from .network import load_network, save_network
 from .routing import RoutingWeights
 from .simulate import SimConfig, generate_network, generate_trips
+
+
+# JSON value types a config key may hold, by the type of the key's default
+_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), tuple: (list,), dict: (dict,)}
+
+
+def _from_json(cls, data, where: str):
+    """``cls`` built from a JSON object whose keys are ``cls``'s fields.
+
+    Each value must have the JSON type of the field's default, and nested
+    dataclass fields are read the same way; anything else is an InputError.
+    """
+    if not isinstance(data, dict):
+        raise InputError(f"{where} must be a JSON object")
+    names = {f.name for f in fields(cls)}
+    defaults = cls()
+    values = {}
+    for key, value in data.items():
+        if key not in names:
+            raise InputError(f"{where}: unknown key {key!r}")
+        default = getattr(defaults, key)
+        if is_dataclass(default):
+            values[key] = _from_json(type(default), value, f"{where}.{key}")
+            continue
+        want = type(default)
+        if isinstance(value, bool) != (want is bool) or not isinstance(value, _JSON_TYPES[want]):
+            kinds = " or ".join(t.__name__ for t in _JSON_TYPES[want])
+            raise InputError(f"{where}.{key} must be {kinds}, got {value!r}")
+        values[key] = want(value)
+    return cls(**values)
 
 
 @dataclass
@@ -34,53 +64,21 @@ class RunConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "RunConfig":
-        sim_data = dict(data.get("sim", {}))
-        if "grid_dims" in sim_data:
-            sim_data["grid_dims"] = tuple(sim_data["grid_dims"])
-        return RunConfig(
-            sim=SimConfig(**sim_data),
-            rules=trips_mod.FilterRules(**data.get("rules", {})),
-            weights=RoutingWeights(**data.get("weights", {})),
-            match=MatchConfig(**data.get("match", {})),
-            ridge=float(data.get("ridge", 0.0)),
-            duty_minutes=float(data.get("duty_minutes", 60.0)),
-        )
+        return _from_json(RunConfig, data, "config")
 
     def to_dict(self) -> dict:
-        return {
-            "sim": {
-                "seed": self.sim.seed,
-                "grid_dims": list(self.sim.grid_dims),
-                "n_trips": self.sim.n_trips,
-                "behavior_mix": self.sim.behavior_mix,
-                "detour_inflation": self.sim.detour_inflation,
-                "gps_period_s": self.sim.gps_period_s,
-                "gps_noise_m": self.sim.gps_noise_m,
-                "n_drivers": self.sim.n_drivers,
-                "full_plans": self.sim.full_plans,
-                "night_detour_boost": self.sim.night_detour_boost,
-            },
-            "rules": {
-                "min_travel_time": self.rules.min_travel_time,
-                "max_speed": self.rules.max_speed,
-                "epsilon_bar": self.rules.epsilon_bar,
-            },
-            "weights": {"w1": self.weights.w1, "w2": self.weights.w2},
-            "match": {
-                "emission_sigma": self.match.emission_sigma,
-                "candidate_radius": self.match.candidate_radius,
-                "transition_beta": self.match.transition_beta,
-            },
-            "ridge": self.ridge,
-            "duty_minutes": self.duty_minutes,
-        }
+        return asdict(self)
 
 
 def load_run_config(path) -> RunConfig:
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"config file not found: {p}")
-    return RunConfig.from_dict(json.loads(p.read_text(encoding="utf-8")))
+    try:
+        data = json.loads(p.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise InputError(f"config file {p} is not valid JSON: {exc}") from exc
+    return RunConfig.from_dict(data)
 
 
 def _config_for(args) -> RunConfig:
@@ -152,21 +150,9 @@ def cmd_gen_trips(args) -> int:
 
 
 def cmd_filter(args) -> int:
-    config = _config_for(args)
-    rules = config.rules
-    overrides = {}
-    if args.min_travel_time is not None:
-        overrides["min_travel_time"] = args.min_travel_time
-    if args.max_speed is not None:
-        overrides["max_speed"] = args.max_speed
-    if args.epsilon_bar is not None:
-        overrides["epsilon_bar"] = args.epsilon_bar
-    if overrides:
-        rules = trips_mod.FilterRules(
-            min_travel_time=overrides.get("min_travel_time", rules.min_travel_time),
-            max_speed=overrides.get("max_speed", rules.max_speed),
-            epsilon_bar=overrides.get("epsilon_bar", rules.epsilon_bar),
-        )
+    flags = ("min_travel_time", "max_speed", "epsilon_bar")
+    rules = replace(_config_for(args).rules,
+                    **{k: getattr(args, k) for k in flags if getattr(args, k) is not None})
     net = load_network(args.network)
     trips = trips_mod.load_trips(args.trips)
     kept, rejected = trips_mod.filter_dataset(net, trips, rules)

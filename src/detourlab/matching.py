@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import trips
 from .errors import InputError, MatchError, NoRouteError
 from .network import EARTH_RADIUS_KM, RoadNetwork, Segment, haversine_km
 from .routing import RoutingWeights, route_plan
@@ -28,50 +29,6 @@ class MatchConfig:
     def __post_init__(self):
         if self.emission_sigma <= 0 or self.candidate_radius <= 0 or self.transition_beta <= 0:
             raise InputError("match parameters must all be positive")
-
-
-@dataclass(frozen=True)
-class TrajStep:
-    """Entry onto one segment: (segment id, entry timestamp)."""
-
-    segment: str
-    t: float
-
-
-@dataclass(frozen=True)
-class AbstractTrajectory:
-    """Ordered segment entries of one occupied trip.
-
-    Steps record *entries*: the final step marks arrival on the destination
-    segment.  Timestamps strictly increase and consecutive segments connect
-    in the network (the connectivity half needs the network, see
-    ``validate_trajectory``).
-    """
-
-    trip_id: str
-    steps: tuple[TrajStep, ...]
-
-    def __post_init__(self):
-        if not self.steps:
-            raise InputError(f"trajectory {self.trip_id!r} is empty")
-        for i in range(1, len(self.steps)):
-            if self.steps[i].t <= self.steps[i - 1].t:
-                raise InputError(
-                    f"trajectory {self.trip_id!r}: timestamps not increasing at step {i}"
-                )
-
-
-def validate_trajectory(net: RoadNetwork, atr: AbstractTrajectory) -> None:
-    """Check the network-dependent half of the trajectory invariants."""
-    prev = None
-    for i, step in enumerate(atr.steps):
-        seg = net.segment(step.segment)
-        if prev is not None and net.segment(prev.segment).to_node != seg.from_node:
-            raise InputError(
-                f"trajectory {atr.trip_id!r}: segments {prev.segment!r} -> {step.segment!r} "
-                f"are not connected (step {i})"
-            )
-        prev = step
 
 
 def _project(net: RoadNetwork, point, seg: Segment) -> tuple[float, float]:
@@ -236,7 +193,7 @@ def viterbi_decode(net: RoadNetwork, tr, cfg: MatchConfig = MatchConfig()) -> li
 
 def match_trajectory(
     net: RoadNetwork, tr, cfg: MatchConfig = MatchConfig(), trip_id: str = ""
-) -> AbstractTrajectory:
+) -> trips.AbstractTrajectory:
     """Match raw GPS points onto the network as an abstract trajectory.
 
     Consecutive duplicate decodes collapse to one entry keeping the first
@@ -247,12 +204,12 @@ def match_trajectory(
     """
     states = viterbi_decode(net, tr, cfg)
 
-    collapsed: list[TrajStep] = []
+    collapsed: list[trips.TrajStep] = []
     for sid, point in zip(states, tr):
         if not collapsed or collapsed[-1].segment != sid:
-            collapsed.append(TrajStep(sid, point.t))
+            collapsed.append(trips.TrajStep(sid, point.t))
 
-    steps: list[TrajStep] = []
+    steps: list[trips.TrajStep] = []
     for i, cur in enumerate(collapsed):
         if i == 0:
             steps.append(cur)
@@ -272,10 +229,10 @@ def match_trajectory(
             span = cur.t - prev.t
             covered = a.length  # plan.path[0] is prev.segment itself
             for sid in plan.path[1:]:
-                steps.append(TrajStep(sid, prev.t + span * covered / total))
+                steps.append(trips.TrajStep(sid, prev.t + span * covered / total))
                 covered += net.segment(sid).length
         steps.append(cur)
 
-    atr = AbstractTrajectory(trip_id, tuple(steps))
-    validate_trajectory(net, atr)
+    atr = trips.AbstractTrajectory(trip_id, tuple(steps))
+    trips.validate_trajectory(net, atr)
     return atr

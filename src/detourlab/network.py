@@ -103,8 +103,8 @@ def _validate_profile(seg: Segment) -> None:
             raise InputError(f"segment {seg.id!r}: bucket start {start} outside [0, 1440)")
         if start <= prev:
             raise InputError(f"segment {seg.id!r}: speed buckets must be sorted and non-overlapping")
-        if kmh <= 0.0:
-            raise InputError(f"segment {seg.id!r}: non-positive speed {kmh}")
+        if not (math.isfinite(kmh) and kmh > 0.0):
+            raise InputError(f"segment {seg.id!r}: speed {kmh} is not a finite positive number")
         prev = start
 
 
@@ -146,8 +146,8 @@ class RoadNetwork:
                 raise InputError(f"duplicate segment id {s.id!r}")
             if s.from_node not in node_map or s.to_node not in node_map:
                 raise InputError(f"segment {s.id!r} references an unknown node")
-            if s.length <= 0.0:
-                raise InputError(f"segment {s.id!r} must have positive length")
+            if not (math.isfinite(s.length) and s.length > 0.0):
+                raise InputError(f"segment {s.id!r} must have finite positive length")
             _validate_profile(s)
             seg_map[s.id] = s
             out[s.from_node].append(s)

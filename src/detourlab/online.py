@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 from .classifier import FeatureVector, LogitModel, rank_auc
 from .errors import FitError, InputError
-from .matching import TrajStep
 from .network import RoadNetwork
 from .routing import RoutePlanStep, RoutingWeights, route_plan
+from .trips import TrajStep
 
 ACTIONS = ("none", "warn_issued", "warn_maintained", "warn_cancelled")
 SCENARIOS = ("worse", "longer_but_faster", "shorter_but_slower", "better", "mixed_zero")

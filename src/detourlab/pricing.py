@@ -12,7 +12,7 @@ level where the fitted detour ratio reaches zero.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import FitError, InputError
@@ -44,7 +44,6 @@ class FareSchedule:
     base_min: float  # minutes covered by the base fare
     operating_cost_per_km: float
     intervals: tuple[IntervalRate, ...]
-    opportunity_cost_per_min: tuple[float, ...] | None = None  # per interval, computed
 
     def __post_init__(self):
         if not self.intervals:
@@ -58,18 +57,12 @@ class FareSchedule:
             expected = iv.end_min
         if expected != 1440.0:
             raise InputError("intervals must end at minute 1440")
-        if self.opportunity_cost_per_min is not None and \
-                len(self.opportunity_cost_per_min) != len(self.intervals):
-            raise InputError("one opportunity cost per interval is required")
 
     def interval_index(self, minute: float) -> int:
         for i, iv in enumerate(self.intervals):
             if iv.start_min <= minute < iv.end_min:
                 return i
         raise InputError(f"minute {minute} outside [0, 1440)")
-
-    def with_opportunity_costs(self, values) -> "FareSchedule":
-        return replace(self, opportunity_cost_per_min=tuple(float(v) for v in values))
 
 
 def fare(schedule: FareSchedule, distance_km: float, duration_min: float,
@@ -86,15 +79,6 @@ def fare(schedule: FareSchedule, distance_km: float, duration_min: float,
     return schedule.base_fare + iv.rate_per_km * extra_km + iv.rate_per_min * extra_min
 
 
-def fare_for_trip(net, schedule: FareSchedule, trip) -> float:
-    return fare(
-        schedule,
-        trajectory_distance_km(net, trip.atr),
-        trajectory_minutes(trip.atr),
-        minute_of_day(trip.start_time),
-    )
-
-
 def compute_alpha4(total_income: float, driver_count: int,
                    duty_minutes: float = 60.0) -> float:
     """Average driver income per minute: the opportunity cost of idling.
@@ -109,16 +93,13 @@ def compute_alpha4(total_income: float, driver_count: int,
     return total_income / (driver_count * duty_minutes)
 
 
-def detour_utility(schedule: FareSchedule, interval: int) -> float:
+def detour_utility(schedule: FareSchedule, interval: int, alpha4: float) -> float:
     """Net driver gain per minute of prolonging a trip in this interval.
 
     Earn the metered rates at serving speed, pay operating cost and the
-    opportunity cost of the minute.
+    opportunity cost ``alpha4`` of the minute (see ``compute_alpha4``).
     """
-    if schedule.opportunity_cost_per_min is None:
-        raise InputError("opportunity costs not computed yet (compute_alpha4 per interval first)")
     iv = schedule.intervals[interval]
-    alpha4 = schedule.opportunity_cost_per_min[interval]
     return iv.rate_per_km * iv.serving_speed + iv.rate_per_min \
         - schedule.operating_cost_per_km * iv.serving_speed - alpha4
 
@@ -249,24 +230,6 @@ def interval_stats(net, schedule: FareSchedule, trips) -> list[IntervalStats]:
     ]
 
 
-def fill_driver_incomes(net, schedule: FareSchedule, trips, drivers):
-    """Driver records with per-interval fare income filled in."""
-    by_trip = {t.trip_id: t for t in trips}
-    out = []
-    for driver in drivers:
-        income: dict[str, float] = {}
-        for tid in driver.trips:
-            trip = by_trip.get(tid)
-            if trip is None:
-                continue
-            label = schedule.intervals[
-                schedule.interval_index(minute_of_day(trip.start_time))
-            ].label
-            income[label] = income.get(label, 0.0) + fare_for_trip(net, schedule, trip)
-        out.append(replace(driver, interval_income=tuple(sorted(income.items()))))
-    return out
-
-
 @dataclass(frozen=True)
 class IntervalReportRow:
     stats: IntervalStats
@@ -296,11 +259,7 @@ def interval_report(net, schedule: FareSchedule, trips,
             continue
         a4 = compute_alpha4(st.total_income, st.driver_count, duty_minutes)
         costs.append(a4)
-        iv = schedule.intervals[st.interval]
-        utilities.append(
-            iv.rate_per_km * iv.serving_speed + iv.rate_per_min
-            - schedule.operating_cost_per_km * iv.serving_speed - a4
-        )
+        utilities.append(detour_utility(schedule, st.interval, a4))
 
     fit = None
     if u0 is None:
@@ -361,7 +320,7 @@ DEFAULT_SCHEDULES = {
 
 
 def schedule_to_dict(schedule: FareSchedule) -> dict:
-    out = {
+    return {
         "city": schedule.city,
         "base_fare": schedule.base_fare,
         "base_km": schedule.base_km,
@@ -378,9 +337,6 @@ def schedule_to_dict(schedule: FareSchedule) -> dict:
             for iv in schedule.intervals
         ],
     }
-    if schedule.opportunity_cost_per_min is not None:
-        out["opportunity_cost_per_min"] = list(schedule.opportunity_cost_per_min)
-    return out
 
 
 def schedule_from_dict(data: dict) -> FareSchedule:
@@ -393,11 +349,9 @@ def schedule_from_dict(data: dict) -> FareSchedule:
             )
             for iv in data["intervals"]
         )
-        costs = data.get("opportunity_cost_per_min")
         return FareSchedule(
             str(data["city"]), float(data["base_fare"]), float(data["base_km"]),
             float(data["base_min"]), float(data["operating_cost_per_km"]), intervals,
-            None if costs is None else tuple(float(c) for c in costs),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed schedule data: {exc}") from exc

@@ -62,18 +62,24 @@ def path_distance(net: RoadNetwork, path) -> float:
     return total
 
 
-def path_est_time(net: RoadNetwork, path, depart: float) -> float:
-    """Estimated minutes to traverse ``path`` departing at ``depart``.
+def entry_times(net: RoadNetwork, path, depart: float) -> list[float]:
+    """Entry timestamps along ``path`` entered at ``depart``, plus the arrival.
 
     Entry times evolve forward: each segment is entered the moment the
     previous one finishes, and its speed bucket is sampled at that entry
     minute.
     """
-    _check_contiguous(net, path)
-    t = depart
+    times = [depart]
     for sid in path:
-        t += 60.0 * segment_travel_time(net.segment(sid), minute_of_day(t))
-    return (t - depart) / 60.0
+        t = times[-1]
+        times.append(t + 60.0 * segment_travel_time(net.segment(sid), minute_of_day(t)))
+    return times
+
+
+def path_est_time(net: RoadNetwork, path, depart: float) -> float:
+    """Estimated minutes to traverse ``path`` departing at ``depart``."""
+    _check_contiguous(net, path)
+    return (entry_times(net, path, depart)[-1] - depart) / 60.0
 
 
 # Per-network cache of reverse lower-bound tables, keyed by goal node.  The
@@ -168,9 +174,7 @@ def route_plan(
     while heap:
         f, path, node, dist_km, t_abs = heapq.heappop(heap)
         if node == goal:
-            return RoutePlanStep(
-                path, depart, path_distance(net, path), path_est_time(net, path, depart)
-            )
+            return RoutePlanStep(path, depart, dist_km, (t_abs - depart) / 60.0)
         state = (node, t_abs)
         cost = w1 * dist_km + w2 * ((t_abs - depart) / 60.0)
         recorded = best.get(state)

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NoRouteError
-from .matching import AbstractTrajectory, TrajStep
 from .network import (
     EARTH_RADIUS_KM,
     GpsPoint,
@@ -25,8 +24,8 @@ from .network import (
     minute_of_day,
     segment_travel_time,
 )
-from .routing import RoutingWeights, route_plan
-from .trips import DriverRecord, TripRecord
+from .routing import RoutingWeights, entry_times, route_plan
+from .trips import AbstractTrajectory, DriverRecord, TrajStep, TripRecord
 
 BEHAVIORS = ("normal", "detour", "avoid_congestion", "shortcut")
 
@@ -72,13 +71,6 @@ class SimConfig:
         total = sum(self.behavior_mix.values())
         if abs(total - 1.0) > 1e-9:
             raise InputError(f"behavior_mix must sum to 1, got {total}")
-
-
-@dataclass(frozen=True)
-class SimulatedTrip(TripRecord):
-    """TripRecord plus the planted ground truth."""
-
-    truth_segments: tuple[str, ...] = ()
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
@@ -156,16 +148,6 @@ def generate_network(cfg: SimConfig) -> RoadNetwork:
     return RoadNetwork(nodes, segments)
 
 
-def _walk_times(net: RoadNetwork, segs, t_start: float) -> list[float]:
-    """Entry times along a segment walk; one extra entry for the arrival."""
-    times = [t_start]
-    t = t_start
-    for sid in segs:
-        t += 60.0 * segment_travel_time(net.segment(sid), minute_of_day(t))
-        times.append(t)
-    return times
-
-
 def _cheapest_loop(net: RoadNetwork, node_id: str) -> tuple[str, str] | None:
     """Shortest out-and-back segment pair at a node, if any."""
     best = None
@@ -205,7 +187,7 @@ def _plant_avoid(net, plan, t_start) -> list[str] | None:
     end.
     """
     base = list(plan.path)
-    entries = _walk_times(net, base, t_start)
+    entries = entry_times(net, base, t_start)
     for i, sid in enumerate(base):
         if i == 0:
             continue
@@ -230,7 +212,7 @@ def _plant_avoid(net, plan, t_start) -> list[str] | None:
                     if local >= direct or extra_km <= 1e-9:
                         continue
                     candidate = base[:i] + [first.id, second.id, third.id] + base[i + 1:]
-                    total_min = (_walk_times(net, candidate, t_start)[-1] - t_start) / 60.0
+                    total_min = (entry_times(net, candidate, t_start)[-1] - t_start) / 60.0
                     if total_min < plan.est_time - 1e-9:
                         return candidate
     return None
@@ -289,7 +271,7 @@ def _sample_gps(net, segs, dest, times, cfg, rng) -> tuple[GpsPoint, ...]:
 
 def generate_trips(
     net: RoadNetwork, cfg: SimConfig, weights: RoutingWeights = RoutingWeights()
-) -> tuple[list[SimulatedTrip], list[DriverRecord]]:
+) -> tuple[list[TripRecord], list[DriverRecord]]:
     """Simulate labeled trips with planted driver behaviors.
 
     Normal drivers follow the initial recommendation; detour drivers insert
@@ -297,7 +279,7 @@ def generate_trips(
     avoid-congestion drivers take a longer-but-faster alternative and
     shortcut drivers a shorter-but-slower one, falling back to normal when
     the network offers no such alternative (the fallback is recorded in the
-    trip's ground truth).  Start times follow a peaked daily demand curve,
+    trip's ``behavior``).  Start times follow a peaked daily demand curve,
     which is what gives the per-interval income and opportunity-cost numbers
     their shape.
     """
@@ -310,7 +292,7 @@ def generate_trips(
     probs = probs / probs.sum()
     seg_ids = sorted(net.segments.keys())
 
-    trips: list[SimulatedTrip] = []
+    trips: list[TripRecord] = []
     driver_trips: dict[str, list[str]] = {}
 
     for j in range(cfg.n_trips):
@@ -354,7 +336,7 @@ def generate_trips(
             behavior = "normal"
             segs = list(plan.path)
 
-        times = _walk_times(net, segs, t_start)
+        times = entry_times(net, segs, t_start)
         steps = tuple(
             [TrajStep(sid, times[i]) for i, sid in enumerate(segs)]
             + [TrajStep(dest, times[-1])]
@@ -370,7 +352,7 @@ def generate_trips(
         end = net.segment_end(dest)
         raw = _sample_gps(net, segs, dest, times, cfg, gps_rng) if cfg.gps_period_s > 0 else None
 
-        trip = SimulatedTrip(
+        trip = TripRecord(
             trip_id=trip_id,
             driver_id=driver,
             atr=atr,
@@ -381,7 +363,6 @@ def generate_trips(
             label="detour" if behavior == "detour" else "normal",
             raw_gps=raw,
             behavior=behavior,
-            truth_segments=tuple(segs) + (dest,),
         )
         trips.append(trip)
         driver_trips.setdefault(driver, []).append(trip_id)

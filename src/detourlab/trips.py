@@ -1,4 +1,4 @@
-"""Trip data model, destination-change screening, filtering, persistence.
+"""Trip data model, trajectories, destination-change screening, filtering, persistence.
 
 Datasets are JSONL: one trip or one driver per line, canonical key order,
 segment ids referencing a separately stored network file.
@@ -11,11 +11,54 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DataFormatError, InputError
-from .matching import AbstractTrajectory, TrajStep
 from .network import GpsPoint, LatLng, RoadNetwork, haversine_km
 from .routing import RoutePlanStep
 
 LABELS = ("detour", "normal", "unlabeled")
+
+
+@dataclass(frozen=True)
+class TrajStep:
+    """Entry onto one segment: (segment id, entry timestamp)."""
+
+    segment: str
+    t: float
+
+
+@dataclass(frozen=True)
+class AbstractTrajectory:
+    """Ordered segment entries of one occupied trip.
+
+    Steps record *entries*: the final step marks arrival on the destination
+    segment.  Timestamps strictly increase and consecutive segments connect
+    in the network (the connectivity half needs the network, see
+    ``validate_trajectory``).
+    """
+
+    trip_id: str
+    steps: tuple[TrajStep, ...]
+
+    def __post_init__(self):
+        if not self.steps:
+            raise InputError(f"trajectory {self.trip_id!r} is empty")
+        for i in range(1, len(self.steps)):
+            if self.steps[i].t <= self.steps[i - 1].t:
+                raise InputError(
+                    f"trajectory {self.trip_id!r}: timestamps not increasing at step {i}"
+                )
+
+
+def validate_trajectory(net: RoadNetwork, atr: AbstractTrajectory) -> None:
+    """Check the network-dependent half of the trajectory invariants."""
+    prev = None
+    for i, step in enumerate(atr.steps):
+        seg = net.segment(step.segment)
+        if prev is not None and net.segment(prev.segment).to_node != seg.from_node:
+            raise InputError(
+                f"trajectory {atr.trip_id!r}: segments {prev.segment!r} -> {step.segment!r} "
+                f"are not connected (step {i})"
+            )
+        prev = step
 
 
 @dataclass(frozen=True)
@@ -60,7 +103,6 @@ class TripRecord:
 class DriverRecord:
     driver_id: str
     trips: tuple[str, ...]
-    interval_income: tuple[tuple[str, float], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -246,20 +288,11 @@ def load_trips(path) -> list[TripRecord]:
 
 
 def driver_to_dict(driver: DriverRecord) -> dict:
-    return {
-        "driver_id": driver.driver_id,
-        "trips": list(driver.trips),
-        "interval_income": {k: v for k, v in driver.interval_income},
-    }
+    return {"driver_id": driver.driver_id, "trips": list(driver.trips)}
 
 
 def driver_from_dict(d: dict) -> DriverRecord:
-    income = d.get("interval_income", {})
-    return DriverRecord(
-        driver_id=str(d["driver_id"]),
-        trips=tuple(str(t) for t in d["trips"]),
-        interval_income=tuple(sorted((str(k), float(v)) for k, v in income.items())),
-    )
+    return DriverRecord(driver_id=str(d["driver_id"]), trips=tuple(str(t) for t in d["trips"]))
 
 
 def save_drivers(drivers, path) -> None:

@@ -2,11 +2,10 @@ import math
 
 import pytest
 
-from detourlab.matching import AbstractTrajectory, TrajStep
 from detourlab.network import EARTH_RADIUS_KM, LatLng, Node, RoadNetwork, Segment
 from detourlab.routing import RoutePlanStep
 from detourlab.simulate import SimConfig, generate_network, generate_trips
-from detourlab.trips import TripRecord
+from detourlab.trips import AbstractTrajectory, TrajStep, TripRecord
 
 KM_PER_DEG = EARTH_RADIUS_KM * math.pi / 180.0
 

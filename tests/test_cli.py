@@ -132,6 +132,18 @@ def test_validation_failure_exits_3(tmp_path):
                 "--out", tmp_path / "o"]) == 3
 
 
+@pytest.mark.parametrize("text", [
+    "{not json",
+    "[]",
+    '{"sim": {"bogus": 1}}',
+    '{"sim": {"n_trips": "40"}}',
+], ids=["invalid_json", "not_an_object", "unknown_key", "wrong_type"])
+def test_bad_config_file_exits_3(tmp_path, text):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    assert run(["gen-network", "--config", config, "--out", tmp_path / "net.json"]) == 3
+
+
 def test_pricing_accepts_schedule_file(pipeline_dir, tmp_path):
     from detourlab.pricing import DEFAULT_SCHEDULES, save_schedule
 

@@ -14,11 +14,11 @@ from detourlab.matching import (
     match_trajectory,
     point_segment_distance_m,
     transition_logprob,
-    validate_trajectory,
     viterbi_decode,
 )
 from detourlab.network import GpsPoint, Node, RoadNetwork, Segment, haversine_km
 from detourlab.simulate import SimConfig, generate_network, generate_trips
+from detourlab.trips import validate_trajectory
 
 from conftest import KM_PER_DEG, flat
 
@@ -173,7 +173,7 @@ def test_noise_free_round_trip():
         atr = match_trajectory(net, trip.raw_gps, cfg, trip_id=trip.trip_id)
         validate_trajectory(net, atr)
         got = [s.segment for s in atr.steps]
-        truth = list(trip.truth_segments)
+        truth = [s.segment for s in trip.atr.steps]
         if got == truth:
             exact += 1
             continue

@@ -96,6 +96,14 @@ def test_nonpositive_speed_and_length_rejected():
         RoadNetwork(_nodes_ab(), [Segment("s", "a", "b", 0.0, flat(50.0))])
 
 
+def test_non_finite_speed_and_length_rejected():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InputError):
+            RoadNetwork(_nodes_ab(), [Segment("s", "a", "b", 1.0, ((0.0, bad),))])
+        with pytest.raises(InputError):
+            RoadNetwork(_nodes_ab(), [Segment("s", "a", "b", bad, flat(50.0))])
+
+
 def test_dangling_endpoint_rejected():
     with pytest.raises(InputError):
         RoadNetwork(_nodes_ab(), [Segment("s", "a", "zzz", 1.0, flat(50.0))])

@@ -9,8 +9,6 @@ from detourlab.pricing import (
     compute_alpha4,
     detour_utility,
     fare,
-    fare_for_trip,
-    fill_driver_incomes,
     fit_ratio_utility,
     interval_report,
     interval_stats,
@@ -67,8 +65,7 @@ def test_compute_alpha4():
 
 
 def test_detour_utility_hand_value():
-    schedule = BEIJING.with_opportunity_costs([1.0] * 5)
-    got = detour_utility(schedule, 1)  # 06:00-12:00
+    got = detour_utility(BEIJING, 1, 1.0)  # 06:00-12:00
     assert got == pytest.approx(1.80 * 0.467 + 0.80 - 0.5 * 0.467 - 1.0, abs=1e-12)
     assert got == pytest.approx(0.4071, abs=1e-4)
 
@@ -79,19 +76,13 @@ def test_detour_utility_zero_when_costs_match_revenue():
         for lo, hi in ((0.0, 720.0), (720.0, 1440.0))
     )
     schedule = FareSchedule("test", 10.0, 3.0, 10.0, 0.5, intervals)
-    schedule = schedule.with_opportunity_costs([0.8, 0.8])
-    assert detour_utility(schedule, 0) == 0.0
+    assert detour_utility(schedule, 0, 0.8) == 0.0
 
 
 def test_detour_utility_decreasing_in_opportunity_cost():
-    lo = detour_utility(BEIJING.with_opportunity_costs([0.5] * 5), 1)
-    hi = detour_utility(BEIJING.with_opportunity_costs([1.5] * 5), 1)
+    lo = detour_utility(BEIJING, 1, 0.5)
+    hi = detour_utility(BEIJING, 1, 1.5)
     assert hi < lo
-
-
-def test_detour_utility_requires_alpha4():
-    with pytest.raises(InputError):
-        detour_utility(BEIJING, 1)
 
 
 def test_fit_exact_line():
@@ -222,7 +213,7 @@ def test_interval_report_empty_interval_marked_unavailable():
     # squeeze every trip into one interval by faking start times
     import dataclasses
 
-    from detourlab.matching import AbstractTrajectory
+    from detourlab.trips import AbstractTrajectory
 
     shifted = []
     for t in trips:
@@ -243,15 +234,6 @@ def test_interval_report_empty_interval_marked_unavailable():
         assert rows[idx].stats.trip_count == 0
         assert rows[idx].utility is None
         assert rows[idx].adjustment is None
-
-
-def test_fill_driver_incomes(priced_dataset):
-    net, trips, drivers = priced_dataset
-    filled = fill_driver_incomes(net, BEIJING, trips, drivers)
-    assert len(filled) == len(drivers)
-    total = sum(v for d in filled for _, v in d.interval_income)
-    expected = sum(fare_for_trip(net, BEIJING, t) for t in trips)
-    assert total == pytest.approx(expected, rel=1e-12)
 
 
 def test_schedule_save_load_roundtrip(tmp_path):

@@ -2,11 +2,10 @@ import pytest
 
 from detourlab.classifier import offline_features
 from detourlab.errors import InputError
-from detourlab.matching import validate_trajectory
 from detourlab.network import network_to_dict
 from detourlab.routing import path_distance, path_est_time
 from detourlab.simulate import BEHAVIORS, SimConfig, generate_network, generate_trips
-from detourlab.trips import trip_to_dict
+from detourlab.trips import trip_to_dict, validate_trajectory
 
 
 def test_network_deterministic():
@@ -69,8 +68,8 @@ def test_detour_trips_hit_inflation_target():
     trips, _ = generate_trips(net, cfg)
     for trip in trips:
         assert trip.behavior == "detour" and trip.label == "detour"
-        truth_dist = path_distance(net, trip.truth_segments[:-1])
-        assert truth_dist >= 1.3 * trip.plans[0].distance - 1e-9
+        driven = path_distance(net, [s.segment for s in trip.atr.steps[:-1]])
+        assert driven >= 1.3 * trip.plans[0].distance - 1e-9
 
 
 def test_planted_separation():
@@ -104,7 +103,6 @@ def test_trip_structure_valid(sim_dataset):
         validate_trajectory(net, trip.atr)
         assert trip.behavior in BEHAVIORS
         assert (trip.label == "detour") == (trip.behavior == "detour")
-        assert trip.truth_segments == tuple(s.segment for s in trip.atr.steps)
         assert trip.plans[0].planned_at == trip.start_time
     for d in drivers:
         assert all(tid in trip_ids for tid in d.trips)
@@ -125,4 +123,4 @@ def test_full_plans_align_with_steps():
             assert plan.distance == path_distance(net, plan.path)
             assert plan.est_time == path_est_time(net, plan.path, step.t)
         assert trip.plans[-1].path == ()  # plan from the destination to itself
-        assert dest == trip.truth_segments[-1]
+        assert trip.actual_destination == net.segment_end(dest)

@@ -8,6 +8,7 @@ from detourlab.network import LatLng
 from detourlab.simulate import SimConfig, generate_network, generate_trips
 from detourlab.trips import (
     REJECT_DESTINATION,
+    DriverRecord,
     REJECT_MALFORMED,
     REJECT_SPEED,
     REJECT_TIME,
@@ -173,6 +174,17 @@ def test_save_load_simulated_trips(tmp_path):
     assert load_drivers(dpath) == drivers
     trip_ids = {t.trip_id for t in sim_trips}
     assert all(tid in trip_ids for d in drivers for tid in d.trips)
+
+
+def test_old_driver_files_still_load(tmp_path):
+    # the older drivers.jsonl format also carried a per-interval income map
+    path = tmp_path / "drivers.jsonl"
+    path.write_text(
+        '{"driver_id": "d0", "interval_income": {}, "trips": ["t1", "t2"]}\n'
+        '{"driver_id": "d1", "interval_income": {"06:00-12:00": 41.6}, "trips": ["t3"]}\n',
+        encoding="utf-8",
+    )
+    assert load_drivers(path) == [DriverRecord("d0", ("t1", "t2")), DriverRecord("d1", ("t3",))]
 
 
 def test_load_empty_file(tmp_path):
