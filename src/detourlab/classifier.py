@@ -18,6 +18,10 @@ import numpy as np
 from .errors import FitError, InputError
 from .trips import TripRecord, trajectory_distance_km, trajectory_minutes
 
+_GRAD_TOL = 1e-8  # Newton stops once the gradient infinity-norm is below this
+_MAX_STEPS = 100
+_MAX_HALVINGS = 60
+
 
 @dataclass(frozen=True)
 class FeatureVector:
@@ -102,17 +106,23 @@ def log_likelihood_gradient(beta, X, y, ridge: float = 0.0) -> np.ndarray:
     return grad
 
 
-def train(samples, ridge: float = 0.0, tol: float = 1e-8, max_iter: int = 10000) -> TrainReport:
-    """Fit the logit model by maximum likelihood.
+def _information(beta: np.ndarray, X: np.ndarray, ridge: float) -> np.ndarray:
+    """Information matrix (negative Hessian) of the ridged log-likelihood."""
+    probs = _sigmoid(X @ beta)
+    return X.T @ (X * (probs * (1.0 - probs))[:, None]) + ridge * np.eye(X.shape[1])
 
-    Gradient ascent with a backtracking (Armijo) line search; the trial step
-    uses the Barzilai-Borwein secant estimate, which keeps this a pure
-    gradient method but converges orders of magnitude faster than a fixed
-    schedule.  Stops when the gradient infinity-norm drops below ``tol``.
-    Standard errors come from the inverse observed information at the
-    optimum.  Perfectly separable data with no ridge has no finite
-    maximizer; that case is reported with ``converged=False`` and a
-    diagnostic instead of an error.
+
+def train(samples, ridge: float = 0.0) -> TrainReport:
+    """Fit the logit model by Newton (IRLS) maximum likelihood.
+
+    Each step solves the information matrix against the gradient, by least
+    squares so that a constant feature column (a singular matrix) still gets
+    a direction, and halves until the log-likelihood does not drop.  Stops
+    when the gradient infinity-norm falls below ``_GRAD_TOL``, or unconverged
+    after ``_MAX_STEPS`` steps or when no halving stops the drop.  Standard
+    errors come from the inverse information at the optimum.  Perfectly
+    separable data with no ridge has no finite maximizer; that case is
+    reported with ``converged=False`` and a diagnostic instead of an error.
     """
     X, y = _design(samples)
     positives = int(np.sum(y))
@@ -121,36 +131,23 @@ def train(samples, ridge: float = 0.0, tol: float = 1e-8, max_iter: int = 10000)
 
     beta = np.zeros(3)
     ll = log_likelihood(beta, X, y, ridge)
-    grad = log_likelihood_gradient(beta, X, y, ridge)
-    prev_beta = prev_grad = None
     iterations = 0
-    converged = False
-    for iterations in range(1, max_iter + 1):
-        gnorm = float(np.max(np.abs(grad)))
-        if gnorm < tol:
-            converged = True
-            iterations -= 1
-            break
-        if prev_beta is None:
-            step = 1.0 / max(1.0, float(np.linalg.norm(grad)))
-        else:
-            move = beta - prev_beta
-            bend = prev_grad - grad
-            denom = float(move @ bend)
-            step = float(move @ move) / denom if denom > 0 else 1.0
-        g2 = float(grad @ grad)
-        candidate, cll = beta, ll
-        while step > 1e-18:
-            candidate = beta + step * grad
-            cll = log_likelihood(candidate, X, y, ridge)
-            if cll >= ll + 1e-4 * step * g2:
-                break
-            step *= 0.5
-        else:
-            break  # no ascent progress at float resolution
-        prev_beta, prev_grad = beta, grad
-        beta, ll = candidate, cll
+    while True:
         grad = log_likelihood_gradient(beta, X, y, ridge)
+        converged = float(np.max(np.abs(grad))) < _GRAD_TOL
+        if converged or iterations == _MAX_STEPS:
+            break
+        direction = np.linalg.lstsq(_information(beta, X, ridge), grad, rcond=None)[0]
+        for _ in range(_MAX_HALVINGS):
+            candidate = beta + direction
+            cll = log_likelihood(candidate, X, y, ridge)
+            if cll >= ll:
+                break
+            direction = 0.5 * direction
+        else:
+            break  # no ascent at float resolution
+        beta, ll = candidate, cll
+        iterations += 1
 
     theta = X @ beta
     diagnostics = None
@@ -167,11 +164,8 @@ def train(samples, ridge: float = 0.0, tol: float = 1e-8, max_iter: int = 10000)
         converged = False
         diagnostics = "coefficients diverging; data may be (near-)separable"
 
-    probs = _sigmoid(theta)
-    weights = probs * (1.0 - probs)
-    info = X.T @ (X * weights[:, None]) + ridge * np.eye(3)
     try:
-        cov = np.linalg.inv(info)
+        cov = np.linalg.inv(_information(beta, X, ridge))
         ses = np.sqrt(np.maximum(np.diag(cov), 0.0))
         if not np.all(np.isfinite(ses)):
             raise np.linalg.LinAlgError
@@ -239,7 +233,8 @@ def save_model(model: LogitModel, path, trained_on: int = 0, ridge: float = 0.0)
         "trained_on": trained_on,
         "ridge": ridge,
     }
-    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def load_model(path) -> LogitModel:
@@ -248,6 +243,9 @@ def load_model(path) -> LogitModel:
         raise FileNotFoundError(f"model file not found: {p}")
     try:
         data = json.loads(p.read_text(encoding="utf-8"))
-        return LogitModel(float(data["beta0"]), float(data["beta1"]), float(data["beta2"]))
+        coefs = [float(data[key]) for key in ("beta0", "beta1", "beta2")]
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed model file {p}: {exc}") from exc
+    if not all(math.isfinite(c) for c in coefs):
+        raise InputError(f"model file {p} has non-finite coefficients: {coefs}")
+    return LogitModel(*coefs)

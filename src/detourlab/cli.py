@@ -28,8 +28,8 @@ _JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), tuple: (list,), 
 def _from_json(cls, data, where: str):
     """``cls`` built from a JSON object whose keys are ``cls``'s fields.
 
-    Each value must have the JSON type of the field's default, and nested
-    dataclass fields are read the same way; anything else is an InputError.
+    Each value is read by ``_json_value`` against the field's default;
+    anything else is an InputError.
     """
     if not isinstance(data, dict):
         raise InputError(f"{where} must be a JSON object")
@@ -39,16 +39,33 @@ def _from_json(cls, data, where: str):
     for key, value in data.items():
         if key not in names:
             raise InputError(f"{where}: unknown key {key!r}")
-        default = getattr(defaults, key)
-        if is_dataclass(default):
-            values[key] = _from_json(type(default), value, f"{where}.{key}")
-            continue
-        want = type(default)
-        if isinstance(value, bool) != (want is bool) or not isinstance(value, _JSON_TYPES[want]):
-            kinds = " or ".join(t.__name__ for t in _JSON_TYPES[want])
-            raise InputError(f"{where}.{key} must be {kinds}, got {value!r}")
-        values[key] = want(value)
+        values[key] = _json_value(value, getattr(defaults, key), f"{where}.{key}")
     return cls(**values)
+
+
+def _json_value(value, default, where: str):
+    """``value`` converted to the type of ``default``, or an InputError.
+
+    The value must have the JSON type of the default; a bool never counts as
+    a number.  A nested dataclass is read by ``_from_json``, a tuple must
+    match the default's length and element types, and every value of a dict
+    must have the type of the default's values.
+    """
+    if is_dataclass(default):
+        return _from_json(type(default), value, where)
+    want = type(default)
+    if isinstance(value, bool) != (want is bool) or not isinstance(value, _JSON_TYPES[want]):
+        kinds = " or ".join(t.__name__ for t in _JSON_TYPES[want])
+        raise InputError(f"{where} must be {kinds}, got {value!r}")
+    if want is tuple:
+        if len(value) != len(default):
+            raise InputError(f"{where} must have {len(default)} elements, got {value!r}")
+        return tuple(_json_value(v, d, f"{where}[{i}]")
+                     for i, (v, d) in enumerate(zip(value, default)))
+    if want is dict:
+        item = next(iter(default.values()))
+        return {k: _json_value(v, item, f"{where}.{k}") for k, v in value.items()}
+    return want(value)
 
 
 @dataclass
@@ -239,7 +256,7 @@ def cmd_detect(args) -> int:
                 "theta": decision.theta,
                 "action": decision.action,
                 "scenario": decision.scenario,
-            }, sort_keys=True))
+            }, sort_keys=True, allow_nan=False))
     finally:
         if close is not None:
             close.close()

@@ -20,6 +20,7 @@ from .trips import TrajStep
 
 ACTIONS = ("none", "warn_issued", "warn_maintained", "warn_cancelled")
 SCENARIOS = ("worse", "longer_but_faster", "shorter_but_slower", "better", "mixed_zero")
+STAGES = 10  # completeness stages of stage_auc: the first 10%, 20%, ..., 100% of steps
 
 
 @dataclass(frozen=True)
@@ -86,6 +87,8 @@ def step(net: RoadNetwork, model: LogitModel, progress: TripProgress,
     at or below zero cancels an active one.  The scenario tags the sign
     pattern of the two ratios.
     """
+    if not math.isfinite(t):
+        raise InputError(f"trip {progress.trip_id!r}: timestamp {t} is not finite")
     seg = net.segment(segment)
     prev_seg = None
     if progress.steps:
@@ -152,11 +155,10 @@ class StageResult:
 
 
 def stage_auc(net: RoadNetwork, model: LogitModel, trips,
-              weights: RoutingWeights = RoutingWeights(),
-              stages: int = 10) -> list[StageResult]:
+              weights: RoutingWeights = RoutingWeights()) -> list[StageResult]:
     """Detection quality by trip completeness.
 
-    Each trip is scored at the last step inside the first k/``stages`` of its
+    Each trip is scored at the last step inside the first k/``STAGES`` of its
     steps (ceiling); the per-stage AUC ranks those scores against the labels.
     A trip counts as warned at stage k if any warning was active at or
     before that step.
@@ -167,11 +169,11 @@ def stage_auc(net: RoadNetwork, model: LogitModel, trips,
 
     thetas = [[d.theta for d in run_trip(net, model, trip, weights)] for trip in trips]
     results = []
-    for stage in range(1, stages + 1):
+    for stage in range(1, STAGES + 1):
         scores = []
         warned = 0
         for trip_thetas in thetas:
-            idx = math.ceil(len(trip_thetas) * stage / stages)
+            idx = math.ceil(len(trip_thetas) * stage / STAGES)
             scores.append(trip_thetas[idx - 1])
             if any(v > 0.0 for v in trip_thetas[:idx]):
                 warned += 1

@@ -12,6 +12,7 @@ level where the fitted detour ratio reaches zero.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,12 +49,21 @@ class FareSchedule:
     def __post_init__(self):
         if not self.intervals:
             raise InputError("schedule needs at least one interval")
+        amounts = {"base_fare": self.base_fare, "base_km": self.base_km,
+                   "base_min": self.base_min, "operating_cost_per_km": self.operating_cost_per_km}
+        for name, value in amounts.items():
+            if not (math.isfinite(value) and value >= 0.0):
+                raise InputError(f"{name} must be finite and non-negative, got {value}")
         expected = 0.0
         for iv in self.intervals:
             if iv.start_min != expected:
                 raise InputError(f"intervals must partition [0, 1440): gap at {iv.start_min}")
             if iv.end_min <= iv.start_min:
                 raise InputError("interval end must exceed its start")
+            if not all(math.isfinite(r) and r >= 0.0 for r in (iv.rate_per_km, iv.rate_per_min)):
+                raise InputError(f"interval {iv.label}: rates must be finite and non-negative")
+            if not (math.isfinite(iv.serving_speed) and iv.serving_speed > 0.0):
+                raise InputError(f"interval {iv.label}: serving speed must be finite and positive")
             expected = iv.end_min
         if expected != 1440.0:
             raise InputError("intervals must end at minute 1440")
@@ -240,14 +250,13 @@ class IntervalReportRow:
 
 def interval_report(net, schedule: FareSchedule, trips,
                     duty_minutes: float = 60.0,
-                    u0: float | None = None,
                     ) -> tuple[list[IntervalReportRow], RatioUtilityFit | None]:
     """Full long-term analysis: stats, utilities, fit, and adjustments.
 
-    ``u0`` can be supplied (e.g. from another dataset's fit); otherwise it
-    comes from regressing this dataset's per-interval detour ratio on its
-    utility.  Intervals without traffic, and datasets where the fit is
-    degenerate, leave the dependent columns unavailable rather than failing.
+    The target utility ``u0`` comes from regressing this dataset's
+    per-interval detour ratio on its utility.  Intervals without traffic, and
+    datasets where the fit is degenerate, leave the dependent columns
+    unavailable rather than failing.
     """
     stats = interval_stats(net, schedule, trips)
     costs: list[float | None] = []
@@ -261,16 +270,12 @@ def interval_report(net, schedule: FareSchedule, trips,
         costs.append(a4)
         utilities.append(detour_utility(schedule, st.interval, a4))
 
-    fit = None
-    if u0 is None:
-        points = [
-            (u, st.detour_ratio) for st, u in zip(stats, utilities) if u is not None
-        ]
-        try:
-            fit = fit_ratio_utility(points)
-            u0 = fit.u0
-        except FitError:
-            fit = None
+    points = [(u, st.detour_ratio) for st, u in zip(stats, utilities) if u is not None]
+    try:
+        fit = fit_ratio_utility(points)
+        u0 = fit.u0
+    except FitError:
+        fit = u0 = None
 
     rows = []
     for st, a4, u in zip(stats, costs, utilities):

@@ -127,9 +127,27 @@ def test_training_single_class_rejected():
 def test_training_flags_perfect_separation():
     samples = [(FeatureVector(x, 0.0), 1 if x > 0 else 0)
                for x in np.linspace(-1, 1, 40) if x != 0]
-    report = train(samples, ridge=0.0, max_iter=500)
+    report = train(samples, ridge=0.0)
     assert not report.converged
     assert report.diagnostics is not None
+
+
+def test_training_converges_fast_on_near_separable_data():
+    # 10% positives that overlap the negatives only in the tails: gradient
+    # ascent crawls here, Newton lands in a few steps
+    rng = np.random.default_rng(3)
+    n, n_pos = 400, 40
+    x1 = np.concatenate([rng.normal(0.3, 0.08, n_pos), np.abs(rng.normal(0.0, 0.06, n - n_pos))])
+    x2 = np.concatenate([rng.normal(0.3, 0.1, n_pos), rng.normal(0.0, 0.08, n - n_pos)])
+    y = np.array([1] * n_pos + [0] * (n - n_pos))
+    samples = [(FeatureVector(x1[i], x2[i]), int(y[i])) for i in range(n)]
+    report = train(samples, ridge=1e-6)
+    assert report.converged
+    assert report.iterations <= 30
+    m = report.model
+    beta = np.array([m.intercept, m.dist_coef, m.time_coef])
+    X = np.column_stack([np.ones(n), x1, x2])
+    assert np.max(np.abs(log_likelihood_gradient(beta, X, y, 1e-6))) < 1e-8
 
 
 def test_training_on_noisy_data_converges():
@@ -215,6 +233,15 @@ def test_model_save_load_roundtrip(tmp_path):
 def test_load_model_missing(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_model(tmp_path / "nope.json")
+
+
+def test_model_file_never_holds_non_finite_coefficients(tmp_path):
+    path = tmp_path / "model.json"
+    with pytest.raises(ValueError):
+        save_model(LogitModel(math.nan, 1.0, 1.0), path)
+    path.write_text('{"beta0": NaN, "beta1": 1.0, "beta2": 1.0}')
+    with pytest.raises(InputError):
+        load_model(path)
 
 
 def test_load_model_malformed(tmp_path):

@@ -107,6 +107,19 @@ def test_detect_requires_dest_on_first_event(pipeline_dir, tmp_path):
                 "--events", events, "--out", tmp_path / "d.jsonl"]) == 3
 
 
+def test_detect_rejects_non_finite_timestamp(pipeline_dir, tmp_path):
+    # the second step enters the destination, so no route search sees the NaN
+    root, net, data, filt, model = pipeline_dir
+    atr = json.loads((data / "trips.jsonl").read_text().splitlines()[0])["atr"]
+    events = tmp_path / "events.jsonl"
+    events.write_text(
+        json.dumps({"trip_id": "t", "segment": atr[0]["segment"], "t": atr[0]["t"],
+                    "dest": atr[1]["segment"]}) + "\n"
+        + json.dumps({"trip_id": "t", "segment": atr[1]["segment"], "t": float("nan")}) + "\n")
+    assert run(["detect", "--network", net, "--model", model,
+                "--events", events, "--out", tmp_path / "d.jsonl"]) == 3
+
+
 def test_report_emits_all_outputs(pipeline_dir):
     root, net, data, filt, model = pipeline_dir
     out = root / "report"
@@ -137,7 +150,13 @@ def test_validation_failure_exits_3(tmp_path):
     "[]",
     '{"sim": {"bogus": 1}}',
     '{"sim": {"n_trips": "40"}}',
-], ids=["invalid_json", "not_an_object", "unknown_key", "wrong_type"])
+    '{"sim": {"grid_dims": ["a", "b"]}}',
+    '{"sim": {"grid_dims": [3]}}',
+    '{"sim": {"grid_dims": [2.5, 3]}}',
+    '{"sim": {"behavior_mix": {"normal": "x"}}}',
+    '{"sim": {"behavior_mix": {"normal": null}}}',
+], ids=["invalid_json", "not_an_object", "unknown_key", "wrong_type", "tuple_element_type",
+        "tuple_length", "tuple_float_for_int", "dict_value_type", "dict_value_null"])
 def test_bad_config_file_exits_3(tmp_path, text):
     config = tmp_path / "config.json"
     config.write_text(text)

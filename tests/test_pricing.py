@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,6 +16,8 @@ from detourlab.pricing import (
     interval_stats,
     load_schedule,
     save_schedule,
+    schedule_from_dict,
+    schedule_to_dict,
     solve_price_adjustment,
 )
 from detourlab.simulate import SimConfig, generate_network, generate_trips
@@ -249,6 +253,11 @@ def test_schedule_validation():
     with pytest.raises(InputError):
         FareSchedule("x", 10.0, 3.0, 10.0, 0.5,
                      (IntervalRate(10.0, 1440.0, 1.0, 1.0, 0.4),))  # gap at 0
+    for key, value in (("rate_per_km", math.nan), ("serving_speed_km_per_min", -1.0)):
+        data = schedule_to_dict(BEIJING)
+        data["intervals"][2][key] = value
+        with pytest.raises(InputError):
+            schedule_from_dict(data)
 
 
 def test_default_schedules_complete():
