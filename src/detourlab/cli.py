@@ -15,7 +15,6 @@ from pathlib import Path
 
 from . import charts, classifier, online, pricing, trips as trips_mod
 from .errors import DataFormatError, DetourlabError, InputError
-from .matching import MatchConfig
 from .network import load_network, save_network
 from .routing import RoutingWeights
 from .simulate import SimConfig, generate_network, generate_trips
@@ -75,7 +74,6 @@ class RunConfig:
     sim: SimConfig = field(default_factory=SimConfig)
     rules: trips_mod.FilterRules = field(default_factory=trips_mod.FilterRules)
     weights: RoutingWeights = field(default_factory=RoutingWeights)
-    match: MatchConfig = field(default_factory=MatchConfig)
     ridge: float = 0.0
     duty_minutes: float = 60.0
 

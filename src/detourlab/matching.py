@@ -15,9 +15,7 @@ from dataclasses import dataclass
 from . import trips
 from .errors import InputError, MatchError, NoRouteError
 from .network import EARTH_RADIUS_KM, RoadNetwork, Segment, haversine_km
-from .routing import RoutingWeights, route_plan
-
-_DISTANCE_ONLY = RoutingWeights(1.0, 0.0)
+from .routing import RoutingWeights, route_km, route_plan
 
 
 @dataclass(frozen=True)
@@ -54,16 +52,6 @@ def _project(net: RoadNetwork, point, seg: Segment) -> tuple[float, float]:
     return math.hypot(ax + u * dx, ay + u * dy), u
 
 
-def point_segment_distance_m(net: RoadNetwork, point, seg: Segment) -> float:
-    """Perpendicular distance in metres from a point to a straight segment."""
-    return _project(net, point, seg)[0]
-
-
-def along_track_km(net: RoadNetwork, point, seg: Segment) -> float:
-    """Driving distance from the segment's entry node to the point's projection."""
-    return _project(net, point, seg)[1] * seg.length
-
-
 def emission_logprob(distance_m: float, cfg: MatchConfig) -> float:
     # Gaussian in perpendicular distance; the normalizing constant is shared
     # by every candidate and dropped.
@@ -77,41 +65,37 @@ def transition_logprob(route_km: float | None, gc_km: float, cfg: MatchConfig) -
     return -abs(route_km - gc_km) / cfg.transition_beta
 
 
-def candidates_for(net: RoadNetwork, point, radius_m: float) -> list[Segment]:
-    """Segments within ``radius_m`` of the point, sorted by id."""
-    found = [
-        seg
-        for seg in net.segments.values()
-        if point_segment_distance_m(net, point, seg) <= radius_m
-    ]
-    found.sort(key=lambda s: s.id)
+def candidates_for(net: RoadNetwork, point, radius_m: float) -> list[tuple[Segment, float, float]]:
+    """``(segment, distance_m, along_km)`` for each segment within ``radius_m``.
+
+    ``distance_m`` is the point's perpendicular distance to the segment and
+    ``along_km`` the driving distance from the segment's entry node to the
+    point's projection.  Sorted by segment id.
+    """
+    found = []
+    for seg in net.segments.values():
+        distance_m, u = _project(net, point, seg)
+        if distance_m <= radius_m:
+            found.append((seg, distance_m, u * seg.length))
+    found.sort(key=lambda c: c[0].id)
     return found
 
 
 class RouteDistanceCache:
-    """Memoized on-network distance between candidate segments.
-
-    Distance-only routing is time-independent, so one value per ordered pair
-    is enough for a whole trajectory.
-    """
+    """``routing.route_km`` memoized per ordered pair of candidate segments."""
 
     def __init__(self, net: RoadNetwork):
         self.net = net
         self.cache: dict[tuple[str, str], float | None] = {}
 
-    def km(self, a: str, b: str, t: float) -> float | None:
-        key = (a, b)
-        if key not in self.cache:
-            try:
-                self.cache[key] = route_plan(self.net, a, b, t, _DISTANCE_ONLY).distance
-            except NoRouteError:
-                self.cache[key] = None
-        return self.cache[key]
+    def km(self, a: str, b: str) -> float | None:
+        if (a, b) not in self.cache:
+            self.cache[a, b] = route_km(self.net, a, b)
+        return self.cache[a, b]
 
 
-def candidate_route_km(net, a: Segment, p_a, b: Segment, p_b, routes: RouteDistanceCache,
-                       t: float) -> float | None:
-    """Driving distance between two candidate projections.
+def candidate_route_km(a, b, routes: RouteDistanceCache) -> float | None:
+    """Driving distance between the projections of two ``candidates_for`` entries.
 
     The segment-to-segment route covers ``a`` in full and stops on entering
     ``b``; the along-track corrections move both endpoints to the projected
@@ -120,14 +104,11 @@ def candidate_route_km(net, a: Segment, p_a, b: Segment, p_b, routes: RouteDista
     great-circle gap in the transition score), which is what disambiguates a
     segment from its reverse twin.
     """
-    if a.id == b.id:
-        raw = along_track_km(net, p_b, b) - along_track_km(net, p_a, a)
-    else:
-        base = routes.km(a.id, b.id, t)
-        if base is None:
-            return None
-        raw = base - along_track_km(net, p_a, a) + along_track_km(net, p_b, b)
-    return max(0.0, raw)
+    (seg_a, _, along_a), (seg_b, _, along_b) = a, b
+    if seg_a.id == seg_b.id:
+        return max(0.0, along_b - along_a)
+    base = routes.km(seg_a.id, seg_b.id)
+    return None if base is None else max(0.0, base - along_a + along_b)
 
 
 def _check_points(tr) -> None:
@@ -146,7 +127,7 @@ def viterbi_decode(net: RoadNetwork, tr, cfg: MatchConfig = MatchConfig()) -> li
     (score desc, reversed id sequence asc).
     """
     _check_points(tr)
-    cands: list[list[Segment]] = []
+    cands: list[list[tuple[Segment, float, float]]] = []
     for i, p in enumerate(tr):
         found = candidates_for(net, p, cfg.candidate_radius)
         if not found:
@@ -156,7 +137,7 @@ def viterbi_decode(net: RoadNetwork, tr, cfg: MatchConfig = MatchConfig()) -> li
 
     routes = RouteDistanceCache(net)
     # score[j] aligns with cands[k]; back[k][j] is the chosen predecessor index
-    score = [emission_logprob(point_segment_distance_m(net, tr[0], c), cfg) for c in cands[0]]
+    score = [emission_logprob(distance_m, cfg) for _, distance_m, _ in cands[0]]
     back: list[list[int]] = []
 
     for k in range(1, len(tr)):
@@ -164,13 +145,13 @@ def viterbi_decode(net: RoadNetwork, tr, cfg: MatchConfig = MatchConfig()) -> li
         new_score: list[float] = []
         pointers: list[int] = []
         for c in cands[k]:
-            emis = emission_logprob(point_segment_distance_m(net, tr[k], c), cfg)
+            emis = emission_logprob(c[1], cfg)
             best = -math.inf
             best_j = -1
             for j, prev in enumerate(cands[k - 1]):
                 if score[j] == -math.inf:
                     continue
-                route = candidate_route_km(net, prev, tr[k - 1], c, tr[k], routes, tr[k - 1].t)
+                route = candidate_route_km(prev, c, routes)
                 cand = score[j] + transition_logprob(route, gc, cfg)
                 if cand > best:  # strict: first (lowest-id) predecessor wins ties
                     best = cand
@@ -188,7 +169,7 @@ def viterbi_decode(net: RoadNetwork, tr, cfg: MatchConfig = MatchConfig()) -> li
     for pointers in reversed(back):
         states.append(pointers[states[-1]])
     states.reverse()
-    return [cands[k][j].id for k, j in enumerate(states)]
+    return [cands[k][j][0].id for k, j in enumerate(states)]
 
 
 def match_trajectory(
@@ -219,7 +200,7 @@ def match_trajectory(
         b = net.segment(cur.segment)
         if a.to_node != b.from_node:
             try:
-                plan = route_plan(net, prev.segment, cur.segment, prev.t, _DISTANCE_ONLY)
+                plan = route_plan(net, prev.segment, cur.segment, prev.t, RoutingWeights(1.0, 0.0))
             except NoRouteError:
                 raise MatchError(
                     f"matched segments {prev.segment!r} -> {cur.segment!r} cannot be connected",

@@ -141,6 +141,7 @@ class RoadNetwork:
 
         seg_map: dict[str, Segment] = {}
         out: dict[str, list[Segment]] = {nid: [] for nid in node_map}
+        inc: dict[str, list[Segment]] = {nid: [] for nid in node_map}
         for s in segments:
             if s.id in seg_map:
                 raise InputError(f"duplicate segment id {s.id!r}")
@@ -151,10 +152,12 @@ class RoadNetwork:
             _validate_profile(s)
             seg_map[s.id] = s
             out[s.from_node].append(s)
+            inc[s.to_node].append(s)
 
         self._nodes = MappingProxyType(node_map)
         self._segments = MappingProxyType(seg_map)
         self._out = {nid: tuple(sorted(v, key=lambda s: s.id)) for nid, v in out.items()}
+        self._in = {nid: tuple(sorted(v, key=lambda s: s.id)) for nid, v in inc.items()}
 
     @property
     def nodes(self):
@@ -181,6 +184,12 @@ class RoadNetwork:
         if node_id not in self._out:
             raise InputError(f"unknown node id {node_id!r}")
         return self._out[node_id]
+
+    def incoming(self, node_id: str) -> tuple[Segment, ...]:
+        """Incoming segments of a node, sorted by segment id."""
+        if node_id not in self._in:
+            raise InputError(f"unknown node id {node_id!r}")
+        return self._in[node_id]
 
     def segment_end(self, segment_id: str) -> LatLng:
         """Geometry of the segment's end node."""

@@ -11,6 +11,7 @@ the offline features on the final step with no special cases.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from weakref import WeakKeyDictionary
 
@@ -82,32 +83,21 @@ def path_est_time(net: RoadNetwork, path, depart: float) -> float:
     return (entry_times(net, path, depart)[-1] - depart) / 60.0
 
 
-# Per-network cache of reverse lower-bound tables, keyed by goal node.  The
+# Per-network cache of the static per-goal tables, keyed by goal node.  The
 # network is immutable, so the tables never go stale.
 _HEURISTICS: WeakKeyDictionary = WeakKeyDictionary()
-
-
-def _reverse_adjacency(net: RoadNetwork) -> dict[str, list]:
-    entry = _HEURISTICS.setdefault(net, {"_rev": None, "goals": {}})
-    if entry["_rev"] is None:
-        rev: dict[str, list] = {nid: [] for nid in net.nodes}
-        for seg in net.segments.values():
-            rev[seg.to_node].append(seg)
-        entry["_rev"] = rev
-    return entry["_rev"]
 
 
 def _lower_bounds(net: RoadNetwork, goal: str) -> tuple[dict[str, float], dict[str, float]]:
     """Static per-node lower bounds on remaining km and remaining minutes.
 
-    Distances use true segment lengths; times use each segment's fastest
-    bucket, so both bounds are admissible and consistent for the
-    time-dependent search whatever the departure time.
+    Distances use true segment lengths, so the km bound is exact; times use
+    each segment's fastest bucket.  Both bounds are admissible and consistent
+    for the time-dependent search whatever the departure time.
     """
-    entry = _HEURISTICS.setdefault(net, {"_rev": None, "goals": {}})
-    if goal in entry["goals"]:
-        return entry["goals"][goal]
-    rev = _reverse_adjacency(net)
+    tables = _HEURISTICS.setdefault(net, {})
+    if goal in tables:
+        return tables[goal]
 
     def dijkstra(edge_cost) -> dict[str, float]:
         dist = {goal: 0.0}
@@ -116,7 +106,7 @@ def _lower_bounds(net: RoadNetwork, goal: str) -> tuple[dict[str, float], dict[s
             d, node = heapq.heappop(heap)
             if d > dist.get(node, float("inf")):
                 continue
-            for seg in rev[node]:
+            for seg in net.incoming(node):
                 nd = d + edge_cost(seg)
                 if nd < dist.get(seg.from_node, float("inf")):
                     dist[seg.from_node] = nd
@@ -125,8 +115,22 @@ def _lower_bounds(net: RoadNetwork, goal: str) -> tuple[dict[str, float], dict[s
 
     km = dijkstra(lambda seg: seg.length)
     minutes = dijkstra(lambda seg: min(seg.length / kmh * 60.0 for _, kmh in seg.speed_profile))
-    entry["goals"][goal] = (km, minutes)
+    tables[goal] = (km, minutes)
     return km, minutes
+
+
+def route_km(net: RoadNetwork, origin: str, dest: str) -> float | None:
+    """Shortest km from entering ``origin`` to entering ``dest``, or None if unreachable.
+
+    Distance does not depend on the time of day, so this reads the static km
+    table behind the planner's A* bound instead of searching.
+    """
+    o = net.segment(origin)
+    d = net.segment(dest)
+    if origin == dest:
+        return 0.0
+    rest = _lower_bounds(net, d.from_node)[0].get(o.to_node)
+    return None if rest is None else o.length + rest
 
 
 def route_plan(
@@ -147,6 +151,8 @@ def route_plan(
     bound that confines the search to the near-optimal corridor.  Equal-cost
     ties resolve toward the lexicographically smallest segment-id sequence.
     """
+    if not math.isfinite(depart):
+        raise InputError(f"departure time {depart!r} is not a finite number")
     o = net.segment(origin)
     d = net.segment(dest)
     if origin == dest:

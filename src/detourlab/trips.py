@@ -7,11 +7,12 @@ segment ids referencing a separately stored network file.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DataFormatError, InputError
-from .network import GpsPoint, LatLng, RoadNetwork, haversine_km
+from .network import GpsPoint, LatLng, RoadNetwork, check_coordinates, haversine_km
 from .routing import RoutePlanStep
 
 LABELS = ("detour", "normal", "unlabeled")
@@ -41,8 +42,11 @@ class AbstractTrajectory:
     def __post_init__(self):
         if not self.steps:
             raise InputError(f"trajectory {self.trip_id!r} is empty")
-        for i in range(1, len(self.steps)):
-            if self.steps[i].t <= self.steps[i - 1].t:
+        for i, step in enumerate(self.steps):
+            if not math.isfinite(step.t):
+                raise InputError(f"trajectory {self.trip_id!r}: step {i} timestamp {step.t} "
+                                 "is not finite")
+            if i and step.t <= self.steps[i - 1].t:
                 raise InputError(
                     f"trajectory {self.trip_id!r}: timestamps not increasing at step {i}"
                 )
@@ -89,7 +93,20 @@ class TripRecord:
             raise InputError(f"trip {self.trip_id!r}: unknown label {self.label!r}")
         if not self.plans:
             raise InputError(f"trip {self.trip_id!r}: missing initial route plan")
+        where = f"trip {self.trip_id!r}"
+        if not math.isfinite(self.start_time):
+            raise InputError(f"{where}: start_time {self.start_time} is not finite")
+        for name, dest in (("recorded", self.recorded_destination),
+                           ("actual", self.actual_destination)):
+            check_coordinates(dest.lat, dest.lng, f"{where}: {name} destination")
+        for i, p in enumerate(self.raw_gps or ()):
+            if not all(map(math.isfinite, (p.lat, p.lng, p.t))):
+                raise InputError(f"{where}: GPS point {i} ({p.lat}, {p.lng}, t={p.t}) "
+                                 "is not finite")
         for i, plan in enumerate(self.plans):
+            if not all(map(math.isfinite, (plan.planned_at, plan.distance, plan.est_time))):
+                raise InputError(f"{where}: plan {i} has a non-finite planned_at, "
+                                 "distance_km or est_time_min")
             if i < len(self.atr.steps):
                 if plan.planned_at != self.atr.steps[i].t:
                     raise InputError(f"trip {self.trip_id!r}: plan {i} not aligned with its step")

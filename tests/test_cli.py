@@ -120,6 +120,19 @@ def test_detect_rejects_non_finite_timestamp(pipeline_dir, tmp_path):
                 "--events", events, "--out", tmp_path / "d.jsonl"]) == 3
 
 
+@pytest.mark.parametrize("command", ["filter", "train", "pricing"])
+def test_trip_file_with_nan_step_exits_3(pipeline_dir, tmp_path, command):
+    root, net, data, filt, model = pipeline_dir
+    lines = (data / "trips.jsonl").read_text().splitlines()
+    trip = json.loads(lines[0])
+    trip["atr"][1]["t"] = float("nan")
+    bad = tmp_path / "trips.jsonl"
+    bad.write_text("\n".join([json.dumps(trip)] + lines[1:]) + "\n")
+    extra = ["--schedule", "beijing"] if command == "pricing" else []
+    assert run([command, "--network", net, "--trips", bad, *extra,
+                "--out", tmp_path / "out"]) == 3
+
+
 def test_report_emits_all_outputs(pipeline_dir):
     root, net, data, filt, model = pipeline_dir
     out = root / "report"
@@ -155,8 +168,10 @@ def test_validation_failure_exits_3(tmp_path):
     '{"sim": {"grid_dims": [2.5, 3]}}',
     '{"sim": {"behavior_mix": {"normal": "x"}}}',
     '{"sim": {"behavior_mix": {"normal": null}}}',
+    '{"match": {"emission_sigma": 25.0}}',
 ], ids=["invalid_json", "not_an_object", "unknown_key", "wrong_type", "tuple_element_type",
-        "tuple_length", "tuple_float_for_int", "dict_value_type", "dict_value_null"])
+        "tuple_length", "tuple_float_for_int", "dict_value_type", "dict_value_null",
+        "removed_match_key"])
 def test_bad_config_file_exits_3(tmp_path, text):
     config = tmp_path / "config.json"
     config.write_text(text)

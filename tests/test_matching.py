@@ -12,7 +12,6 @@ from detourlab.matching import (
     candidates_for,
     emission_logprob,
     match_trajectory,
-    point_segment_distance_m,
     transition_logprob,
     viterbi_decode,
 )
@@ -37,23 +36,23 @@ def enumeration_best(net, tr, cfg):
     best_key = None
     best_seq = None
     for combo in itertools.product(*cands):
-        score = emission_logprob(point_segment_distance_m(net, tr[0], combo[0]), cfg)
+        score = emission_logprob(combo[0][1], cfg)
         feasible = True
         for k in range(1, len(tr)):
             a, b = combo[k - 1], combo[k]
-            route = candidate_route_km(net, a, tr[k - 1], b, tr[k], routes, tr[k - 1].t)
+            route = candidate_route_km(a, b, routes)
             lp = transition_logprob(route, haversine_km(tr[k - 1], tr[k]), cfg)
             if lp == -math.inf:
                 feasible = False
                 break
             score = score + lp
-            score = score + emission_logprob(point_segment_distance_m(net, tr[k], b), cfg)
+            score = score + emission_logprob(b[1], cfg)
         if not feasible:
             continue
-        key = (-score, tuple(c.id for c in reversed(combo)))
+        key = (-score, tuple(seg.id for seg, _, _ in reversed(combo)))
         if best_key is None or key < best_key:
             best_key = key
-            best_seq = [c.id for c in combo]
+            best_seq = [seg.id for seg, _, _ in combo]
     return best_seq
 
 
@@ -89,6 +88,17 @@ def test_points_on_one_segment_collapse(t_junction):
     atr = match_trajectory(t_junction, points, trip_id="tx")
     assert [s.segment for s in atr.steps] == ["l>c"]
     assert atr.steps[0].t == BASE_T
+
+
+def test_candidates_carry_their_projection(t_junction):
+    # 12 m north of the horizontal road, 150 m east of l
+    point = offset_point(0.0, -0.45 / KM_PER_DEG, 12.0, 0.0, BASE_T)
+    got = {seg.id: (dist_m, along_km)
+           for seg, dist_m, along_km in candidates_for(t_junction, point, 100.0)}
+    assert sorted(got) == ["c>l", "l>c"]
+    assert got["l>c"][0] == got["c>l"][0] == pytest.approx(12.0, rel=1e-6)
+    assert got["l>c"][1] == pytest.approx(0.15, rel=1e-6)
+    assert got["c>l"][1] == pytest.approx(0.45, rel=1e-6)
 
 
 def test_two_point_fixture_equals_enumeration(t_junction):

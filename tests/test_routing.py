@@ -1,9 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
 from detourlab.errors import InputError, NoRouteError
 from detourlab.network import Node, RoadNetwork, Segment
-from detourlab.routing import RoutingWeights, path_distance, path_est_time, route_plan
+from detourlab.routing import (
+    RoutingWeights,
+    path_distance,
+    path_est_time,
+    route_km,
+    route_plan,
+)
 
 from conftest import flat
 
@@ -124,6 +132,43 @@ def test_matches_brute_force_on_random_graphs():
             assert plan.path == expected[1]
             checked += 1
     assert checked > 60
+
+
+def test_route_km_equals_distance_only_plan(small_grid):
+    # 21:50 sits just before a speed breakpoint; distance must not care
+    shortest = RoutingWeights(1.0, 0.0)
+    for depart in (BASE_T + 12 * 3600.0, BASE_T + (21 * 60 + 50) * 60.0):
+        for origin in small_grid.segments:
+            for dest in small_grid.segments:
+                plan = route_plan(small_grid, origin, dest, depart, shortest)
+                assert math.isclose(route_km(small_grid, origin, dest), plan.distance,
+                                     rel_tol=1e-12), (origin, dest, depart)
+
+
+def test_route_km_none_exactly_where_no_route():
+    rng = np.random.default_rng(2025)
+    unreachable = 0
+    for _ in range(30):
+        net = random_graph(rng, int(rng.integers(3, 9)))
+        for origin in net.segments:
+            for dest in net.segments:
+                km = route_km(net, origin, dest)
+                try:
+                    plan = route_plan(net, origin, dest, BASE_T, RoutingWeights(1.0, 0.0))
+                except NoRouteError:
+                    assert km is None, (origin, dest)
+                    unreachable += 1
+                else:
+                    assert math.isclose(km, plan.distance, rel_tol=1e-12), (origin, dest)
+    assert unreachable > 0
+
+
+@pytest.mark.parametrize("depart", [math.nan, math.inf, -math.inf])
+def test_non_finite_departure_rejected(small_grid, depart):
+    seg_ids = sorted(small_grid.segments)
+    route_plan(small_grid, seg_ids[0], seg_ids[-1], BASE_T)  # the pair is routable
+    with pytest.raises(InputError):
+        route_plan(small_grid, seg_ids[0], seg_ids[-1], depart)
 
 
 def test_plan_self_consistency(small_grid):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -203,6 +204,29 @@ def test_truncated_line_names_line_number(tmp_path):
         load_trips(path)
     assert err.value.line == 7
     assert "line 7" in str(err.value)
+
+
+@pytest.mark.parametrize("where", [
+    ("atr", 1, "t"), ("start_time",), ("plans", 0, "planned_at"), ("plans", 0, "distance_km"),
+    ("plans", 0, "est_time_min"), ("raw_gps", 1, "t"), ("raw_gps", 0, "lat"),
+    ("raw_gps", 0, "lng"), ("recorded_destination", "lat"),
+], ids=lambda where: "_".join(map(str, where)))
+def test_load_rejects_non_finite_numbers(tmp_path, where):
+    net = line_network([1.0] * 3)
+    d = trip_to_dict(chain_trip(net, 2, 300.0))
+    d["raw_gps"] = [{"lat": 0.0, "lng": 0.001, "t": T0}, {"lat": 0.0, "lng": 0.002, "t": T0 + 10}]
+    good = json.dumps(d, sort_keys=True)
+    *parents, key = where
+    record = d
+    for k in parents:
+        record = record[k]
+    for bad in (math.nan, math.inf):
+        record[key] = bad
+        path = tmp_path / "trips.jsonl"
+        path.write_text(good + "\n" + json.dumps(d, sort_keys=True) + "\n", encoding="utf-8")
+        with pytest.raises(DataFormatError) as err:
+            load_trips(path)
+        assert err.value.line == 2
 
 
 def test_load_missing_trips_file(tmp_path):
