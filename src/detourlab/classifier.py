@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FitError, InputError
+from .routing import RoutePlanStep
 from .trips import TripRecord, trajectory_distance_km, trajectory_minutes
 
 _GRAD_TOL = 1e-8  # Newton stops once the gradient infinity-norm is below this
@@ -59,14 +60,21 @@ class TrainReport:
     diagnostics: str | None = None
 
 
+def excess_ratios(km: float, minutes: float, plan: RoutePlanStep, trip_id: str) -> FeatureVector:
+    """Excess-distance and excess-time ratios of a trip total against its pickup plan.
+
+    The one feature formula: the offline features pass the finished trip's
+    totals, the live detector its estimated totals at each step.
+    """
+    if plan.distance <= 0.0 or plan.est_time <= 0.0:
+        raise InputError(f"trip {trip_id!r}: degenerate initial plan")
+    return FeatureVector(km / plan.distance - 1.0, minutes / plan.est_time - 1.0)
+
+
 def offline_features(net, trip: TripRecord) -> FeatureVector:
     """Excess-distance and excess-time ratios of a finished trip."""
-    plan = trip.plans[0]
-    if plan.distance <= 0.0 or plan.est_time <= 0.0:
-        raise InputError(f"trip {trip.trip_id!r}: degenerate initial plan")
-    dist = trajectory_distance_km(net, trip.atr)
-    minutes = trajectory_minutes(trip.atr)
-    return FeatureVector(dist / plan.distance - 1.0, minutes / plan.est_time - 1.0)
+    return excess_ratios(trajectory_distance_km(net, trip.atr), trajectory_minutes(trip.atr),
+                         trip.plan, trip.trip_id)
 
 
 def _design(samples) -> tuple[np.ndarray, np.ndarray]:
@@ -124,6 +132,8 @@ def train(samples, ridge: float = 0.0) -> TrainReport:
     separable data with no ridge has no finite maximizer; that case is
     reported with ``converged=False`` and a diagnostic instead of an error.
     """
+    if not (math.isfinite(ridge) and ridge >= 0.0):
+        raise InputError(f"ridge must be finite and non-negative, got {ridge}")
     X, y = _design(samples)
     positives = int(np.sum(y))
     if positives == 0 or positives == len(y):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
@@ -75,7 +76,6 @@ class RunConfig:
     rules: trips_mod.FilterRules = field(default_factory=trips_mod.FilterRules)
     weights: RoutingWeights = field(default_factory=RoutingWeights)
     ridge: float = 0.0
-    duty_minutes: float = 60.0
 
     @staticmethod
     def from_dict(data: dict) -> "RunConfig":
@@ -216,19 +216,18 @@ def cmd_detect(args) -> int:
     model = classifier.load_model(args.model)
     weights = config.weights
 
-    if args.events == "-":
-        lines = sys.stdin
-        close = None
-    else:
-        p = Path(args.events)
-        if not p.exists():
-            raise FileNotFoundError(f"events file not found: {p}")
-        close = p.open("r", encoding="utf-8")
-        lines = close
-
     sessions: dict[str, online.TripProgress] = {}
-    out_lines = []
-    try:
+    events = warned = 0
+    with ExitStack() as stack:
+        if args.events == "-":
+            lines = sys.stdin
+        else:
+            p = Path(args.events)
+            if not p.exists():  # before --out is opened, so a missing input truncates nothing
+                raise FileNotFoundError(f"events file not found: {p}")
+            lines = stack.enter_context(p.open("r", encoding="utf-8"))
+        out = (stack.enter_context(Path(args.out).open("w", encoding="utf-8"))
+               if args.out else sys.stdout)
         for lineno, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
@@ -248,24 +247,18 @@ def cmd_detect(args) -> int:
                     )
                 sessions[trip_id] = online.begin_trip(trip_id, str(dest), weights)
             decision = online.step(net, model, sessions[trip_id], segment, t)
-            out_lines.append(json.dumps({
+            out.write(json.dumps({
                 "trip_id": trip_id,
                 "step": decision.step,
                 "theta": decision.theta,
                 "action": decision.action,
                 "scenario": decision.scenario,
-            }, sort_keys=True, allow_nan=False))
-    finally:
-        if close is not None:
-            close.close()
+            }, sort_keys=True, allow_nan=False) + "\n")
+            out.flush()  # each decision is out before the next event is read
+            events += 1
+            warned += decision.action == "warn_issued"
 
-    if args.out:
-        Path(args.out).write_text("".join(l + "\n" for l in out_lines), encoding="utf-8")
-    else:
-        for l in out_lines:
-            print(l)
-    warned = sum(1 for l in out_lines if '"warn_issued"' in l)
-    print(f"events={len(out_lines)} warnings_issued={warned}", file=sys.stderr)
+    print(f"events={events} warnings_issued={warned}", file=sys.stderr)
     return 0
 
 
@@ -309,11 +302,11 @@ def _interval_rows(rows):
 
 
 def cmd_pricing(args) -> int:
-    config = _config_for(args)
+    _config_for(args)  # pricing reads no config value, but a bad config file still fails
     net = load_network(args.network)
     trips = trips_mod.load_trips(args.trips)
     schedule = _schedule_arg(args.schedule)
-    rows, fit = pricing.interval_report(net, schedule, trips, config.duty_minutes)
+    rows, fit = pricing.interval_report(net, schedule, trips)
     _write_csv(args.out, _INTERVAL_HEADER, _interval_rows(rows))
     if fit is not None:
         u0 = "" if fit.u0 is None else f"{fit.u0:.6f}"
@@ -339,7 +332,7 @@ def cmd_report(args) -> int:
     stage_rows = _stage_rows(net, model, trips, config.weights)
     _write_csv(out / "stage_auc.csv", ("stage", "auc", "warned_count"), stage_rows)
 
-    rows, fit = pricing.interval_report(net, schedule, trips, config.duty_minutes)
+    rows, fit = pricing.interval_report(net, schedule, trips)
     _write_csv(out / "intervals.csv", _INTERVAL_HEADER, _interval_rows(rows))
 
     if not args.no_svg:

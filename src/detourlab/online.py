@@ -10,13 +10,12 @@ offline features of the finished trip.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .classifier import FeatureVector, LogitModel, rank_auc
+from .classifier import LogitModel, excess_ratios, rank_auc
 from .errors import FitError, InputError
 from .network import RoadNetwork
 from .routing import RoutePlanStep, RoutingWeights, route_plan
-from .trips import TrajStep
 
 ACTIONS = ("none", "warn_issued", "warn_maintained", "warn_cancelled")
 SCENARIOS = ("worse", "longer_but_faster", "shorter_but_slower", "better", "mixed_zero")
@@ -37,34 +36,28 @@ class StepDecision:
 
 @dataclass
 class TripProgress:
-    """Mutable per-trip detection state; one writer per trip."""
+    """Mutable per-trip detection state; one writer per trip.
+
+    Its size does not grow with the trip: each step re-plans from the new
+    segment and scores the estimated totals against ``initial_plan``, so no
+    past step, plan or decision is kept.
+    """
 
     trip_id: str
     dest_segment: str
     weights: RoutingWeights = RoutingWeights()
-    steps: list[TrajStep] = field(default_factory=list)
-    initial_plan: RoutePlanStep | None = None
-    current_plan: RoutePlanStep | None = None
+    initial_plan: RoutePlanStep | None = None  # the pickup recommendation
+    step_count: int = 0
+    first_t: float = 0.0  # entry time of the first step, once there is one
+    last_segment: str | None = None
+    last_t: float = 0.0
     prefix_km: float = 0.0  # running length of completed segments
     warning_active: bool = False
-    history: list[StepDecision] = field(default_factory=list)
 
 
 def begin_trip(trip_id: str, dest_segment: str,
                weights: RoutingWeights = RoutingWeights()) -> TripProgress:
     return TripProgress(trip_id=trip_id, dest_segment=dest_segment, weights=weights)
-
-
-def online_scores(progress: TripProgress) -> tuple[float, float]:
-    """Live excess-distance and excess-time ratios at the latest step."""
-    if not progress.steps:
-        raise InputError("no steps observed yet")
-    initial = progress.initial_plan
-    current = progress.current_plan
-    est_km = progress.prefix_km + current.distance
-    elapsed_min = (progress.steps[-1].t - progress.steps[0].t) / 60.0
-    est_min = elapsed_min + current.est_time
-    return est_km / initial.distance - 1.0, est_min / initial.est_time - 1.0
 
 
 def _scenario(x1: float, x2: float) -> str:
@@ -85,47 +78,47 @@ def step(net: RoadNetwork, model: LogitModel, progress: TripProgress,
 
     A strictly positive score triggers (or maintains) the warning; a score
     at or below zero cancels an active one.  The scenario tags the sign
-    pattern of the two ratios.
+    pattern of the two ratios.  A rejected step leaves ``progress`` as it was.
     """
     if not math.isfinite(t):
         raise InputError(f"trip {progress.trip_id!r}: timestamp {t} is not finite")
     seg = net.segment(segment)
-    prev_seg = None
-    if progress.steps:
-        prev = progress.steps[-1]
-        prev_seg = net.segment(prev.segment)
+    first_t = t
+    prefix_km = progress.prefix_km
+    if progress.last_segment is not None:
+        prev_seg = net.segment(progress.last_segment)
         if prev_seg.to_node != seg.from_node:
             raise InputError(
                 f"trip {progress.trip_id!r}: segment {segment!r} does not connect "
-                f"to {prev.segment!r}"
+                f"to {progress.last_segment!r}"
             )
-        if t <= prev.t:
+        if t <= progress.last_t:
             raise InputError(f"trip {progress.trip_id!r}: timestamps must strictly increase")
+        first_t = progress.first_t
+        prefix_km += prev_seg.length
 
     plan = route_plan(net, segment, progress.dest_segment, t, progress.weights)
-    if progress.initial_plan is None and (plan.distance <= 0.0 or plan.est_time <= 0.0):
-        raise InputError(f"trip {progress.trip_id!r}: degenerate initial plan")
-
-    # all checks passed; mutate the per-trip state
-    if prev_seg is not None:
-        progress.prefix_km += prev_seg.length
-    progress.steps.append(TrajStep(segment, t))
-    progress.current_plan = plan
-    if progress.initial_plan is None:
-        progress.initial_plan = plan
-
-    x1, x2 = online_scores(progress)
-    theta = model.log_odds(FeatureVector(x1, x2))
-
+    initial = plan if progress.initial_plan is None else progress.initial_plan
+    fv = excess_ratios(prefix_km + plan.distance, (t - first_t) / 60.0 + plan.est_time,
+                       initial, progress.trip_id)
+    theta = model.log_odds(fv)
     if theta > 0.0:
         action = "warn_maintained" if progress.warning_active else "warn_issued"
-        progress.warning_active = True
     else:
         action = "warn_cancelled" if progress.warning_active else "none"
-        progress.warning_active = False
 
-    decision = StepDecision(
-        step=len(progress.steps),
+    # all checks passed; mutate the per-trip state
+    progress.initial_plan = initial
+    progress.step_count += 1
+    progress.first_t = first_t
+    progress.last_segment = segment
+    progress.last_t = t
+    progress.prefix_km = prefix_km
+    progress.warning_active = theta > 0.0
+
+    x1, x2 = fv.extra_distance_ratio, fv.extra_time_ratio
+    return StepDecision(
+        step=progress.step_count,
         segment=segment,
         t=t,
         extra_distance_ratio=x1,
@@ -134,17 +127,13 @@ def step(net: RoadNetwork, model: LogitModel, progress: TripProgress,
         action=action,
         scenario=_scenario(x1, x2),
     )
-    progress.history.append(decision)
-    return decision
 
 
 def run_trip(net: RoadNetwork, model: LogitModel, trip,
              weights: RoutingWeights = RoutingWeights()) -> list[StepDecision]:
     """Replay a recorded trip through the live detector."""
     progress = begin_trip(trip.trip_id, trip.atr.steps[-1].segment, weights)
-    for st in trip.atr.steps:
-        step(net, model, progress, st.segment, st.t)
-    return progress.history
+    return [step(net, model, progress, st.segment, st.t) for st in trip.atr.steps]
 
 
 @dataclass(frozen=True)

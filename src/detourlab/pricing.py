@@ -20,6 +20,8 @@ from .errors import FitError, InputError
 from .network import minute_of_day
 from .trips import trajectory_distance_km, trajectory_minutes
 
+DUTY_MINUTES = 60.0  # each driver's income is spread over one hour of duty
+
 
 @dataclass(frozen=True)
 class IntervalRate:
@@ -89,18 +91,14 @@ def fare(schedule: FareSchedule, distance_km: float, duration_min: float,
     return schedule.base_fare + iv.rate_per_km * extra_km + iv.rate_per_min * extra_min
 
 
-def compute_alpha4(total_income: float, driver_count: int,
-                   duty_minutes: float = 60.0) -> float:
+def compute_alpha4(total_income: float, driver_count: int) -> float:
     """Average driver income per minute: the opportunity cost of idling.
 
-    ``duty_minutes`` is the per-driver time normalization (60 by default,
-    i.e. income per driver-hour spread over sixty minutes).
+    Income per driver is spread over ``DUTY_MINUTES``.
     """
     if driver_count <= 0:
         raise InputError("driver count must be positive")
-    if duty_minutes <= 0:
-        raise InputError("duty minutes must be positive")
-    return total_income / (driver_count * duty_minutes)
+    return total_income / (driver_count * DUTY_MINUTES)
 
 
 def detour_utility(schedule: FareSchedule, interval: int, alpha4: float) -> float:
@@ -160,7 +158,6 @@ def solve_price_adjustment(
     mean_excess_km: float,
     trip_count: int,
     driver_count: int,
-    duty_minutes: float = 60.0,
 ) -> PriceAdjustment:
     """Base-fare / distance-rate shift holding the average trip price fixed.
 
@@ -172,10 +169,10 @@ def solve_price_adjustment(
     """
     if mean_excess_km <= 0.0:
         raise InputError("interval unsolvable: mean excess distance is zero")
-    if serving_speed <= 0.0 or trip_count <= 0 or driver_count <= 0 or duty_minutes <= 0:
+    if serving_speed <= 0.0 or trip_count <= 0 or driver_count <= 0:
         raise InputError("interval parameters must be positive")
 
-    feedback = trip_count / (duty_minutes * driver_count)
+    feedback = trip_count / (DUTY_MINUTES * driver_count)
     delta_f0 = (utility - u0) / (serving_speed / mean_excess_km + feedback)
     delta_rate = -delta_f0 / mean_excess_km
     delta_alpha4 = feedback * delta_f0
@@ -248,9 +245,9 @@ class IntervalReportRow:
     adjustment: PriceAdjustment | None
 
 
-def interval_report(net, schedule: FareSchedule, trips,
-                    duty_minutes: float = 60.0,
-                    ) -> tuple[list[IntervalReportRow], RatioUtilityFit | None]:
+def interval_report(
+    net, schedule: FareSchedule, trips
+) -> tuple[list[IntervalReportRow], RatioUtilityFit | None]:
     """Full long-term analysis: stats, utilities, fit, and adjustments.
 
     The target utility ``u0`` comes from regressing this dataset's
@@ -266,7 +263,7 @@ def interval_report(net, schedule: FareSchedule, trips,
             costs.append(None)
             utilities.append(None)
             continue
-        a4 = compute_alpha4(st.total_income, st.driver_count, duty_minutes)
+        a4 = compute_alpha4(st.total_income, st.driver_count)
         costs.append(a4)
         utilities.append(detour_utility(schedule, st.interval, a4))
 
@@ -283,7 +280,7 @@ def interval_report(net, schedule: FareSchedule, trips,
         if u is not None and u0 is not None and st.mean_excess_km > 0.0:
             adjustment = solve_price_adjustment(
                 u, u0, schedule.intervals[st.interval].serving_speed,
-                st.mean_excess_km, st.trip_count, st.driver_count, duty_minutes,
+                st.mean_excess_km, st.trip_count, st.driver_count,
             )
         rows.append(IntervalReportRow(st, a4, u, adjustment))
     return rows, fit

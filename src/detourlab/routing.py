@@ -27,8 +27,10 @@ class RoutingWeights:
     w2: float = 0.5
 
     def __post_init__(self):
-        if self.w1 < 0.0 or self.w2 < 0.0 or self.w1 + self.w2 <= 0.0:
-            raise InputError("routing weights must be non-negative with a positive sum")
+        finite = math.isfinite(self.w1) and math.isfinite(self.w2)
+        if not finite or self.w1 < 0.0 or self.w2 < 0.0 or self.w1 + self.w2 <= 0.0:
+            raise InputError("routing weights must be finite and non-negative with a "
+                             f"positive sum, got ({self.w1}, {self.w2})")
 
 
 @dataclass(frozen=True)
@@ -83,40 +85,45 @@ def path_est_time(net: RoadNetwork, path, depart: float) -> float:
     return (entry_times(net, path, depart)[-1] - depart) / 60.0
 
 
-# Per-network cache of the static per-goal tables, keyed by goal node.  The
-# network is immutable, so the tables never go stale.
+# Per-network cache of the static per-goal tables, keyed by (goal node, edge
+# cost).  The network is immutable, so the tables never go stale.
 _HEURISTICS: WeakKeyDictionary = WeakKeyDictionary()
 
 
-def _lower_bounds(net: RoadNetwork, goal: str) -> tuple[dict[str, float], dict[str, float]]:
-    """Static per-node lower bounds on remaining km and remaining minutes.
+def _segment_km(seg) -> float:
+    return seg.length
 
-    Distances use true segment lengths, so the km bound is exact; times use
-    each segment's fastest bucket.  Both bounds are admissible and consistent
-    for the time-dependent search whatever the departure time.
+
+def _fastest_minutes(seg) -> float:
+    return min(seg.length / kmh * 60.0 for _, kmh in seg.speed_profile)
+
+
+def _lower_bounds(net: RoadNetwork, goal: str, edge_cost) -> dict[str, float]:
+    """Static per-node lower bounds on what remains to ``goal``, by ``edge_cost``.
+
+    With ``_segment_km`` the bound is the exact remaining km; with
+    ``_fastest_minutes`` it is the remaining minutes at each segment's
+    fastest bucket.  Both are admissible and consistent for the
+    time-dependent search whatever the departure time.  Each table is built
+    on first use, so a caller that reads only km never builds minutes.
     """
     tables = _HEURISTICS.setdefault(net, {})
-    if goal in tables:
-        return tables[goal]
-
-    def dijkstra(edge_cost) -> dict[str, float]:
-        dist = {goal: 0.0}
-        heap = [(0.0, goal)]
-        while heap:
-            d, node = heapq.heappop(heap)
-            if d > dist.get(node, float("inf")):
-                continue
-            for seg in net.incoming(node):
-                nd = d + edge_cost(seg)
-                if nd < dist.get(seg.from_node, float("inf")):
-                    dist[seg.from_node] = nd
-                    heapq.heappush(heap, (nd, seg.from_node))
-        return dist
-
-    km = dijkstra(lambda seg: seg.length)
-    minutes = dijkstra(lambda seg: min(seg.length / kmh * 60.0 for _, kmh in seg.speed_profile))
-    tables[goal] = (km, minutes)
-    return km, minutes
+    key = (goal, edge_cost)
+    if key in tables:
+        return tables[key]
+    dist = {goal: 0.0}
+    heap = [(0.0, goal)]
+    while heap:
+        d, node = heapq.heappop(heap)
+        if d > dist.get(node, float("inf")):
+            continue
+        for seg in net.incoming(node):
+            nd = d + edge_cost(seg)
+            if nd < dist.get(seg.from_node, float("inf")):
+                dist[seg.from_node] = nd
+                heapq.heappush(heap, (nd, seg.from_node))
+    tables[key] = dist
+    return dist
 
 
 def route_km(net: RoadNetwork, origin: str, dest: str) -> float | None:
@@ -129,7 +136,7 @@ def route_km(net: RoadNetwork, origin: str, dest: str) -> float | None:
     d = net.segment(dest)
     if origin == dest:
         return 0.0
-    rest = _lower_bounds(net, d.from_node)[0].get(o.to_node)
+    rest = _lower_bounds(net, d.from_node, _segment_km).get(o.to_node)
     return None if rest is None else o.length + rest
 
 
@@ -159,7 +166,8 @@ def route_plan(
         return RoutePlanStep((), depart, 0.0, 0.0)
 
     goal = d.from_node
-    h_km, h_min = _lower_bounds(net, goal)
+    h_km = _lower_bounds(net, goal, _segment_km)
+    h_min = _lower_bounds(net, goal, _fastest_minutes)
     w1, w2 = weights.w1, weights.w2
 
     def priority(dist_km: float, t_abs: float, node: str) -> float:

@@ -48,7 +48,6 @@ class SimConfig:
     gps_period_s: float = 10.0  # 0 disables raw GPS emission
     gps_noise_m: float = 10.0
     n_drivers: int = 40
-    full_plans: bool = False  # also store the per-step re-plans on each trip
     # Scales the detour share of trips starting in the small hours (00:00 to
     # 06:00), when prolonging a trip pays best; 0 keeps the mix flat across
     # the day.  Gives the per-interval detour ratio a real dependence on the
@@ -61,10 +60,14 @@ class SimConfig:
             raise InputError("grid_dims must be at least (2, 2)")
         if self.n_trips <= 0 or self.n_drivers <= 0:
             raise InputError("counts must be positive")
-        if self.detour_inflation < 0:
-            raise InputError("detour_inflation must be non-negative")
-        if self.night_detour_boost < 0:
-            raise InputError("night_detour_boost must be non-negative")
+        amounts = {"detour_inflation": self.detour_inflation,
+                   "gps_period_s": self.gps_period_s,
+                   "gps_noise_m": self.gps_noise_m,
+                   "night_detour_boost": self.night_detour_boost,
+                   **{f"behavior_mix[{b!r}]": v for b, v in self.behavior_mix.items()}}
+        for name, value in amounts.items():
+            if not (math.isfinite(value) and value >= 0.0):
+                raise InputError(f"{name} must be finite and non-negative, got {value}")
         unknown = set(self.behavior_mix) - set(BEHAVIORS)
         if unknown:
             raise InputError(f"unknown behaviors in mix: {sorted(unknown)}")
@@ -344,11 +347,6 @@ def generate_trips(
         trip_id = f"t{j:06d}"
         atr = AbstractTrajectory(trip_id, steps)
 
-        plans = [plan]
-        if cfg.full_plans:
-            for i in range(1, len(steps)):
-                plans.append(route_plan(net, steps[i].segment, dest, steps[i].t, weights))
-
         end = net.segment_end(dest)
         raw = _sample_gps(net, segs, dest, times, cfg, gps_rng) if cfg.gps_period_s > 0 else None
 
@@ -356,7 +354,7 @@ def generate_trips(
             trip_id=trip_id,
             driver_id=driver,
             atr=atr,
-            plans=tuple(plans),
+            plan=plan,
             recorded_destination=LatLng(end.lat, end.lng),
             actual_destination=LatLng(end.lat, end.lng),
             start_time=t_start,

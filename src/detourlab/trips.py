@@ -69,18 +69,17 @@ def validate_trajectory(net: RoadNetwork, atr: AbstractTrajectory) -> None:
 class TripRecord:
     """One recorded trip.
 
-    ``plans`` holds the route recommendations issued while the trip ran,
-    aligned with the leading ``atr`` steps; at minimum the initial plan is
-    present (the stored list may be a prefix of the full per-step set, which
-    the online detector re-derives live).  ``recorded_destination`` is the
-    booked drop-off; ``actual_destination`` is where the trip really ended,
-    the end geometry of the final segment.
+    ``plan`` is the route recommended at pickup, issued at the first step's
+    timestamp from the first step's segment; every later plan is re-derived
+    live by the online detector.  ``recorded_destination`` is the booked
+    drop-off; ``actual_destination`` is where the trip really ended, the end
+    geometry of the final segment.
     """
 
     trip_id: str
     driver_id: str
     atr: AbstractTrajectory
-    plans: tuple[RoutePlanStep, ...]
+    plan: RoutePlanStep
     recorded_destination: LatLng
     actual_destination: LatLng
     start_time: float
@@ -91,8 +90,6 @@ class TripRecord:
     def __post_init__(self):
         if self.label not in LABELS:
             raise InputError(f"trip {self.trip_id!r}: unknown label {self.label!r}")
-        if not self.plans:
-            raise InputError(f"trip {self.trip_id!r}: missing initial route plan")
         where = f"trip {self.trip_id!r}"
         if not math.isfinite(self.start_time):
             raise InputError(f"{where}: start_time {self.start_time} is not finite")
@@ -103,17 +100,15 @@ class TripRecord:
             if not all(map(math.isfinite, (p.lat, p.lng, p.t))):
                 raise InputError(f"{where}: GPS point {i} ({p.lat}, {p.lng}, t={p.t}) "
                                  "is not finite")
-        for i, plan in enumerate(self.plans):
-            if not all(map(math.isfinite, (plan.planned_at, plan.distance, plan.est_time))):
-                raise InputError(f"{where}: plan {i} has a non-finite planned_at, "
-                                 "distance_km or est_time_min")
-            if i < len(self.atr.steps):
-                if plan.planned_at != self.atr.steps[i].t:
-                    raise InputError(f"trip {self.trip_id!r}: plan {i} not aligned with its step")
-                if plan.path and plan.path[0] != self.atr.steps[i].segment:
-                    raise InputError(
-                        f"trip {self.trip_id!r}: plan {i} does not start on its step's segment"
-                    )
+        plan = self.plan
+        if not all(map(math.isfinite, (plan.planned_at, plan.distance, plan.est_time))):
+            raise InputError(f"{where}: the plan has a non-finite planned_at, "
+                             "distance_km or est_time_min")
+        first = self.atr.steps[0]
+        if plan.planned_at != first.t:
+            raise InputError(f"{where}: the plan is not issued at the first step")
+        if plan.path and plan.path[0] != first.segment:
+            raise InputError(f"{where}: the plan does not start on the first step's segment")
 
 
 @dataclass(frozen=True)
@@ -129,8 +124,9 @@ class FilterRules:
     epsilon_bar: float = 0.01
 
     def __post_init__(self):
-        if self.min_travel_time <= 0 or self.max_speed <= 0:
-            raise InputError("filter thresholds must be positive")
+        for value in (self.min_travel_time, self.max_speed):
+            if not (math.isfinite(value) and value > 0):
+                raise InputError(f"filter thresholds must be finite and positive, got {value}")
         if not (0.0 < self.epsilon_bar <= 1.0):
             raise InputError("epsilon_bar must lie in (0, 1]")
 
@@ -239,7 +235,7 @@ def trip_to_dict(trip: TripRecord) -> dict:
         "actual_destination": {"lat": trip.actual_destination.lat,
                                "lng": trip.actual_destination.lng},
         "atr": [{"segment": s.segment, "t": s.t} for s in trip.atr.steps],
-        "plans": [_plan_to_dict(p) for p in trip.plans],
+        "plans": [_plan_to_dict(trip.plan)],
     }
     if trip.raw_gps is not None:
         out["raw_gps"] = [{"lat": p.lat, "lng": p.lng, "t": p.t} for p in trip.raw_gps]
@@ -253,12 +249,15 @@ def trip_from_dict(d: dict) -> TripRecord:
         str(d["trip_id"]),
         tuple(TrajStep(str(s["segment"]), float(s["t"])) for s in d["atr"]),
     )
+    plans = d["plans"]
+    if not isinstance(plans, list) or not plans:
+        raise InputError(f"trip {atr.trip_id!r}: 'plans' must be a non-empty list")
     raw = d.get("raw_gps")
     return TripRecord(
         trip_id=str(d["trip_id"]),
         driver_id=str(d["driver_id"]),
         atr=atr,
-        plans=tuple(_plan_from_dict(p) for p in d["plans"]),
+        plan=_plan_from_dict(plans[0]),
         recorded_destination=LatLng(float(d["recorded_destination"]["lat"]),
                                     float(d["recorded_destination"]["lng"])),
         actual_destination=LatLng(float(d["actual_destination"]["lat"]),

@@ -50,7 +50,7 @@ def make_trip(
         trip_id=trip_id,
         driver_id="d0",
         atr=atr,
-        plans=(plan,),
+        plan=plan,
         recorded_destination=LatLng(recorded.lat, recorded.lng),
         actual_destination=LatLng(actual.lat, actual.lng),
         start_time=steps[0].t,

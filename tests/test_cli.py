@@ -2,7 +2,11 @@ import json
 
 import pytest
 
+from detourlab.classifier import load_model
 from detourlab.cli import RunConfig, main
+from detourlab.network import load_network
+from detourlab.online import run_trip
+from detourlab.trips import load_trips
 
 
 def run(args):
@@ -120,6 +124,60 @@ def test_detect_rejects_non_finite_timestamp(pipeline_dir, tmp_path):
                 "--events", events, "--out", tmp_path / "d.jsonl"]) == 3
 
 
+def _event_lines(trips):
+    """Every step of ``trips`` as one detect event, sorted by (time, step index)."""
+    events = []
+    for trip in trips:
+        for i, st in enumerate(trip.atr.steps):
+            event = {"trip_id": trip.trip_id, "segment": st.segment, "t": st.t}
+            if i == 0:
+                event["dest"] = trip.atr.steps[-1].segment
+            events.append((st.t, i, json.dumps(event)))
+    events.sort(key=lambda e: e[:2])
+    return [line + "\n" for _, _, line in events]
+
+
+def test_detect_matches_replayed_trips(pipeline_dir, tmp_path):
+    # an interleaved live stream decides each step exactly as replaying the trip alone
+    root, net, data, filt, model = pipeline_dir
+    trips = load_trips(filt / "kept.jsonl")[:40]
+    events = tmp_path / "events.jsonl"
+    events.write_text("".join(_event_lines(trips)))
+    out = tmp_path / "decisions.jsonl"
+    assert run(["detect", "--network", net, "--model", model,
+                "--events", events, "--out", out]) == 0
+    live = {}
+    for line in out.read_text().splitlines():
+        d = json.loads(line)
+        live.setdefault(d.pop("trip_id"), []).append(d)
+    network, logit = load_network(net), load_model(model)
+    assert len(live) == len(trips)
+    for trip in trips:
+        replayed = [{"step": d.step, "theta": d.theta, "action": d.action,
+                     "scenario": d.scenario} for d in run_trip(network, logit, trip)]
+        assert live[trip.trip_id] == replayed
+
+
+def test_detect_writes_decisions_before_a_bad_event(pipeline_dir, tmp_path):
+    root, net, data, filt, model = pipeline_dir
+    good = _event_lines(load_trips(filt / "kept.jsonl")[:3])
+    events = tmp_path / "events.jsonl"
+    events.write_text("".join(good) + '{"trip_id": "t", "segment": \n')
+    out = tmp_path / "decisions.jsonl"
+    assert run(["detect", "--network", net, "--model", model,
+                "--events", events, "--out", out]) == 3
+    assert len(out.read_text().splitlines()) == len(good)
+
+
+def test_detect_missing_events_leaves_out_untouched(pipeline_dir, tmp_path):
+    root, net, data, filt, model = pipeline_dir
+    out = tmp_path / "decisions.jsonl"
+    out.write_text("earlier\n")
+    assert run(["detect", "--network", net, "--model", model,
+                "--events", tmp_path / "missing.jsonl", "--out", out]) == 2
+    assert out.read_text() == "earlier\n"
+
+
 @pytest.mark.parametrize("command", ["filter", "train", "pricing"])
 def test_trip_file_with_nan_step_exits_3(pipeline_dir, tmp_path, command):
     root, net, data, filt, model = pipeline_dir
@@ -169,13 +227,39 @@ def test_validation_failure_exits_3(tmp_path):
     '{"sim": {"behavior_mix": {"normal": "x"}}}',
     '{"sim": {"behavior_mix": {"normal": null}}}',
     '{"match": {"emission_sigma": 25.0}}',
+    '{"sim": {"full_plans": true}}',
+    '{"duty_minutes": 60.0}',
+    '{"weights": {"w1": NaN, "w2": 0.5}}',
+    '{"rules": {"min_travel_time": NaN}}',
+    '{"sim": {"behavior_mix": {"normal": NaN, "detour": 0.5}}}',
+    '{"sim": {"detour_inflation": NaN}}',
+    '{"sim": {"gps_noise_m": NaN}}',
+    '{"sim": {"gps_period_s": Infinity}}',
+    '{"sim": {"night_detour_boost": NaN}}',
 ], ids=["invalid_json", "not_an_object", "unknown_key", "wrong_type", "tuple_element_type",
         "tuple_length", "tuple_float_for_int", "dict_value_type", "dict_value_null",
-        "removed_match_key"])
+        "removed_match_key", "removed_full_plans_key", "removed_duty_minutes_key",
+        "nan_weight", "nan_filter_rule", "nan_behavior_mix", "nan_detour_inflation",
+        "nan_gps_noise", "inf_gps_period", "nan_night_boost"])
 def test_bad_config_file_exits_3(tmp_path, text):
     config = tmp_path / "config.json"
     config.write_text(text)
     assert run(["gen-network", "--config", config, "--out", tmp_path / "net.json"]) == 3
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("train", ["--ridge", "nan"]),
+    ("train", ["--config", '{"ridge": NaN}']),
+    ("filter", ["--min-travel-time", "nan"]),
+], ids=["ridge_flag", "ridge_config", "min_travel_time_flag"])
+def test_non_finite_setting_exits_3(pipeline_dir, tmp_path, command, flags):
+    root, net, data, filt, model = pipeline_dir
+    if flags[0] == "--config":
+        config = tmp_path / "config.json"
+        config.write_text(flags[1])
+        flags = ["--config", config]
+    assert run([command, "--network", net, "--trips", filt / "kept.jsonl", *flags,
+                "--out", tmp_path / "out"]) == 3
 
 
 def test_pricing_accepts_schedule_file(pipeline_dir, tmp_path):

@@ -1,10 +1,12 @@
+import dataclasses
+
 import pytest
 
 from detourlab.classifier import LogitModel, evaluate_roc_auc, offline_features
 from detourlab.errors import FitError, InputError
-from detourlab.network import Node, RoadNetwork, Segment, minute_of_day, segment_travel_time
-from detourlab.online import begin_trip, online_scores, run_trip, stage_auc, step
-from detourlab.routing import RoutingWeights
+from detourlab.network import Node, RoadNetwork, Segment
+from detourlab.online import begin_trip, run_trip, stage_auc, step
+from detourlab.routing import RoutingWeights, entry_times
 
 from conftest import flat, make_trip
 
@@ -12,18 +14,9 @@ T0 = 1543622400.0
 BEIJING = LogitModel(-8.8620, 41.5258, 28.5575)
 
 
-def walk_times(net, segs, t_start):
-    times = [t_start]
-    t = t_start
-    for sid in segs:
-        t += 60.0 * segment_travel_time(net.segment(sid), minute_of_day(t))
-        times.append(t)
-    return times
-
-
 def as_trip(net, segs, t_start, trip_id="t0", label="unlabeled"):
     """Trip whose timestamps come from actually driving the segments."""
-    times = walk_times(net, segs[:-1], t_start)
+    times = entry_times(net, segs[:-1], t_start)
     seg_times = [(sid, times[i]) for i, sid in enumerate(segs[:-1])] + [(segs[-1], times[-1])]
     return make_trip(net, seg_times, [segs[0]], 1.0, 1.0, trip_id=trip_id, label=label)
 
@@ -49,7 +42,6 @@ def test_first_step_scores_zero(loop_net):
     assert decision.theta == BEIJING.intercept
     assert decision.action == "none"
     assert decision.scenario == "mixed_zero"
-    assert online_scores(progress) == (0.0, 0.0)
 
 
 def test_plan_follower_never_warned(loop_net):
@@ -141,12 +133,13 @@ def test_disconnected_step_rejected(loop_net):
 def test_failed_step_leaves_progress_unchanged(loop_net):
     progress = begin_trip("t", "e7")
     step(loop_net, BEIJING, progress, "e0", T0)
-    snapshot = (list(progress.steps), progress.prefix_km, len(progress.history),
-                progress.warning_active)
+    step(loop_net, BEIJING, progress, "e1", T0 + 60.0)
+    snapshot = dataclasses.replace(progress)
     with pytest.raises(InputError):
-        step(loop_net, BEIJING, progress, "e5", T0 + 60.0)  # disconnected
-    assert snapshot == (list(progress.steps), progress.prefix_km,
-                        len(progress.history), progress.warning_active)
+        step(loop_net, BEIJING, progress, "e5", T0 + 120.0)  # disconnected
+    with pytest.raises(InputError):
+        step(loop_net, BEIJING, progress, "e2", T0 + 60.0)  # time does not advance
+    assert progress == snapshot
 
 
 def test_non_increasing_time_rejected(loop_net):

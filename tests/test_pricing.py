@@ -225,12 +225,10 @@ def test_interval_report_empty_interval_marked_unavailable():
         steps = tuple(
             dataclasses.replace(s, t=s.t + delta) for s in t.atr.steps
         )
-        plans = tuple(
-            dataclasses.replace(p, planned_at=p.planned_at + delta) for p in t.plans
-        )
+        plan = dataclasses.replace(t.plan, planned_at=t.plan.planned_at + delta)
         shifted.append(dataclasses.replace(
             t, start_time=t.start_time + delta,
-            atr=AbstractTrajectory(t.trip_id, steps), plans=plans,
+            atr=AbstractTrajectory(t.trip_id, steps), plan=plan,
         ))
     rows, _ = interval_report(net, BEIJING, shifted)
     assert rows[1].stats.trip_count == len(shifted)

@@ -69,7 +69,7 @@ def test_detour_trips_hit_inflation_target():
     for trip in trips:
         assert trip.behavior == "detour" and trip.label == "detour"
         driven = path_distance(net, [s.segment for s in trip.atr.steps[:-1]])
-        assert driven >= 1.3 * trip.plans[0].distance - 1e-9
+        assert driven >= 1.3 * trip.plan.distance - 1e-9
 
 
 def test_planted_separation():
@@ -103,24 +103,10 @@ def test_trip_structure_valid(sim_dataset):
         validate_trajectory(net, trip.atr)
         assert trip.behavior in BEHAVIORS
         assert (trip.label == "detour") == (trip.behavior == "detour")
-        assert trip.plans[0].planned_at == trip.start_time
+        plan = trip.plan
+        assert plan.planned_at == trip.start_time
+        assert plan.distance == path_distance(net, plan.path)
+        assert plan.est_time == path_est_time(net, plan.path, plan.planned_at)
+        assert trip.actual_destination == net.segment_end(trip.atr.steps[-1].segment)
     for d in drivers:
         assert all(tid in trip_ids for tid in d.trips)
-
-
-def test_full_plans_align_with_steps():
-    cfg = SimConfig(seed=9, grid_dims=(4, 4), n_trips=8, full_plans=True,
-                    gps_period_s=0.0)
-    net = generate_network(cfg)
-    trips, _ = generate_trips(net, cfg)
-    for trip in trips:
-        assert len(trip.plans) == len(trip.atr.steps)
-        dest = trip.atr.steps[-1].segment
-        for i, (step, plan) in enumerate(zip(trip.atr.steps, trip.plans)):
-            assert plan.planned_at == step.t
-            if plan.path:
-                assert plan.path[0] == step.segment
-            assert plan.distance == path_distance(net, plan.path)
-            assert plan.est_time == path_est_time(net, plan.path, step.t)
-        assert trip.plans[-1].path == ()  # plan from the destination to itself
-        assert trip.actual_destination == net.segment_end(dest)

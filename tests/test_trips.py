@@ -229,6 +229,27 @@ def test_load_rejects_non_finite_numbers(tmp_path, where):
         assert err.value.line == 2
 
 
+def test_only_the_first_stored_plan_is_read(tmp_path):
+    net = line_network([1.0] * 3)
+    trip = chain_trip(net, 2, 300.0)
+    d = trip_to_dict(trip)
+    # the re-plan from the second step, as a per-step plan list would hold it
+    d["plans"].append({"path": ["e1"], "planned_at": T0 + 150.0, "distance_km": 1.0,
+                       "est_time_min": 2.5})
+    path = tmp_path / "trips.jsonl"
+    path.write_text(json.dumps(d) + "\n", encoding="utf-8")
+    assert load_trips(path) == [trip]
+    for plans in ([], None):
+        d["plans"] = plans
+        path.write_text(json.dumps(d) + "\n", encoding="utf-8")
+        with pytest.raises(DataFormatError):
+            load_trips(path)
+    del d["plans"]
+    path.write_text(json.dumps(d) + "\n", encoding="utf-8")
+    with pytest.raises(DataFormatError):
+        load_trips(path)
+
+
 def test_load_missing_trips_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_trips(tmp_path / "nope.jsonl")
