@@ -200,6 +200,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _config_for(args)  # eval reads no config value, but a bad config file still fails
     net = load_network(args.network)
     model = classifier.load_model(args.model)
     trips = trips_mod.load_trips(args.trips)
@@ -246,7 +247,10 @@ def cmd_detect(args) -> int:
                         line=lineno,
                     )
                 sessions[trip_id] = online.begin_trip(trip_id, str(dest), weights)
-            decision = online.step(net, model, sessions[trip_id], segment, t)
+            progress = sessions[trip_id]
+            decision = online.step(net, model, progress, segment, t)
+            if segment == progress.dest_segment:
+                del sessions[trip_id]  # arrived: a later event for this id starts a new trip
             out.write(json.dumps({
                 "trip_id": trip_id,
                 "step": decision.step,

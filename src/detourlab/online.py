@@ -1,10 +1,12 @@
 """Online phase: per-step scoring, warning state machine, staged evaluation.
 
-Every segment entry re-plans the remainder of the trip and compares the
-estimated trip totals (distance already covered plus the fresh plan, elapsed
-time plus the fresh estimate) against the pickup-time recommendation.  On
-the final step the remaining plan is empty, so the live scores reduce to the
-offline features of the finished trip.
+Each segment entry compares the estimated trip totals (distance already
+covered plus the current plan, elapsed time plus its estimate) against the
+pickup-time recommendation.  The detector re-plans only when the driver
+leaves the plan it holds; while the driver enters each planned segment at
+its planned time, the current plan is the held plan's suffix.  On the final
+step the remaining plan is empty, so the live scores reduce to the offline
+features of the finished trip.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from .classifier import LogitModel, excess_ratios, rank_auc
 from .errors import FitError, InputError
 from .network import RoadNetwork
-from .routing import RoutePlanStep, RoutingWeights, route_plan
+from .routing import RoutePlanStep, RoutingWeights, entry_times, path_distance, route_plan
 
 ACTIONS = ("none", "warn_issued", "warn_maintained", "warn_cancelled")
 SCENARIOS = ("worse", "longer_but_faster", "shorter_but_slower", "better", "mixed_zero")
@@ -38,9 +40,16 @@ class StepDecision:
 class TripProgress:
     """Mutable per-trip detection state; one writer per trip.
 
-    Its size does not grow with the trip: each step re-plans from the new
-    segment and scores the estimated totals against ``initial_plan``, so no
-    past step, plan or decision is kept.
+    No past step or decision is kept.  Besides a few running totals it holds
+    the last plan taken on: its path, the planned entry times along it plus
+    the arrival (``routing.entry_times``), and the index of the next planned
+    entry.  When a step enters ``plan_path[plan_index]`` exactly at
+    ``plan_times[plan_index]``, the fresh plan from there is the held path's
+    suffix, because the planner searches exact (node, entry-time) states and
+    the suffix of an optimal route is optimal from where it starts.  The
+    suffix search and the full search sum their costs from different
+    departure times, so this holds up to routes whose costs tie within
+    rounding; a differential test against fresh planning guards it.
     """
 
     trip_id: str
@@ -53,6 +62,9 @@ class TripProgress:
     last_t: float = 0.0
     prefix_km: float = 0.0  # running length of completed segments
     warning_active: bool = False
+    plan_path: tuple[str, ...] = ()  # path of the held plan
+    plan_times: tuple[float, ...] = ()  # its planned entry times, then the arrival
+    plan_index: int = 0  # position in plan_path of the next planned entry
 
 
 def begin_trip(trip_id: str, dest_segment: str,
@@ -97,7 +109,14 @@ def step(net: RoadNetwork, model: LogitModel, progress: TripProgress,
         first_t = progress.first_t
         prefix_km += prev_seg.length
 
-    plan = route_plan(net, segment, progress.dest_segment, t, progress.weights)
+    path, times, k = progress.plan_path, progress.plan_times, progress.plan_index
+    if k < len(path) and path[k] == segment and times[k] == t:  # on the held plan
+        rest = path[k:]
+        plan = RoutePlanStep(rest, t, path_distance(net, rest), (times[-1] - t) / 60.0,
+                             progress.weights)
+    else:
+        plan = route_plan(net, segment, progress.dest_segment, t, progress.weights)
+        path, times, k = plan.path, tuple(entry_times(net, plan.path, t)), 0
     initial = plan if progress.initial_plan is None else progress.initial_plan
     fv = excess_ratios(prefix_km + plan.distance, (t - first_t) / 60.0 + plan.est_time,
                        initial, progress.trip_id)
@@ -115,6 +134,7 @@ def step(net: RoadNetwork, model: LogitModel, progress: TripProgress,
     progress.last_t = t
     progress.prefix_km = prefix_km
     progress.warning_active = theta > 0.0
+    progress.plan_path, progress.plan_times, progress.plan_index = path, times, k + 1
 
     x1, x2 = fv.extra_distance_ratio, fv.extra_time_ratio
     return StepDecision(
@@ -131,8 +151,23 @@ def step(net: RoadNetwork, model: LogitModel, progress: TripProgress,
 
 def run_trip(net: RoadNetwork, model: LogitModel, trip,
              weights: RoutingWeights = RoutingWeights()) -> list[StepDecision]:
-    """Replay a recorded trip through the live detector."""
-    progress = begin_trip(trip.trip_id, trip.atr.steps[-1].segment, weights)
+    """Replay a recorded trip through the live detector.
+
+    The stored pickup plan seeds the detector's held plan when it is the
+    planner's answer under these ``weights`` on this network: it recorded the
+    same weights, it is not empty, it ends where the destination segment
+    starts, and re-walking it reproduces its distance and time bit for bit.
+    The first step then needs no route search.
+    """
+    dest = trip.atr.steps[-1].segment
+    progress = begin_trip(trip.trip_id, dest, weights)
+    plan = trip.plan
+    if (plan.weights == weights and plan.path
+            and net.segment(plan.path[-1]).to_node == net.segment(dest).from_node):
+        times = tuple(entry_times(net, plan.path, plan.planned_at))
+        if (path_distance(net, plan.path) == plan.distance
+                and (times[-1] - plan.planned_at) / 60.0 == plan.est_time):
+            progress.plan_path, progress.plan_times = plan.path, times
     return [step(net, model, progress, st.segment, st.t) for st in trip.atr.steps]
 
 

@@ -38,13 +38,18 @@ class RoutePlanStep:
     """One route recommendation issued at ``planned_at``.
 
     ``distance`` and ``est_time`` always equal ``path_distance(path)`` and
-    ``path_est_time(path, planned_at)`` for the carried path.
+    ``path_est_time(path, planned_at)`` for the carried path.  ``weights``
+    are the objective weights ``route_plan`` searched with, so a replay can
+    tell whether a stored plan is the planner's answer under its own
+    weights; a plan made by hand, or read from a file written before plans
+    recorded their weights, carries None.
     """
 
     path: tuple[str, ...]
     planned_at: float  # seconds since epoch
     distance: float  # km
     est_time: float  # minutes
+    weights: RoutingWeights | None = None
 
 
 def _check_contiguous(net: RoadNetwork, path) -> None:
@@ -163,7 +168,7 @@ def route_plan(
     o = net.segment(origin)
     d = net.segment(dest)
     if origin == dest:
-        return RoutePlanStep((), depart, 0.0, 0.0)
+        return RoutePlanStep((), depart, 0.0, 0.0, weights)
 
     goal = d.from_node
     h_km = _lower_bounds(net, goal, _segment_km)
@@ -188,7 +193,7 @@ def route_plan(
     while heap:
         f, path, node, dist_km, t_abs = heapq.heappop(heap)
         if node == goal:
-            return RoutePlanStep(path, depart, dist_km, (t_abs - depart) / 60.0)
+            return RoutePlanStep(path, depart, dist_km, (t_abs - depart) / 60.0, weights)
         state = (node, t_abs)
         cost = w1 * dist_km + w2 * ((t_abs - depart) / 60.0)
         recorded = best.get(state)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .errors import DataFormatError, InputError
 from .network import GpsPoint, LatLng, RoadNetwork, check_coordinates, haversine_km
-from .routing import RoutePlanStep
+from .routing import RoutePlanStep, RoutingWeights
 
 LABELS = ("detour", "normal", "unlabeled")
 
@@ -93,6 +93,9 @@ class TripRecord:
         where = f"trip {self.trip_id!r}"
         if not math.isfinite(self.start_time):
             raise InputError(f"{where}: start_time {self.start_time} is not finite")
+        if self.start_time != self.atr.steps[0].t:
+            raise InputError(f"{where}: start_time {self.start_time} is not the first "
+                             f"step's timestamp {self.atr.steps[0].t}")
         for name, dest in (("recorded", self.recorded_destination),
                            ("actual", self.actual_destination)):
             check_coordinates(dest.lat, dest.lng, f"{where}: {name} destination")
@@ -207,20 +210,26 @@ def _rejection_reason(net, trip, rules) -> str | None:
 
 
 def _plan_to_dict(plan: RoutePlanStep) -> dict:
-    return {
+    out = {
         "path": list(plan.path),
         "planned_at": plan.planned_at,
         "distance_km": plan.distance,
         "est_time_min": plan.est_time,
     }
+    if plan.weights is not None:
+        out["weights"] = {"w1": plan.weights.w1, "w2": plan.weights.w2}
+    return out
 
 
 def _plan_from_dict(d: dict) -> RoutePlanStep:
+    # files written before plans recorded their weights have no "weights" key
+    w = d.get("weights")
     return RoutePlanStep(
         tuple(str(s) for s in d["path"]),
         float(d["planned_at"]),
         float(d["distance_km"]),
         float(d["est_time_min"]),
+        None if w is None else RoutingWeights(float(w["w1"]), float(w["w2"])),
     )
 
 

@@ -158,6 +158,47 @@ def test_detect_matches_replayed_trips(pipeline_dir, tmp_path):
         assert live[trip.trip_id] == replayed
 
 
+def _trip_events(trip, with_dest=True):
+    """One detect event per step of ``trip``; the first carries 'dest' if asked."""
+    lines = []
+    for i, st in enumerate(trip.atr.steps):
+        event = {"trip_id": "t", "segment": st.segment, "t": st.t}
+        if i == 0 and with_dest:
+            event["dest"] = trip.atr.steps[-1].segment
+        lines.append(json.dumps(event) + "\n")
+    return lines
+
+
+def test_detect_starts_a_new_session_after_arrival(pipeline_dir, tmp_path):
+    # entering the destination closes the session, so a later trip under the
+    # same id starts again at step 1 and decides as if replayed alone
+    root, net, data, filt, model = pipeline_dir
+    first, second = load_trips(filt / "kept.jsonl")[:2]
+    assert second.atr.steps[0].t > first.atr.steps[-1].t
+    events = tmp_path / "events.jsonl"
+    events.write_text("".join(_trip_events(first) + _trip_events(second)))
+    out = tmp_path / "decisions.jsonl"
+    assert run(["detect", "--network", net, "--model", model,
+                "--events", events, "--out", out]) == 0
+    decisions = [json.loads(l) for l in out.read_text().splitlines()]
+    network, logit = load_network(net), load_model(model)
+    replayed = [{"trip_id": "t", "step": d.step, "theta": d.theta, "action": d.action,
+                 "scenario": d.scenario}
+                for trip in (first, second) for d in run_trip(network, logit, trip)]
+    assert decisions == replayed
+
+
+def test_detect_event_after_arrival_must_carry_dest(pipeline_dir, tmp_path):
+    root, net, data, filt, model = pipeline_dir
+    first, second = load_trips(filt / "kept.jsonl")[:2]
+    events = tmp_path / "events.jsonl"
+    events.write_text("".join(_trip_events(first) + _trip_events(second, with_dest=False)))
+    out = tmp_path / "decisions.jsonl"
+    assert run(["detect", "--network", net, "--model", model,
+                "--events", events, "--out", out]) == 3
+    assert len(out.read_text().splitlines()) == len(first.atr.steps)
+
+
 def test_detect_writes_decisions_before_a_bad_event(pipeline_dir, tmp_path):
     root, net, data, filt, model = pipeline_dir
     good = _event_lines(load_trips(filt / "kept.jsonl")[:3])
@@ -185,6 +226,20 @@ def test_trip_file_with_nan_step_exits_3(pipeline_dir, tmp_path, command):
     trip = json.loads(lines[0])
     trip["atr"][1]["t"] = float("nan")
     bad = tmp_path / "trips.jsonl"
+    bad.write_text("\n".join([json.dumps(trip)] + lines[1:]) + "\n")
+    extra = ["--schedule", "beijing"] if command == "pricing" else []
+    assert run([command, "--network", net, "--trips", bad, *extra,
+                "--out", tmp_path / "out"]) == 3
+
+
+@pytest.mark.parametrize("command", ["filter", "train", "pricing"])
+def test_trip_file_with_shifted_start_time_exits_3(pipeline_dir, tmp_path, command):
+    # start_time 12 h away from the first step's timestamp
+    root, net, data, filt, model = pipeline_dir
+    lines = (filt / "kept.jsonl").read_text().splitlines()
+    trip = json.loads(lines[0])
+    trip["start_time"] += 12 * 3600.0
+    bad = tmp_path / "kept.jsonl"
     bad.write_text("\n".join([json.dumps(trip)] + lines[1:]) + "\n")
     extra = ["--schedule", "beijing"] if command == "pricing" else []
     assert run([command, "--network", net, "--trips", bad, *extra,
@@ -245,6 +300,19 @@ def test_bad_config_file_exits_3(tmp_path, text):
     config = tmp_path / "config.json"
     config.write_text(text)
     assert run(["gen-network", "--config", config, "--out", tmp_path / "net.json"]) == 3
+
+
+@pytest.mark.parametrize("command", ["eval", "pricing", "stage-report"])
+def test_bad_config_file_exits_3_on_trip_commands(pipeline_dir, tmp_path, command):
+    root, net, data, filt, model = pipeline_dir
+    config = tmp_path / "config.json"
+    config.write_text('{"bogus": 1}')
+    extra = {"eval": ["--model", model], "pricing": ["--schedule", "beijing"],
+             "stage-report": ["--model", model]}[command]
+    out = tmp_path / "out.csv"
+    assert run([command, "--config", config, "--network", net,
+                "--trips", filt / "kept.jsonl", *extra, "--out", out]) == 3
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,flags", [

@@ -2,11 +2,12 @@ import dataclasses
 
 import pytest
 
+from detourlab import online
 from detourlab.classifier import LogitModel, evaluate_roc_auc, offline_features
 from detourlab.errors import FitError, InputError
 from detourlab.network import Node, RoadNetwork, Segment
 from detourlab.online import begin_trip, run_trip, stage_auc, step
-from detourlab.routing import RoutingWeights, entry_times
+from detourlab.routing import RoutingWeights, entry_times, route_plan
 
 from conftest import flat, make_trip
 
@@ -188,3 +189,83 @@ def test_stage_auc_single_class_rejected(loop_net):
              for j in range(3)]
     with pytest.raises(FitError):
         stage_auc(loop_net, BEIJING, trips)
+
+@pytest.fixture
+def searches(monkeypatch):
+    """(origin, dest) of every route search the live detector starts.
+
+    A call from a segment to itself returns the empty plan without
+    searching, so it is not listed.
+    """
+    calls = []
+
+    def counted(net, origin, dest, *args):
+        if origin != dest:
+            calls.append((origin, dest))
+        return route_plan(net, origin, dest, *args)
+
+    monkeypatch.setattr(online, "route_plan", counted)
+    return calls
+
+
+@pytest.mark.parametrize("weights", [RoutingWeights(), RoutingWeights(1.0, 0.0)],
+                         ids=["default", "distance_only"])
+def test_held_plan_decisions_equal_fresh_replanning(sim_dataset, searches, weights):
+    # every step replays bit-equal to a step-by-step run that drops the held
+    # plan before each step, so each of its steps searches afresh
+    net, trips, _ = sim_dataset
+    for trip in trips:
+        held = run_trip(net, BEIJING, trip, weights)
+        progress = begin_trip(trip.trip_id, trip.atr.steps[-1].segment, weights)
+        fresh = []
+        for st in trip.atr.steps:
+            progress.plan_path, progress.plan_times = (), ()
+            fresh.append(step(net, BEIJING, progress, st.segment, st.t))
+        assert repr(held) == repr(fresh)
+    fresh_searches = sum(len(t.atr.steps) - 1 for t in trips)
+    held_searches = len(searches) - fresh_searches
+    assert held_searches < 0.5 * fresh_searches  # the fast path did most of the steps
+
+
+def test_seeded_plan_follower_makes_no_search(sim_dataset, searches):
+    net, trips, _ = sim_dataset
+    followers = [t for t in trips if t.behavior == "normal"][:30]
+    assert followers
+    for trip in followers:
+        assert trip.plan.weights == RoutingWeights()
+        assert all(d.action == "none" for d in run_trip(net, BEIJING, trip))
+    assert searches == []
+
+
+@pytest.mark.parametrize("weights", [None, RoutingWeights(1.0, 0.0)],
+                         ids=["unrecorded", "other_weights"])
+def test_plan_not_made_under_replay_weights_is_not_seeded(sim_dataset, searches, weights):
+    net, trips, _ = sim_dataset
+    trip = next(t for t in trips if t.behavior == "normal")
+    seeded = run_trip(net, BEIJING, trip)
+    assert searches == []
+    other = dataclasses.replace(trip, plan=dataclasses.replace(trip.plan, weights=weights))
+    assert run_trip(net, BEIJING, other) == seeded
+    assert searches == [(trip.atr.steps[0].segment, trip.atr.steps[-1].segment)]
+
+
+def test_plan_from_another_network_is_not_seeded(sim_dataset, searches):
+    # a stored plan whose distance this network's segments do not reproduce
+    net, trips, _ = sim_dataset
+    trip = next(t for t in trips if t.behavior == "normal")
+    plan = dataclasses.replace(trip.plan, distance=trip.plan.distance + 1.0)
+    run_trip(net, BEIJING, dataclasses.replace(trip, plan=plan))
+    assert searches == [(trip.atr.steps[0].segment, trip.atr.steps[-1].segment)]
+
+
+def test_late_entry_onto_the_held_plan_replans(loop_net, searches):
+    # the driver stays on the planned segments but enters e2 a minute late:
+    # the held plan's times no longer hold, so that step searches afresh
+    progress = begin_trip("t", "e7")
+    step(loop_net, BEIJING, progress, "e0", T0)
+    step(loop_net, BEIJING, progress, "e1", T0 + 60.0)
+    assert searches == [("e0", "e7")]
+    late = step(loop_net, BEIJING, progress, "e2", T0 + 180.0)
+    assert searches == [("e0", "e7"), ("e2", "e7")]
+    assert late.extra_distance_ratio == 0.0
+    assert late.extra_time_ratio == pytest.approx(1.0 / 7.0, abs=1e-12)

@@ -1,11 +1,15 @@
+import dataclasses
 import json
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
+from detourlab.classifier import LogitModel
 from detourlab.errors import DataFormatError, InputError
 from detourlab.network import LatLng
+from detourlab.online import run_trip
+from detourlab.routing import RoutingWeights
 from detourlab.simulate import SimConfig, generate_network, generate_trips
 from detourlab.trips import (
     REJECT_DESTINATION,
@@ -175,6 +179,62 @@ def test_save_load_simulated_trips(tmp_path):
     assert load_drivers(dpath) == drivers
     trip_ids = {t.trip_id for t in sim_trips}
     assert all(tid in trip_ids for d in drivers for tid in d.trips)
+
+
+def test_plan_weights_roundtrip(sim_dataset, tmp_path):
+    net, trips, _ = sim_dataset
+    path = tmp_path / "trips.jsonl"
+    save_trips(trips[:50], path)
+    loaded = load_trips(path)
+    assert loaded == trips[:50]
+    assert all(t.plan.weights == RoutingWeights() for t in loaded)
+    assert '"weights": {"w1": 0.5, "w2": 0.5}' in path.read_text()
+
+
+def test_trip_line_without_plan_weights_loads_and_replays(sim_dataset, tmp_path):
+    # trip files written before plans recorded their weights: the plan loads
+    # with no weights, is never seeded, and every decision comes out the same
+    net, trips, _ = sim_dataset
+    lines = []
+    for trip in trips[:40]:
+        d = trip_to_dict(trip)
+        del d["plans"][0]["weights"]
+        lines.append(json.dumps(d, sort_keys=True) + "\n")
+    path = tmp_path / "old.jsonl"
+    path.write_text("".join(lines), encoding="utf-8")
+    old = load_trips(path)
+    model = LogitModel(-8.8620, 41.5258, 28.5575)
+    for got, want in zip(old, trips):
+        assert got.plan.weights is None
+        assert got == dataclasses.replace(
+            want, plan=dataclasses.replace(want.plan, weights=None))
+        assert run_trip(net, model, got) == run_trip(net, model, want)
+
+
+@pytest.mark.parametrize("weights", [
+    {"w1": math.nan, "w2": 0.5}, {"w1": 0.5, "w2": -1.0}, {"w1": 0.5, "w2": math.inf},
+    {"w1": 0.0, "w2": 0.0}, {"w1": "x", "w2": 0.5}, {"w1": 0.5}, [0.5, 0.5],
+], ids=["nan", "negative", "inf", "zero_sum", "string", "missing_w2", "list"])
+def test_load_rejects_bad_plan_weights(tmp_path, weights):
+    net = line_network([1.0] * 3)
+    d = trip_to_dict(chain_trip(net, 2, 300.0))
+    d["plans"][0]["weights"] = weights
+    path = tmp_path / "trips.jsonl"
+    path.write_text(json.dumps(d) + "\n", encoding="utf-8")
+    with pytest.raises(DataFormatError):
+        load_trips(path)
+
+
+def test_load_rejects_start_time_off_the_first_step(tmp_path):
+    net = line_network([1.0] * 3)
+    d = trip_to_dict(chain_trip(net, 2, 300.0))
+    good = json.dumps(d)
+    d["start_time"] += 12 * 3600.0
+    path = tmp_path / "trips.jsonl"
+    path.write_text(good + "\n" + json.dumps(d) + "\n", encoding="utf-8")
+    with pytest.raises(DataFormatError) as err:
+        load_trips(path)
+    assert err.value.line == 2
 
 
 def test_old_driver_files_still_load(tmp_path):
