@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FitError, InputError
+from .errors import FitError, InputError, read_number
 from .routing import RoutePlanStep
 from .trips import TripRecord, trajectory_distance_km, trajectory_minutes
 
@@ -253,9 +253,7 @@ def load_model(path) -> LogitModel:
         raise FileNotFoundError(f"model file not found: {p}")
     try:
         data = json.loads(p.read_text(encoding="utf-8"))
-        coefs = [float(data[key]) for key in ("beta0", "beta1", "beta2")]
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        coefs = [read_number(data[key], key) for key in ("beta0", "beta1", "beta2")]
+    except (json.JSONDecodeError, KeyError, TypeError, InputError) as exc:
         raise InputError(f"malformed model file {p}: {exc}") from exc
-    if not all(math.isfinite(c) for c in coefs):
-        raise InputError(f"model file {p} has non-finite coefficients: {coefs}")
     return LogitModel(*coefs)

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from . import charts, classifier, online, pricing, trips as trips_mod
-from .errors import DataFormatError, DetourlabError, InputError
+from .errors import DataFormatError, DetourlabError, InputError, read_number
 from .network import load_network, save_network
 from .routing import RoutingWeights
 from .simulate import SimConfig, generate_network, generate_trips
@@ -236,8 +236,8 @@ def cmd_detect(args) -> int:
                 event = json.loads(line)
                 trip_id = str(event["trip_id"])
                 segment = str(event["segment"])
-                t = float(event["t"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                t = read_number(event["t"], "t")
+            except (json.JSONDecodeError, KeyError, TypeError, InputError) as exc:
                 raise DataFormatError(f"bad event on line {lineno}: {exc}", line=lineno) from exc
             if trip_id not in sessions:
                 dest = event.get("dest")

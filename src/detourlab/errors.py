@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the strict number reader."""
+
+import math
 
 
 class DetourlabError(Exception):
@@ -31,3 +33,21 @@ class DataFormatError(DetourlabError):
     def __init__(self, message: str, line: int | None = None):
         super().__init__(message)
         self.line = line
+
+
+def read_number(value, what: str) -> float:
+    """A number read from parsed JSON, as a finite float, or an InputError.
+
+    Every loader reads its numbers here.  A bool is not a number and a
+    string is not parsed, so ``true`` or ``"60"`` in a file fails instead of
+    loading as 1.0 or 60.0.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InputError(f"{what} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer too large for a float
+        number = math.inf
+    if not math.isfinite(number):
+        raise InputError(f"{what} must be finite, got {value!r}")
+    return number

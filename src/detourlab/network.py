@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
 
-from .errors import InputError
+from .errors import InputError, read_number
 
 EARTH_RADIUS_KM = 6371.0
 DAY_MINUTES = 1440.0
@@ -64,8 +64,14 @@ class Segment:
 
 
 def minute_of_day(t: float) -> float:
-    """Minute-of-day in [0, 1440) for an epoch-seconds timestamp."""
-    return (t / 60.0) % DAY_MINUTES
+    """Minute-of-day in [0, 1440) for an epoch-seconds timestamp.
+
+    The seconds into the day are taken first, which is exact, so the minute
+    is off by at most half a unit in its last place.  Dividing the epoch
+    seconds by 60 first would round away about 1e-7 s, enough to reorder
+    arrivals one unit apart on a segment whose speed rises on the way.
+    """
+    return (t % (DAY_MINUTES * 60.0)) / 60.0
 
 
 def check_coordinates(lat: float, lng: float, what: str = "point") -> None:
@@ -111,16 +117,41 @@ def _validate_profile(seg: Segment) -> None:
 def segment_travel_time(seg: Segment, entry_minute: float) -> float:
     """Minutes to traverse ``seg`` when entered at ``entry_minute`` of the day.
 
-    The speed bucket is sampled once at entry and held constant across the
-    segment; there is no mid-segment re-bucketing.
+    Travel times are FIFO (Ichoua, Gendreau & Potvin 2003): the vehicle
+    drives at the speed of whichever bucket is in force at each moment, so
+    when a bucket with another speed starts part way along, the rest of the
+    segment is driven at the new speed.  The profile wraps at minute 1440
+    into the next day's buckets.  A boundary where the speed does not change
+    does not split the segment, so a flat profile gives exactly
+    ``length / speed * 60``.  Entering later never means leaving earlier:
+    ``t + 60 * segment_travel_time(seg, minute_of_day(t))`` is
+    non-decreasing in ``t``, in floating point too.
     """
-    speed = seg.speed_profile[0][1]
-    for start, kmh in seg.speed_profile:
-        if start <= entry_minute:
-            speed = kmh
-        else:
+    prof = seg.speed_profile
+    i = len(prof) - 1
+    while i > 0 and prof[i][0] > entry_minute:
+        i -= 1
+    speed = prof[i][1]
+    km = seg.length
+    clock = entry_minute
+    spent = 0.0  # minutes driven before ``clock``
+    day = 0.0
+    unchanged = 0  # boundaries passed since the speed last changed
+    while unchanged < len(prof):
+        i += 1
+        if i == len(prof):
+            i, day = 0, day + DAY_MINUTES
+        start, kmh = prof[i]
+        if kmh == speed:
+            unchanged += 1
+            continue
+        boundary = start + day
+        if clock + km / speed * 60.0 <= boundary:
             break
-    return seg.length / speed * 60.0
+        km -= speed * (boundary - clock) / 60.0
+        spent += boundary - clock
+        clock, speed, unchanged = boundary, kmh, 0
+    return spent + km / speed * 60.0
 
 
 class RoadNetwork:
@@ -222,18 +253,20 @@ def network_to_dict(net: RoadNetwork) -> dict:
 
 def network_from_dict(data: dict) -> RoadNetwork:
     try:
-        nodes = [Node(str(n["id"]), float(n["lat"]), float(n["lng"])) for n in data["nodes"]]
+        nodes = [Node(str(n["id"]), read_number(n["lat"], "lat"), read_number(n["lng"], "lng"))
+                 for n in data["nodes"]]
         segments = [
             Segment(
                 str(s["id"]),
                 str(s["from"]),
                 str(s["to"]),
-                float(s["length_km"]),
-                tuple((float(b["start_min"]), float(b["speed_kmh"])) for b in s["speed_profile"]),
+                read_number(s["length_km"], "length_km"),
+                tuple((read_number(b["start_min"], "start_min"),
+                       read_number(b["speed_kmh"], "speed_kmh")) for b in s["speed_profile"]),
             )
             for s in data["segments"]
         ]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, InputError) as exc:
         raise InputError(f"malformed network data: {exc}") from exc
     return RoadNetwork(nodes, segments)
 

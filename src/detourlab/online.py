@@ -45,11 +45,13 @@ class TripProgress:
     the arrival (``routing.entry_times``), and the index of the next planned
     entry.  When a step enters ``plan_path[plan_index]`` exactly at
     ``plan_times[plan_index]``, the fresh plan from there is the held path's
-    suffix, because the planner searches exact (node, entry-time) states and
-    the suffix of an optimal route is optimal from where it starts.  The
-    suffix search and the full search sum their costs from different
-    departure times, so this holds up to routes whose costs tie within
-    rounding; a differential test against fresh planning guards it.
+    suffix: travel times are FIFO and the planner keeps every Pareto-optimal
+    (km, arrival) label per node, so the suffix of an optimal route is
+    optimal from where it starts.  The suffix search and the full search sum
+    their costs from different departure times, so this holds up to routes
+    whose costs tie within rounding; a differential test against fresh
+    planning guards it.  The step that enters the destination segment takes
+    the empty plan without a search.
     """
 
     trip_id: str
@@ -115,7 +117,9 @@ def step(net: RoadNetwork, model: LogitModel, progress: TripProgress,
         plan = RoutePlanStep(rest, t, path_distance(net, rest), (times[-1] - t) / 60.0,
                              progress.weights)
     else:
-        plan = route_plan(net, segment, progress.dest_segment, t, progress.weights)
+        plan = (RoutePlanStep((), t, 0.0, 0.0, progress.weights)
+                if segment == progress.dest_segment  # arrived: nothing is left to plan
+                else route_plan(net, segment, progress.dest_segment, t, progress.weights))
         path, times, k = plan.path, tuple(entry_times(net, plan.path, t)), 0
     initial = plan if progress.initial_plan is None else progress.initial_plan
     fv = excess_ratios(prefix_km + plan.distance, (t - first_t) / 60.0 + plan.est_time,

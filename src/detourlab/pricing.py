@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import FitError, InputError
+from .errors import FitError, InputError, read_number
 from .network import minute_of_day
 from .trips import trajectory_distance_km, trajectory_minutes
 
@@ -344,18 +344,14 @@ def schedule_to_dict(schedule: FareSchedule) -> dict:
 def schedule_from_dict(data: dict) -> FareSchedule:
     try:
         intervals = tuple(
-            IntervalRate(
-                float(iv["start_min"]), float(iv["end_min"]),
-                float(iv["rate_per_km"]), float(iv["rate_per_min"]),
-                float(iv["serving_speed_km_per_min"]),
-            )
+            IntervalRate(*(read_number(iv[key], key) for key in (
+                "start_min", "end_min", "rate_per_km", "rate_per_min",
+                "serving_speed_km_per_min")))
             for iv in data["intervals"]
         )
-        return FareSchedule(
-            str(data["city"]), float(data["base_fare"]), float(data["base_km"]),
-            float(data["base_min"]), float(data["operating_cost_per_km"]), intervals,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        return FareSchedule(str(data["city"]), *(read_number(data[key], key) for key in (
+            "base_fare", "base_km", "base_min", "operating_cost_per_km")), intervals)
+    except (KeyError, TypeError) as exc:
         raise InputError(f"malformed schedule data: {exc}") from exc
 
 

@@ -6,13 +6,22 @@ to entering their last, so a plan's path starts with the origin segment and
 stops just before the destination segment; the plan from a segment to itself
 is empty.  This single convention makes the live per-step scores collapse to
 the offline features on the final step with no special cases.
+
+Travel times are FIFO (``network.segment_travel_time``): entering a segment
+later never means leaving it earlier.  So a route that reaches a node with
+no more km and no later than another continues at least as well, the
+planner keeps one small Pareto set of (km, arrival) labels per node, and a
+recommended route never passes through a node twice.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left, bisect_right
+from collections import OrderedDict
 from dataclasses import dataclass
+from operator import itemgetter
 from weakref import WeakKeyDictionary
 
 from .errors import InputError, NoRouteError
@@ -74,8 +83,8 @@ def entry_times(net: RoadNetwork, path, depart: float) -> list[float]:
     """Entry timestamps along ``path`` entered at ``depart``, plus the arrival.
 
     Entry times evolve forward: each segment is entered the moment the
-    previous one finishes, and its speed bucket is sampled at that entry
-    minute.
+    previous one finishes, and takes the FIFO time ``segment_travel_time``
+    gives from that entry minute.
     """
     times = [depart]
     for sid in path:
@@ -91,8 +100,13 @@ def path_est_time(net: RoadNetwork, path, depart: float) -> float:
 
 
 # Per-network cache of the static per-goal tables, keyed by (goal node, edge
-# cost).  The network is immutable, so the tables never go stale.
+# cost).  The network is immutable, so the tables never go stale.  Each
+# network keeps at most _MAX_TABLES of them and evicts the least recently
+# used, so memory stays bounded on large grids; a 10x10 grid needs at most
+# 200 (100 goals, two kinds) and never evicts.
 _HEURISTICS: WeakKeyDictionary = WeakKeyDictionary()
+_MAX_TABLES = 512
+_FIRST = itemgetter(0)
 
 
 def _segment_km(seg) -> float:
@@ -112,9 +126,10 @@ def _lower_bounds(net: RoadNetwork, goal: str, edge_cost) -> dict[str, float]:
     time-dependent search whatever the departure time.  Each table is built
     on first use, so a caller that reads only km never builds minutes.
     """
-    tables = _HEURISTICS.setdefault(net, {})
+    tables = _HEURISTICS.setdefault(net, OrderedDict())
     key = (goal, edge_cost)
     if key in tables:
+        tables.move_to_end(key)
         return tables[key]
     dist = {goal: 0.0}
     heap = [(0.0, goal)]
@@ -128,6 +143,8 @@ def _lower_bounds(net: RoadNetwork, goal: str, edge_cost) -> dict[str, float]:
                 dist[seg.from_node] = nd
                 heapq.heappush(heap, (nd, seg.from_node))
     tables[key] = dist
+    if len(tables) > _MAX_TABLES:
+        tables.popitem(last=False)
     return dist
 
 
@@ -155,13 +172,15 @@ def route_plan(
     """Best remaining route from ``origin`` (entered at ``depart``) to ``dest``.
 
     Minimizes ``w1 * distance + w2 * est_time`` with segment entry times
-    evolving along the path.  The search is exact label-setting over
-    (node, entry-time) states: labels at the same node with different entry
-    times are distinct states, which keeps the result correct even when a
-    later entry crosses into a faster speed bucket.  Static reverse shortest
-    paths (km, and minutes at per-segment top speed) give a consistent A*
-    bound that confines the search to the near-optimal corridor.  Equal-cost
-    ties resolve toward the lexicographically smallest segment-id sequence.
+    evolving along the path.  Travel times are FIFO (``segment_travel_time``),
+    so arriving at a node earlier and with fewer km never hurts what follows:
+    each node keeps a Pareto set of (km, arrival) labels, and a label that
+    another one there matches or beats on every weighted criterion is
+    dropped.  A loop only adds km and time, so the result is loop-free by
+    construction.  Static reverse shortest paths (km, and minutes at
+    per-segment top speed) give a consistent A* bound that confines the
+    search to the near-optimal corridor.  Equal-cost ties resolve toward the
+    lexicographically smallest segment-id sequence.
     """
     if not math.isfinite(depart):
         raise InputError(f"departure time {depart!r} is not a finite number")
@@ -183,34 +202,42 @@ def route_plan(
     if o.to_node not in h_km:
         raise NoRouteError(f"no route from segment {origin!r} to segment {dest!r}")
 
-    start_path = (origin,)
-    heap = [(priority(o.length, t0, o.to_node), start_path, o.to_node, o.length, t0)]
-    # best label per exact (node, entry-time) state: (cost, path)
-    best: dict[tuple[str, float], tuple[float, tuple[str, ...]]] = {
-        (o.to_node, t0): (w1 * o.length + w2 * ((t0 - depart) / 60.0), start_path)
-    }
+    # Each node keeps a Pareto front of labels [a, b, path, alive]: a is the
+    # km and b the arrival, each held at 0.0 when its weight is 0.  Raw
+    # values are compared, never weighted sums, which rounding can tie.  The
+    # front is sorted by a, so b strictly falls along it.  A new label is
+    # dropped if a label there has no more a and no more b, and the smaller
+    # path on a tie in both; the labels it beats leave the front and are
+    # skipped when popped.
+    start = [o.length if w1 else 0.0, t0 if w2 else 0.0, (origin,), True]
+    fronts: dict[str, list[list]] = {o.to_node: [start]}
+    heap = [(priority(o.length, t0, o.to_node), start[2], o.to_node, o.length, t0, start)]
 
     while heap:
-        f, path, node, dist_km, t_abs = heapq.heappop(heap)
+        f, path, node, dist_km, t_abs, label = heapq.heappop(heap)
+        if not label[3]:
+            continue  # beaten after it was pushed
         if node == goal:
             return RoutePlanStep(path, depart, dist_km, (t_abs - depart) / 60.0, weights)
-        state = (node, t_abs)
-        cost = w1 * dist_km + w2 * ((t_abs - depart) / 60.0)
-        recorded = best.get(state)
-        if recorded is not None and (recorded[0], recorded[1]) != (cost, path):
-            continue  # superseded by a better label for this exact state
         for seg in net.outgoing(node):
             if seg.to_node not in h_km:
                 continue  # cannot reach the goal through this segment
             nt = t_abs + 60.0 * segment_travel_time(seg, minute_of_day(t_abs))
             nd = dist_km + seg.length
             npath = path + (seg.id,)
-            ncost = w1 * nd + w2 * ((nt - depart) / 60.0)
-            nstate = (seg.to_node, nt)
-            known = best.get(nstate)
-            if known is not None and (known[0] < ncost or (known[0] == ncost and known[1] <= npath)):
-                continue
-            best[nstate] = (ncost, npath)
-            heapq.heappush(heap, (priority(nd, nt, seg.to_node), npath, seg.to_node, nd, nt))
+            a, b = (nd if w1 else 0.0), (nt if w2 else 0.0)
+            front = fronts.setdefault(seg.to_node, [])
+            i = bisect_right(front, a, key=_FIRST)
+            if i:
+                pa, pb, ppath, _ = front[i - 1]  # the least b among a <= this a
+                if pb < b or (pb == b and (pa < a or ppath <= npath)):
+                    continue
+            j = k = bisect_left(front, a, hi=i, key=_FIRST)
+            while k < len(front) and front[k][1] >= b:
+                front[k][3] = False
+                k += 1
+            new = [a, b, npath, True]
+            front[j:k] = [new]
+            heapq.heappush(heap, (priority(nd, nt, seg.to_node), npath, seg.to_node, nd, nt, new))
 
     raise NoRouteError(f"no route from segment {origin!r} to segment {dest!r}")

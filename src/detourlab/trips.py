@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import DataFormatError, InputError
+from .errors import DataFormatError, InputError, read_number
 from .network import GpsPoint, LatLng, RoadNetwork, check_coordinates, haversine_km
 from .routing import RoutePlanStep, RoutingWeights
 
@@ -226,10 +226,11 @@ def _plan_from_dict(d: dict) -> RoutePlanStep:
     w = d.get("weights")
     return RoutePlanStep(
         tuple(str(s) for s in d["path"]),
-        float(d["planned_at"]),
-        float(d["distance_km"]),
-        float(d["est_time_min"]),
-        None if w is None else RoutingWeights(float(w["w1"]), float(w["w2"])),
+        read_number(d["planned_at"], "planned_at"),
+        read_number(d["distance_km"], "distance_km"),
+        read_number(d["est_time_min"], "est_time_min"),
+        None if w is None else RoutingWeights(read_number(w["w1"], "w1"),
+                                              read_number(w["w2"], "w2")),
     )
 
 
@@ -253,10 +254,14 @@ def trip_to_dict(trip: TripRecord) -> dict:
     return out
 
 
+def _lat_lng(d: dict, what: str) -> LatLng:
+    return LatLng(read_number(d["lat"], f"{what} lat"), read_number(d["lng"], f"{what} lng"))
+
+
 def trip_from_dict(d: dict) -> TripRecord:
     atr = AbstractTrajectory(
         str(d["trip_id"]),
-        tuple(TrajStep(str(s["segment"]), float(s["t"])) for s in d["atr"]),
+        tuple(TrajStep(str(s["segment"]), read_number(s["t"], "atr t")) for s in d["atr"]),
     )
     plans = d["plans"]
     if not isinstance(plans, list) or not plans:
@@ -267,14 +272,13 @@ def trip_from_dict(d: dict) -> TripRecord:
         driver_id=str(d["driver_id"]),
         atr=atr,
         plan=_plan_from_dict(plans[0]),
-        recorded_destination=LatLng(float(d["recorded_destination"]["lat"]),
-                                    float(d["recorded_destination"]["lng"])),
-        actual_destination=LatLng(float(d["actual_destination"]["lat"]),
-                                  float(d["actual_destination"]["lng"])),
-        start_time=float(d["start_time"]),
+        recorded_destination=_lat_lng(d["recorded_destination"], "recorded_destination"),
+        actual_destination=_lat_lng(d["actual_destination"], "actual_destination"),
+        start_time=read_number(d["start_time"], "start_time"),
         label=str(d["label"]),
         raw_gps=None if raw is None else tuple(
-            GpsPoint(float(p["lat"]), float(p["lng"]), float(p["t"])) for p in raw
+            GpsPoint(*(read_number(p[k], f"raw_gps {k}") for k in ("lat", "lng", "t")))
+            for p in raw
         ),
         behavior=None if d.get("behavior") is None else str(d["behavior"]),
     )

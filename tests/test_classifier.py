@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -247,5 +248,15 @@ def test_model_file_never_holds_non_finite_coefficients(tmp_path):
 def test_load_model_malformed(tmp_path):
     path = tmp_path / "model.json"
     path.write_text('{"beta0": 1.0}')
+    with pytest.raises(InputError):
+        load_model(path)
+
+
+
+
+@pytest.mark.parametrize("bad", ["2.0", True])
+def test_load_model_rejects_strings_and_booleans(tmp_path, bad):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"beta0": -8.0, "beta1": bad, "beta2": 28.0}))
     with pytest.raises(InputError):
         load_model(path)

@@ -12,9 +12,12 @@ from detourlab.network import (
     haversine_km,
     load_network,
     minute_of_day,
+    network_from_dict,
+    network_to_dict,
     save_network,
     segment_travel_time,
 )
+from detourlab.routing import entry_times
 from detourlab.simulate import SimConfig, generate_network
 
 from conftest import flat
@@ -62,9 +65,58 @@ def test_travel_time_two_buckets():
     seg = Segment("s", "a", "b", 2.0, ((0.0, 30.0), (720.0, 60.0)))
     assert segment_travel_time(seg, 100.0) == pytest.approx(4.0)
     assert segment_travel_time(seg, 800.0) == pytest.approx(2.0)
-    # piecewise-constant with the breakpoint exactly at the bucket boundary
-    assert segment_travel_time(seg, 719.999) == pytest.approx(4.0)
+    # FIFO: 0.0005 km at 30 km/h until 12:00, then the other 1.9995 km at 60
+    assert segment_travel_time(seg, 719.999) == pytest.approx(0.001 + 1.9995)
     assert segment_travel_time(seg, 720.0) == pytest.approx(2.0)
+    # half the segment at 30 km/h before 12:00, the other half at 60 after
+    assert segment_travel_time(seg, 718.0) == pytest.approx(2.0 + 1.0)
+    # from 23:59 the profile wraps into the next day's 30 km/h bucket
+    assert segment_travel_time(seg, 1439.0) == pytest.approx(1.0 + 1.0 / 30.0 * 60.0)
+
+
+def test_travel_time_crosses_several_buckets():
+    # 1 km at 6 km/h from 11:59: 0.1 km by 12:00, 0.5 km at 60 by 12:00:30,
+    # and the last 0.4 km at 6 again
+    seg = Segment("s", "a", "b", 1.0, ((0.0, 6.0), (720.0, 60.0), (720.5, 6.0)))
+    assert segment_travel_time(seg, 719.0) == pytest.approx(1.0 + 0.5 + 4.0)
+
+
+def test_boundary_without_speed_change_does_not_split():
+    seg = Segment("s", "a", "b", 1.3, ((0.0, 47.0), (360.0, 47.0), (1320.0, 47.0)))
+    for minute in (0.0, 359.99, 1319.5, 1439.9):
+        assert segment_travel_time(seg, minute) == 1.3 / 47.0 * 60.0
+
+
+_SPEEDS = st.floats(1.0, 200.0)
+
+
+@st.composite
+def _profiles(draw):
+    starts = draw(st.lists(st.floats(1.0, 1439.0), max_size=3, unique=True))
+    return tuple((s, draw(_SPEEDS)) for s in [0.0] + sorted(starts))
+
+
+@given(
+    profile=_profiles(),
+    length=st.floats(0.01, 5.0),
+    day=st.integers(0, 30000),
+    data=st.data(),
+)
+def test_arrival_never_decreases_with_entry_time(profile, length, day, data):
+    # FIFO in floating point: entering later, even one unit in the last
+    # place later, never means arriving earlier
+    net = RoadNetwork(_nodes_ab(), [Segment("s", "a", "b", length, profile)])
+    minute = data.draw(st.sampled_from([s for s, _ in profile] + [1439.9])
+                       | st.floats(0.0, 1439.999), label="entry minute")
+    t = 1543622400.0 + day * 86400.0 + minute * 60.0
+    arrivals = []
+    for _ in range(data.draw(st.integers(2, 50), label="entries")):
+        arrivals.append(entry_times(net, ("s",), t)[-1])
+        if data.draw(st.booleans(), label="far step"):
+            t += data.draw(st.floats(1e-6, 120.0), label="seconds later")
+        else:
+            t = math.nextafter(t, math.inf)
+    assert arrivals == sorted(arrivals)
 
 
 def test_minute_of_day_wraps():
@@ -145,6 +197,21 @@ def test_load_malformed_network(tmp_path):
     bad.write_text('{"nodes": [{"id": "a"}], "segments": []}')  # missing lat/lng
     with pytest.raises(InputError):
         load_network(bad)
+
+
+@pytest.mark.parametrize("where,bad", [
+    (("segments", 0, "length_km"), True), (("segments", 0, "speed_profile", 0, "speed_kmh"), "60"),
+    (("nodes", 0, "lat"), "39.9"),
+], ids=["length_true", "speed_string", "lat_string"])
+def test_load_rejects_strings_and_booleans_as_numbers(small_grid, where, bad):
+    data = network_to_dict(small_grid)
+    *parents, key = where
+    record = data
+    for k in parents:
+        record = record[k]
+    record[key] = bad
+    with pytest.raises(InputError):
+        network_from_dict(data)
 
 
 def test_adjacency_matches_linear_scan():

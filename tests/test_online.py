@@ -269,3 +269,18 @@ def test_late_entry_onto_the_held_plan_replans(loop_net, searches):
     assert searches == [("e0", "e7"), ("e2", "e7")]
     assert late.extra_distance_ratio == 0.0
     assert late.extra_time_ratio == pytest.approx(1.0 / 7.0, abs=1e-12)
+
+
+def test_destination_step_makes_no_route_call(loop_net, monkeypatch):
+    # the plan from the destination segment is empty, so no planner call
+    calls = []
+
+    def counted(net, origin, dest, *args):
+        calls.append((origin, dest))
+        return route_plan(net, origin, dest, *args)
+
+    monkeypatch.setattr(online, "route_plan", counted)
+    trip = as_trip(loop_net, [f"e{i}" for i in range(8)], T0)
+    decisions = run_trip(loop_net, BEIJING, trip)
+    assert calls == [("e0", "e7")]
+    assert (decisions[-1].extra_distance_ratio, decisions[-1].extra_time_ratio) == (0.0, 0.0)

@@ -258,6 +258,14 @@ def test_schedule_validation():
             schedule_from_dict(data)
 
 
+@pytest.mark.parametrize("key,bad", [("base_fare", "13.0"), ("rate_per_km", True)])
+def test_schedule_rejects_strings_and_booleans(key, bad):
+    data = schedule_to_dict(BEIJING)
+    (data if key == "base_fare" else data["intervals"][1])[key] = bad
+    with pytest.raises(InputError):
+        schedule_from_dict(data)
+
+
 def test_default_schedules_complete():
     assert set(DEFAULT_SCHEDULES) == {"beijing", "shanghai", "guangzhou", "shenzhen"}
     for schedule in DEFAULT_SCHEDULES.values():

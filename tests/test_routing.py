@@ -1,10 +1,13 @@
+import heapq
 import math
+import types
 
 import numpy as np
 import pytest
 
+from detourlab import routing
 from detourlab.errors import InputError, NoRouteError
-from detourlab.network import Node, RoadNetwork, Segment
+from detourlab.network import Node, RoadNetwork, Segment, minute_of_day, segment_travel_time
 from detourlab.routing import (
     RoutingWeights,
     path_distance,
@@ -12,6 +15,7 @@ from detourlab.routing import (
     route_km,
     route_plan,
 )
+from detourlab.simulate import SimConfig, generate_network
 
 from conftest import flat
 
@@ -242,10 +246,10 @@ def test_est_time_across_bucket_boundary():
     assert path_est_time(net, ("s1", "s2"), depart) == pytest.approx(hand)
 
 
-def test_later_arrival_can_win_across_speed_bucket():
-    # Non-FIFO trap: the slower approach to v lands after the 12:00 bucket
-    # switch on the final road, so the longer prefix is the global optimum.
-    # Labels at the same node with different entry times must both survive.
+def test_earlier_arrival_wins_across_speed_bucket():
+    # Formerly the non-FIFO trap: with speeds sampled at entry, the slower
+    # approach to v entered the final road after the 12:00 switch and won.
+    # Under FIFO speeds the early arrival rides the switch too, so it wins.
     boundary = 720.0
     depart = BASE_T + (boundary - 2.5) * 60.0
     net = RoadNetwork(
@@ -262,10 +266,138 @@ def test_later_arrival_can_win_across_speed_bucket():
     )
     weights = RoutingWeights(0.0, 1.0)
     plan = route_plan(net, "in0", "out", depart, weights)
-    assert plan.path == ("in0", "long1", "long2", "last")
-    assert plan.est_time == pytest.approx(13.0)
+    assert plan.path == ("in0", "short", "last")
+    # 2 min to v, 0.5 min at 10 km/h to 12:00, then the other 9.9167 km at 60
+    assert plan.est_time == pytest.approx(2.0 + 0.5 + (10.0 - 0.5 / 6.0))
     expected = brute_force_best(net, "in0", "out", depart, weights)
     assert weights.w2 * plan.est_time == expected[0]
+
+
+def test_loop_before_a_speed_rise_never_pays():
+    # Circling a <-> c until the slow road speeds up at 12:00 beat driving
+    # straight on when speeds were sampled at entry.  Under FIFO the vehicle
+    # already on the slow road speeds up with the rest of traffic.
+    net = RoadNetwork(
+        [Node("o", 0.0, 0.0), Node("a", 0.0, 0.001), Node("c", 0.001, 0.001),
+         Node("b", 0.0, 0.015), Node("x", 0.0, 0.016)],
+        [
+            Segment("in", "o", "a", 0.1, flat(60.0)),
+            Segment("slow", "a", "b", 1.5, ((0.0, 6.0), (720.0, 600.0))),
+            Segment("up", "a", "c", 0.1, flat(60.0)),
+            Segment("down", "c", "a", 0.1, flat(60.0)),
+            Segment("out", "b", "x", 0.1, flat(60.0)),
+        ],
+    )
+    weights = RoutingWeights(0.5, 0.5)
+    depart = BASE_T + (11 * 60 + 59.3) * 60.0  # 11:59:18
+    plan = route_plan(net, "in", "out", depart, weights)
+    assert plan.path == ("in", "slow")
+    # 0.1 min on ``in``, 0.6 min at 6 km/h to 12:00, the last 1.44 km at 600
+    assert plan.est_time == pytest.approx(0.844)
+    expected = brute_force_best(net, "in", "out", depart, weights)
+    assert (weights.w1 * plan.distance + weights.w2 * plan.est_time, plan.path) == expected
+
+
+def state_search_plan(net, origin, dest, depart, weights):
+    """A* label-setting over exact (node, entry-time) states.
+
+    The planner's search before per-node dominance, kept as an oracle: it
+    assumes nothing about FIFO, so it also finds a route that loops.
+    """
+    if origin == dest:
+        return (), 0.0, 0.0
+    o = net.segment(origin)
+    goal = net.segment(dest).from_node
+    h_km = routing._lower_bounds(net, goal, routing._segment_km)
+    h_min = routing._lower_bounds(net, goal, routing._fastest_minutes)
+    w1, w2 = weights.w1, weights.w2
+
+    def cost(dist_km, t_abs):
+        return w1 * dist_km + w2 * ((t_abs - depart) / 60.0)
+
+    t0 = depart + 60.0 * segment_travel_time(o, minute_of_day(depart))
+    heap = [(cost(o.length, t0) + w1 * h_km[o.to_node] + w2 * h_min[o.to_node],
+             (origin,), o.to_node, o.length, t0)]
+    best = {(o.to_node, t0): (cost(o.length, t0), (origin,))}
+    while heap:
+        _, path, node, dist_km, t_abs = heapq.heappop(heap)
+        if node == goal:
+            return path, dist_km, (t_abs - depart) / 60.0
+        if best[(node, t_abs)] != (cost(dist_km, t_abs), path):
+            continue  # superseded by a better label for this exact state
+        for seg in net.outgoing(node):
+            if seg.to_node not in h_km:
+                continue
+            nt = t_abs + 60.0 * segment_travel_time(seg, minute_of_day(t_abs))
+            nd = dist_km + seg.length
+            label = (cost(nd, nt), path + (seg.id,))
+            known = best.get((seg.to_node, nt))
+            if known is not None and known <= label:
+                continue
+            best[(seg.to_node, nt)] = label
+            f = label[0] + w1 * h_km[seg.to_node] + w2 * h_min[seg.to_node]
+            heapq.heappush(heap, (f, label[1], seg.to_node, nd, nt))
+    return None
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_matches_state_search_across_speed_changes(seed):
+    net = generate_network(SimConfig(seed=seed, grid_dims=(8, 8)))
+    seg_ids = sorted(net.segments)
+    rng = np.random.default_rng(seed)
+    for _ in range(200):
+        origin, dest = (seg_ids[int(i)] for i in rng.integers(len(seg_ids), size=2))
+        change = (360.0, 1320.0, 1440.0)[int(rng.integers(3))]  # 06:00, 22:00, midnight
+        depart = BASE_T + (change - float(rng.uniform(0.0, 40.0))) * 60.0
+        weights = WEIGHT_CHOICES[int(rng.integers(len(WEIGHT_CHOICES)))]
+        plan = route_plan(net, origin, dest, depart, weights)
+        assert (plan.path, plan.distance, plan.est_time) == state_search_plan(
+            net, origin, dest, depart, weights), (origin, dest, depart, weights)
+
+
+@pytest.mark.parametrize("dims", [(20, 20), (30, 30)])
+def test_search_work_is_bounded(monkeypatch, dims):
+    net = generate_network(SimConfig(seed=20240103, grid_dims=dims))
+    bound = 8 * len(net.segments)
+    pushes = 0
+
+    def heappush(heap, item):
+        nonlocal pushes
+        pushes += 1
+        if pushes > bound:
+            raise AssertionError(f"more than {bound} heap pushes in one query")
+        heapq.heappush(heap, item)
+
+    monkeypatch.setattr(routing, "heapq",
+                        types.SimpleNamespace(heappush=heappush, heappop=heapq.heappop))
+    seg_ids = sorted(net.segments)
+    rng = np.random.default_rng(dims[0])
+    for _ in range(40):
+        origin, dest = (seg_ids[int(i)] for i in rng.integers(len(seg_ids), size=2))
+        depart = BASE_T + float(rng.uniform(0.0, 1440.0)) * 60.0
+        weights = WEIGHT_CHOICES[int(rng.integers(len(WEIGHT_CHOICES)))]
+        pushes = 0
+        plan = route_plan(net, origin, dest, depart, weights)
+        assert len({net.segment(s).to_node for s in plan.path}) == len(plan.path)
+
+
+def test_heuristic_tables_stay_under_the_cap(monkeypatch, small_grid):
+    monkeypatch.setattr(routing, "_MAX_TABLES", 6)
+    seg_ids = sorted(small_grid.segments)
+    rng = np.random.default_rng(11)
+    queries = [(seg_ids[int(a)], seg_ids[int(b)], BASE_T + float(m) * 60.0, w)
+               for (a, b), m, w in zip(rng.integers(len(seg_ids), size=(40, 2)),
+                                      rng.uniform(0.0, 1440.0, size=40),
+                                      (WEIGHT_CHOICES * 10))]
+    assert len({small_grid.segment(b).from_node for _, b, _, _ in queries}) > 6
+    routing._HEURISTICS.pop(small_grid, None)
+    cached = []
+    for query in queries:
+        cached.append(route_plan(small_grid, *query))
+        assert len(routing._HEURISTICS.get(small_grid, ())) <= 6
+    for query, plan in zip(queries, cached):
+        routing._HEURISTICS.pop(small_grid, None)
+        assert route_plan(small_grid, *query) == plan
 
 
 def test_non_contiguous_path_rejected(two_route_net):

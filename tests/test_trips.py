@@ -287,6 +287,27 @@ def test_load_rejects_non_finite_numbers(tmp_path, where):
         with pytest.raises(DataFormatError) as err:
             load_trips(path)
         assert err.value.line == 2
+@pytest.mark.parametrize("where,bad", [
+    (("atr", 1, "t"), "1543622550.0"), (("actual_destination", "lng"), "0.002"),
+    (("plans", 0, "distance_km"), True), (("plans", 0, "weights", "w1"), "0.5"),
+    (("recorded_destination", "lat"), False), (("raw_gps", 0, "t"), "1543622400"),
+    (("start_time",), 10 ** 400),  # an integer too large for a float
+], ids=lambda v: "_".join(map(str, v)) if isinstance(v, tuple) else type(v).__name__)
+def test_load_rejects_strings_and_booleans_as_numbers(tmp_path, where, bad):
+    net = line_network([1.0] * 3)
+    trip = chain_trip(net, 2, 300.0)
+    d = trip_to_dict(dataclasses.replace(
+        trip, plan=dataclasses.replace(trip.plan, weights=RoutingWeights())))
+    d["raw_gps"] = [{"lat": 0.0, "lng": 0.001, "t": T0}, {"lat": 0.0, "lng": 0.002, "t": T0 + 10}]
+    *parents, key = where
+    record = d
+    for k in parents:
+        record = record[k]
+    record[key] = bad
+    path = tmp_path / "trips.jsonl"
+    path.write_text(json.dumps(d, sort_keys=True) + "\n", encoding="utf-8")
+    with pytest.raises(DataFormatError):
+        load_trips(path)
 
 
 def test_only_the_first_stored_plan_is_read(tmp_path):
