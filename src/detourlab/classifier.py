@@ -41,13 +41,6 @@ class LogitModel:
         return self.intercept + self.dist_coef * fv.extra_distance_ratio \
             + self.time_coef * fv.extra_time_ratio
 
-    def detour_probability(self, fv: FeatureVector) -> float:
-        theta = self.log_odds(fv)
-        if theta >= 0:
-            return 1.0 / (1.0 + math.exp(-theta))
-        z = math.exp(theta)
-        return z / (1.0 + z)
-
 
 @dataclass(frozen=True)
 class TrainReport:

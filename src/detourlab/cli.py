@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from . import charts, classifier, online, pricing, trips as trips_mod
-from .errors import DataFormatError, DetourlabError, InputError, read_number
+from .errors import DataFormatError, DetourlabError, InputError, read_number, read_string
 from .network import load_network, save_network
 from .routing import RoutingWeights
 from .simulate import SimConfig, generate_network, generate_trips
@@ -234,19 +234,21 @@ def cmd_detect(args) -> int:
                 continue
             try:
                 event = json.loads(line)
-                trip_id = str(event["trip_id"])
-                segment = str(event["segment"])
+                trip_id = read_string(event["trip_id"], "trip_id")
+                segment = read_string(event["segment"], "segment")
                 t = read_number(event["t"], "t")
+                dest = event.get("dest")
+                if dest is not None:
+                    dest = read_string(dest, "dest")
             except (json.JSONDecodeError, KeyError, TypeError, InputError) as exc:
                 raise DataFormatError(f"bad event on line {lineno}: {exc}", line=lineno) from exc
             if trip_id not in sessions:
-                dest = event.get("dest")
                 if dest is None:
                     raise DataFormatError(
                         f"line {lineno}: first event of trip {trip_id!r} must carry 'dest'",
                         line=lineno,
                     )
-                sessions[trip_id] = online.begin_trip(trip_id, str(dest), weights)
+                sessions[trip_id] = online.begin_trip(trip_id, dest, weights)
             progress = sessions[trip_id]
             decision = online.step(net, model, progress, segment, t)
             if segment == progress.dest_segment:

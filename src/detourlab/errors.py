@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the strict number reader."""
+"""Exception types shared across the package, and the strict number and string readers."""
 
 import math
 
@@ -51,3 +51,14 @@ def read_number(value, what: str) -> float:
     if not math.isfinite(number):
         raise InputError(f"{what} must be finite, got {value!r}")
     return number
+
+
+def read_string(value, what: str) -> str:
+    """A string read from parsed JSON, or an InputError.
+
+    Every loader reads its ids and labels here, so ``false`` or ``7`` in a
+    file fails instead of loading as ``'False'`` or ``'7'``.
+    """
+    if not isinstance(value, str):
+        raise InputError(f"{what} must be a string, got {value!r}")
+    return value

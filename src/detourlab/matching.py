@@ -5,12 +5,20 @@ Gaussian emission in perpendicular point-to-segment distance, transitions an
 exponential penalty in the gap between on-network route distance and
 great-circle displacement.  Defaults follow common map-matching practice
 (sigma 25 m, beta 2.0, candidate radius 100 m); all three are configurable.
+
+Candidates come from a uniform grid over segment bounding boxes (Newson &
+Krumm 2009 bound candidates the same way), built once per network on first
+use.  A point projects only onto the segments whose boxes share a cell with
+its search window.  The window is the radius converted to degrees with the
+projection's own scale factors, so any segment within the radius has its
+closest point inside it: the candidates equal a scan over every segment.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from weakref import WeakKeyDictionary
 
 from . import trips
 from .errors import InputError, MatchError, NoRouteError
@@ -25,8 +33,16 @@ class MatchConfig:
     transition_beta: float = 2.0  # km scale of the route/great-circle gap
 
     def __post_init__(self):
-        if self.emission_sigma <= 0 or self.candidate_radius <= 0 or self.transition_beta <= 0:
-            raise InputError("match parameters must all be positive")
+        for value in (self.emission_sigma, self.candidate_radius, self.transition_beta):
+            if not (math.isfinite(value) and value > 0):
+                raise InputError("match parameters must all be finite and positive")
+
+
+def _metres_per_degree(lat: float) -> tuple[float, float]:
+    """(kx, ky): metres per degree of longitude and of latitude at ``lat``."""
+    kx = EARTH_RADIUS_KM * 1000.0 * math.cos(math.radians(lat)) * math.pi / 180.0
+    ky = EARTH_RADIUS_KM * 1000.0 * math.pi / 180.0
+    return kx, ky
 
 
 def _project(net: RoadNetwork, point, seg: Segment) -> tuple[float, float]:
@@ -38,8 +54,7 @@ def _project(net: RoadNetwork, point, seg: Segment) -> tuple[float, float]:
     """
     a = net.node(seg.from_node)
     b = net.node(seg.to_node)
-    kx = EARTH_RADIUS_KM * 1000.0 * math.cos(math.radians(point.lat)) * math.pi / 180.0
-    ky = EARTH_RADIUS_KM * 1000.0 * math.pi / 180.0
+    kx, ky = _metres_per_degree(point.lat)
     ax = (a.lng - point.lng) * kx
     ay = (a.lat - point.lat) * ky
     bx = (b.lng - point.lng) * kx
@@ -65,19 +80,100 @@ def transition_logprob(route_km: float | None, gc_km: float, cfg: MatchConfig) -
     return -abs(route_km - gc_km) / cfg.transition_beta
 
 
+# Grid cells are _CELL_DEG degrees square (about 220 m of latitude), so the
+# default 100 m window overlaps one or two cells per axis; a network wider
+# than _MAX_CELLS cells on an axis gets coarser cells, which bounds the cells
+# one window can cover.  _WINDOW_MARGIN widens the window by a relative 1e-9
+# and an absolute 1e-9 degrees (0.1 mm), far above the rounding of the
+# projection and of the window arithmetic.
+_CELL_DEG = 0.002
+_MAX_CELLS = 512
+_WINDOW_MARGIN = 1e-9
+_GRIDS: WeakKeyDictionary = WeakKeyDictionary()
+
+
+@dataclass(frozen=True)
+class _SegmentGrid:
+    """Segments bucketed by the grid cells their bounding boxes overlap.
+
+    ``segments`` is sorted by id, and each cell holds positions into it, so
+    sorted positions list segments in id order.  Cell (i, j) covers latitudes
+    from ``lat0 + i * cell`` and longitudes from ``lng0 + j * cell``; the
+    grid spans the nodes' box and nothing wraps at the antimeridian.
+    """
+
+    segments: tuple[Segment, ...]
+    cells: dict[tuple[int, int], tuple[int, ...]]
+    lat0: float
+    lat1: float
+    lng0: float
+    lng1: float
+    cell: float
+
+
+def _cell_range(lo: float, hi: float, origin: float, end: float, cell: float) -> range:
+    """Cell indices on one axis that overlap ``[lo, hi]`` clamped to ``[origin, end]``."""
+    return range(math.floor((max(lo, origin) - origin) / cell),
+                 math.floor((min(hi, end) - origin) / cell) + 1)
+
+
+def _segment_grid(net: RoadNetwork) -> _SegmentGrid:
+    grid = _GRIDS.get(net)
+    if grid is not None:
+        return grid
+    lats = [n.lat for n in net.nodes.values()]
+    lngs = [n.lng for n in net.nodes.values()]
+    lat0, lat1, lng0, lng1 = min(lats), max(lats), min(lngs), max(lngs)
+    cell = max(_CELL_DEG, (lat1 - lat0) / _MAX_CELLS, (lng1 - lng0) / _MAX_CELLS)
+    segments = tuple(sorted(net.segments.values(), key=lambda s: s.id))
+    cells: dict[tuple[int, int], list[int]] = {}
+    for k, seg in enumerate(segments):
+        a = net.node(seg.from_node)
+        b = net.node(seg.to_node)
+        for i in _cell_range(min(a.lat, b.lat), max(a.lat, b.lat), lat0, lat1, cell):
+            for j in _cell_range(min(a.lng, b.lng), max(a.lng, b.lng), lng0, lng1, cell):
+                cells.setdefault((i, j), []).append(k)
+    grid = _SegmentGrid(segments, {key: tuple(ks) for key, ks in cells.items()},
+                        lat0, lat1, lng0, lng1, cell)
+    _GRIDS[net] = grid
+    return grid
+
+
 def candidates_for(net: RoadNetwork, point, radius_m: float) -> list[tuple[Segment, float, float]]:
     """``(segment, distance_m, along_km)`` for each segment within ``radius_m``.
 
     ``distance_m`` is the point's perpendicular distance to the segment and
     ``along_km`` the driving distance from the segment's entry node to the
     point's projection.  Sorted by segment id.
+
+    Only segments whose bounding boxes share a grid cell with the point's
+    window are projected.  A segment within ``radius_m`` has its closest
+    point inside the window, which spans ``radius_m`` converted to degrees
+    with ``_project``'s scale factors at the point's latitude, so the result
+    is the same as projecting onto every segment.
     """
+    grid = _segment_grid(net)
+    kx, ky = _metres_per_degree(point.lat)
+    half_lat = radius_m / ky * (1.0 + _WINDOW_MARGIN) + _WINDOW_MARGIN
+    half_lng = radius_m / abs(kx) * (1.0 + _WINDOW_MARGIN) + _WINDOW_MARGIN
+    lat_lo, lat_hi = point.lat - half_lat, point.lat + half_lat
+    lng_lo, lng_hi = point.lng - half_lng, point.lng + half_lng
+    # written so that a NaN coordinate or radius, which no segment is within,
+    # finds nothing
+    if not (lat_lo <= grid.lat1 and lat_hi >= grid.lat0
+            and lng_lo <= grid.lng1 and lng_hi >= grid.lng0):
+        return []
+    near: set[int] = set()
+    lng_cells = _cell_range(lng_lo, lng_hi, grid.lng0, grid.lng1, grid.cell)
+    for i in _cell_range(lat_lo, lat_hi, grid.lat0, grid.lat1, grid.cell):
+        for j in lng_cells:
+            near.update(grid.cells.get((i, j), ()))
     found = []
-    for seg in net.segments.values():
+    for k in sorted(near):
+        seg = grid.segments[k]
         distance_m, u = _project(net, point, seg)
         if distance_m <= radius_m:
             found.append((seg, distance_m, u * seg.length))
-    found.sort(key=lambda c: c[0].id)
     return found
 
 
@@ -114,8 +210,10 @@ def candidate_route_km(a, b, routes: RouteDistanceCache) -> float | None:
 def _check_points(tr) -> None:
     if len(tr) < 2:
         raise InputError("map matching needs at least 2 GPS points")
-    for i in range(1, len(tr)):
-        if tr[i].t <= tr[i - 1].t:
+    for i, p in enumerate(tr):
+        if not (math.isfinite(p.lat) and math.isfinite(p.lng) and math.isfinite(p.t)):
+            raise InputError(f"GPS point {i} has a non-finite coordinate or timestamp")
+        if i and p.t <= tr[i - 1].t:
             raise InputError(f"GPS timestamps must strictly increase (point {i})")
 
 

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import DataFormatError, InputError, read_number
+from .errors import DataFormatError, InputError, read_number, read_string
 from .network import GpsPoint, LatLng, RoadNetwork, check_coordinates, haversine_km
 from .routing import RoutePlanStep, RoutingWeights
 
@@ -225,7 +225,7 @@ def _plan_from_dict(d: dict) -> RoutePlanStep:
     # files written before plans recorded their weights have no "weights" key
     w = d.get("weights")
     return RoutePlanStep(
-        tuple(str(s) for s in d["path"]),
+        tuple(read_string(s, "plan path segment") for s in d["path"]),
         read_number(d["planned_at"], "planned_at"),
         read_number(d["distance_km"], "distance_km"),
         read_number(d["est_time_min"], "est_time_min"),
@@ -259,28 +259,31 @@ def _lat_lng(d: dict, what: str) -> LatLng:
 
 
 def trip_from_dict(d: dict) -> TripRecord:
+    trip_id = read_string(d["trip_id"], "trip_id")
     atr = AbstractTrajectory(
-        str(d["trip_id"]),
-        tuple(TrajStep(str(s["segment"]), read_number(s["t"], "atr t")) for s in d["atr"]),
+        trip_id,
+        tuple(TrajStep(read_string(s["segment"], "atr segment"), read_number(s["t"], "atr t"))
+              for s in d["atr"]),
     )
     plans = d["plans"]
     if not isinstance(plans, list) or not plans:
         raise InputError(f"trip {atr.trip_id!r}: 'plans' must be a non-empty list")
     raw = d.get("raw_gps")
     return TripRecord(
-        trip_id=str(d["trip_id"]),
-        driver_id=str(d["driver_id"]),
+        trip_id=trip_id,
+        driver_id=read_string(d["driver_id"], "driver_id"),
         atr=atr,
         plan=_plan_from_dict(plans[0]),
         recorded_destination=_lat_lng(d["recorded_destination"], "recorded_destination"),
         actual_destination=_lat_lng(d["actual_destination"], "actual_destination"),
         start_time=read_number(d["start_time"], "start_time"),
-        label=str(d["label"]),
+        label=read_string(d["label"], "label"),
         raw_gps=None if raw is None else tuple(
             GpsPoint(*(read_number(p[k], f"raw_gps {k}") for k in ("lat", "lng", "t")))
             for p in raw
         ),
-        behavior=None if d.get("behavior") is None else str(d["behavior"]),
+        behavior=(None if d.get("behavior") is None
+                  else read_string(d["behavior"], "behavior")),
     )
 
 
@@ -321,7 +324,8 @@ def driver_to_dict(driver: DriverRecord) -> dict:
 
 
 def driver_from_dict(d: dict) -> DriverRecord:
-    return DriverRecord(driver_id=str(d["driver_id"]), trips=tuple(str(t) for t in d["trips"]))
+    return DriverRecord(driver_id=read_string(d["driver_id"], "driver_id"),
+                        trips=tuple(read_string(t, "driver trip id") for t in d["trips"]))
 
 
 def save_drivers(drivers, path) -> None:

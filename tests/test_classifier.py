@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from detourlab.classifier import (
     FeatureVector,
@@ -61,14 +60,6 @@ def test_log_odds_beijing_hand_value():
     got = BEIJING_MODEL.log_odds(FeatureVector(0.2, 0.1))
     assert got == pytest.approx(-8.8620 + 41.5258 * 0.2 + 28.5575 * 0.1, abs=1e-12)
     assert got == pytest.approx(2.29891, abs=1e-5)
-
-
-@given(st.floats(-30, 30), st.floats(-2, 2), st.floats(-2, 2))
-def test_probability_symmetry(b0, x1, x2):
-    model = LogitModel(b0, 7.0, 3.0)
-    flipped = LogitModel(-b0, -7.0, -3.0)
-    fv = FeatureVector(x1, x2)
-    assert model.detour_probability(fv) + flipped.detour_probability(fv) == pytest.approx(1.0)
 
 
 def test_theta_monotone_in_features():

@@ -135,6 +135,16 @@ def test_detect_rejects_a_timestamp_that_is_not_a_number(pipeline_dir, tmp_path,
                 "--events", events, "--out", tmp_path / "d.jsonl"]) == 3
 
 
+def test_detect_rejects_a_trip_id_that_is_not_a_string(pipeline_dir, tmp_path):
+    root, net, data, filt, model = pipeline_dir
+    atr = json.loads((data / "trips.jsonl").read_text().splitlines()[0])["atr"]
+    events = tmp_path / "events.jsonl"
+    events.write_text(json.dumps({"trip_id": 7, "segment": atr[0]["segment"], "t": atr[0]["t"],
+                                  "dest": atr[-1]["segment"]}) + "\n")
+    assert run(["detect", "--network", net, "--model", model,
+                "--events", events, "--out", tmp_path / "d.jsonl"]) == 3
+
+
 def _event_lines(trips):
     """Every step of ``trips`` as one detect event, sorted by (time, step index)."""
     events = []

@@ -1,9 +1,11 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 
+from detourlab import matching
 from detourlab.errors import InputError, MatchError
 from detourlab.matching import (
     MatchConfig,
@@ -231,3 +233,153 @@ def test_non_increasing_timestamps(t_junction):
 def test_bad_config_rejected():
     with pytest.raises(InputError):
         MatchConfig(emission_sigma=0.0)
+
+
+@pytest.mark.parametrize("field", ["emission_sigma", "candidate_radius", "transition_beta"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_non_finite_config_rejected(field, bad):
+    with pytest.raises(InputError):
+        MatchConfig(**{field: bad})
+
+
+@pytest.mark.parametrize("field", ["lat", "lng", "t"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_non_finite_gps_point_rejected(t_junction, field, bad):
+    # the bad value sits on the second point, after a valid first one
+    points = [offset_point(0.0, -0.3 / KM_PER_DEG, 2.0, 0.0, BASE_T),
+              offset_point(0.0, -0.2 / KM_PER_DEG, 2.0, 0.0, BASE_T + 10.0)]
+    points[1] = GpsPoint(**{**vars(points[1]), field: bad})
+    with pytest.raises(InputError, match="point 1"):
+        viterbi_decode(t_junction, points)
+
+
+# ---------------------------------------------------------------------------
+# the grid index behind candidates_for against a scan over every segment
+
+
+def linear_scan(net, point, radius_m):
+    """Every segment within ``radius_m``, found by projecting onto all of them."""
+    found = []
+    for seg in net.segments.values():
+        distance_m, u = matching._project(net, point, seg)
+        if distance_m <= radius_m:
+            found.append((seg, distance_m, u * seg.length))
+    found.sort(key=lambda c: c[0].id)
+    return found
+
+
+@pytest.fixture(scope="module")
+def index_grid():
+    return generate_network(SimConfig(seed=20240103, grid_dims=(8, 8)))
+
+
+def _box(net):
+    lats = [n.lat for n in net.nodes.values()]
+    lngs = [n.lng for n in net.nodes.values()]
+    return min(lats), max(lats), min(lngs), max(lngs)
+
+
+def test_index_equals_linear_scan_on_random_points(index_grid):
+    rng = np.random.default_rng(8)
+    lat0, lat1, lng0, lng1 = _box(index_grid)
+    pad = 0.01  # about 1 km beyond every side of the network's box
+    for _ in range(400):
+        point = GpsPoint(float(rng.uniform(lat0 - pad, lat1 + pad)),
+                         float(rng.uniform(lng0 - pad, lng1 + pad)), BASE_T)
+        for radius_m in (5.0, 25.0, 100.0, 400.0, 2000.0):
+            assert candidates_for(index_grid, point, radius_m) == \
+                linear_scan(index_grid, point, radius_m)
+
+
+def test_index_keeps_segments_exactly_at_the_radius(index_grid):
+    # the radius equals a segment's computed distance, so that segment sits on
+    # the `<=` boundary of the filter.  From a point due north, south, east or
+    # west of a node, the closest point of a segment leaving the node the
+    # other way is the node itself, which then lies on the window's edge.
+    rng = np.random.default_rng(9)
+    lat0, lat1, lng0, lng1 = _box(index_grid)
+    segments = sorted(index_grid.segments.values(), key=lambda s: s.id)
+    cases = []
+    for node in index_grid.nodes.values():
+        for north_m, east_m in ((30.0, 0.0), (-30.0, 0.0), (0.0, 30.0), (0.0, -30.0)):
+            point = offset_point(node.lat, node.lng, north_m, east_m, BASE_T)
+            cases.extend((point, seg) for seg in index_grid.outgoing(node.id))
+    for _ in range(300):
+        point = GpsPoint(float(rng.uniform(lat0, lat1)), float(rng.uniform(lng0, lng1)), BASE_T)
+        cases.append((point, segments[int(rng.integers(len(segments)))]))
+    for point, seg in cases:
+        radius_m, _ = matching._project(index_grid, point, seg)
+        got = candidates_for(index_grid, point, radius_m)
+        assert got == linear_scan(index_grid, point, radius_m)
+        assert seg in [c[0] for c in got]
+
+
+def test_index_equals_linear_scan_on_cell_boundaries(index_grid):
+    grid = matching._segment_grid(index_grid)
+    lat0, lat1, lng0, lng1 = _box(index_grid)
+    n_lat = int((lat1 - lat0) / grid.cell) + 1
+    n_lng = int((lng1 - lng0) / grid.cell) + 1
+    corners = [GpsPoint(lat0 + i * grid.cell, lng0 + j * grid.cell, BASE_T)
+               for i in range(0, n_lat + 1, 3) for j in range(0, n_lng + 1, 3)]
+    nodes = [GpsPoint(n.lat, n.lng, BASE_T) for n in index_grid.nodes.values()]
+    for point in corners + nodes:
+        for radius_m in (0.0, 1e-6, 25.0, 100.0, grid.cell * KM_PER_DEG * 1000.0):
+            assert candidates_for(index_grid, point, radius_m) == \
+                linear_scan(index_grid, point, radius_m)
+
+
+def test_index_is_built_on_first_use_only():
+    net = generate_network(SimConfig(seed=5, grid_dims=(3, 3)))
+    assert net not in matching._GRIDS
+    point = next(iter(net.nodes.values()))
+    candidates_for(net, point, 100.0)
+    grid = matching._GRIDS[net]
+    candidates_for(net, point, 100.0)
+    assert matching._GRIDS[net] is grid
+
+
+def test_index_projects_a_few_segments_per_point(index_grid, monkeypatch):
+    rng = np.random.default_rng(10)
+    lat0, lat1, lng0, lng1 = _box(index_grid)
+    calls = 0
+    real_project = matching._project
+
+    def counting_project(*args):
+        nonlocal calls
+        calls += 1
+        return real_project(*args)
+
+    monkeypatch.setattr(matching, "_project", counting_project)
+    n_points = 200
+    for _ in range(n_points):
+        point = GpsPoint(float(rng.uniform(lat0, lat1)), float(rng.uniform(lng0, lng1)), BASE_T)
+        candidates_for(index_grid, point, 100.0)
+    assert calls / n_points < 0.1 * len(index_grid.segments)
+
+
+def polar_ring(lat):
+    """A one-way ring of short segments at ``lat``, about 55 m from a pole."""
+    nodes = [Node(f"p{k}", lat, -165.0 + 30.0 * k) for k in range(12)]
+    segments = []
+    for k in range(12):
+        a, b = nodes[k], nodes[(k + 1) % 12]
+        segments.append(Segment(f"r{k:02d}", a.id, b.id, haversine_km(a, b), flat(20.0)))
+    return RoadNetwork(nodes, segments)
+
+
+@pytest.mark.parametrize("lat", [89.9999, -89.9999])
+def test_index_near_the_poles_is_exact_and_bounded(index_grid, lat):
+    # at this latitude a 100 m window spans hundreds of degrees of longitude;
+    # it is clamped to the index's extent, so each lookup stays small
+    ring = polar_ring(math.copysign(89.9995, lat))
+    found = 0
+    start = time.perf_counter()
+    for net in (ring, index_grid):
+        for lng in (-179.0, -15.0, 0.0, 15.0, 179.0):
+            point = GpsPoint(lat, lng, BASE_T)
+            for radius_m in (5.0, 50.0, 100.0, 400.0):
+                got = candidates_for(net, point, radius_m)
+                assert got == linear_scan(net, point, radius_m)
+                found += len(got)
+    assert time.perf_counter() - start < 5.0
+    assert found > 0

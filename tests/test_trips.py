@@ -310,6 +310,32 @@ def test_load_rejects_strings_and_booleans_as_numbers(tmp_path, where, bad):
         load_trips(path)
 
 
+@pytest.mark.parametrize("where,bad", [
+    (("trip_id",), 7), (("driver_id",), False), (("behavior",), True),
+    (("atr", 1, "segment"), 1), (("plans", 0, "path", 1), ["e1"]),
+], ids=lambda v: "_".join(map(str, v)) if isinstance(v, tuple) else type(v).__name__)
+def test_load_rejects_ids_and_labels_that_are_not_strings(tmp_path, where, bad):
+    net = line_network([1.0] * 3)
+    d = trip_to_dict(chain_trip(net, 2, 300.0))
+    *parents, key = where
+    record = d
+    for k in parents:
+        record = record[k]
+    record[key] = bad
+    path = tmp_path / "trips.jsonl"
+    path.write_text(json.dumps(d, sort_keys=True) + "\n", encoding="utf-8")
+    with pytest.raises(DataFormatError):
+        load_trips(path)
+
+
+def test_load_drivers_rejects_ids_that_are_not_strings(tmp_path):
+    path = tmp_path / "drivers.jsonl"
+    for line in ('{"driver_id": false, "trips": ["t1"]}', '{"driver_id": "d0", "trips": [7]}'):
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(DataFormatError):
+            load_drivers(path)
+
+
 def test_only_the_first_stored_plan_is_read(tmp_path):
     net = line_network([1.0] * 3)
     trip = chain_trip(net, 2, 300.0)
