@@ -59,9 +59,7 @@ from .trips import (
     TripRecord,
     destination_change_probability,
     filter_dataset,
-    load_drivers,
     load_trips,
-    save_drivers,
     save_trips,
     trajectory_distance_km,
     trajectory_minutes,

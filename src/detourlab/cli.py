@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from . import charts, classifier, online, pricing, trips as trips_mod
-from .errors import DataFormatError, DetourlabError, InputError, read_number, read_string
+from .errors import DataFormatError, DetourlabError, FitError, InputError, read_number, read_string
 from .network import load_network, save_network
 from .routing import RoutingWeights
 from .simulate import SimConfig, generate_network, generate_trips
@@ -158,7 +158,6 @@ def cmd_gen_trips(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     sim_trips, drivers = generate_trips(net, cfg, config.weights)
     trips_mod.save_trips(sim_trips, out / "trips.jsonl")
-    trips_mod.save_drivers(drivers, out / "drivers.jsonl")
     detours = sum(1 for t in sim_trips if t.label == "detour")
     print(f"trips={len(sim_trips)} detours={detours} drivers={len(drivers)} -> {out}")
     return 0
@@ -189,14 +188,23 @@ def cmd_train(args) -> int:
     trips = trips_mod.load_trips(args.trips)
     samples = _labeled_samples(net, trips)
     report = classifier.train(samples, ridge=ridge)
+    if not report.converged:  # diverged coefficients must not reach a model file
+        raise FitError(f"the fit did not converge in {report.iterations} iterations"
+                       + (f": {report.diagnostics}" if report.diagnostics else ""))
     classifier.save_model(report.model, args.out, trained_on=len(samples), ridge=ridge)
     print(
         f"trained on={len(samples)} iterations={report.iterations} "
         f"converged={report.converged} loglik={report.final_log_likelihood:.6f}"
     )
-    if report.diagnostics:
-        print(f"note: {report.diagnostics}")
     return 0
+
+
+def _write_roc(path, net, model, trips) -> tuple[float, int]:
+    """Write roc.csv; returns the AUC and the number of labeled trips."""
+    samples = _labeled_samples(net, trips)
+    auc, roc = classifier.evaluate_roc_auc(model, samples)
+    _write_csv(path, ("fpr", "tpr"), roc)
+    return auc, len(samples)
 
 
 def cmd_eval(args) -> int:
@@ -204,10 +212,8 @@ def cmd_eval(args) -> int:
     net = load_network(args.network)
     model = classifier.load_model(args.model)
     trips = trips_mod.load_trips(args.trips)
-    samples = _labeled_samples(net, trips)
-    auc, roc = classifier.evaluate_roc_auc(model, samples)
-    _write_csv(args.out, ("fpr", "tpr"), roc)
-    print(f"auc={auc:.6f} n={len(samples)} -> {args.out}")
+    auc, n = _write_roc(args.out, net, model, trips)
+    print(f"auc={auc:.6f} n={n} -> {args.out}")
     return 0
 
 
@@ -268,9 +274,12 @@ def cmd_detect(args) -> int:
     return 0
 
 
-def _stage_rows(net, model, trips, weights):
-    results = online.stage_auc(net, model, trips, weights)
-    return [(r.stage, r.auc, r.warned_trips) for r in results]
+def _write_stage_auc(path, net, model, trips, weights) -> list[tuple]:
+    """Write stage_auc.csv; returns its (stage, auc, warned_count) rows."""
+    rows = [(r.stage, r.auc, r.warned_trips)
+            for r in online.stage_auc(net, model, trips, weights)]
+    _write_csv(path, ("stage", "auc", "warned_count"), rows)
+    return rows
 
 
 def cmd_stage_report(args) -> int:
@@ -278,8 +287,7 @@ def cmd_stage_report(args) -> int:
     net = load_network(args.network)
     model = classifier.load_model(args.model)
     trips = trips_mod.load_trips(args.trips)
-    rows = _stage_rows(net, model, trips, config.weights)
-    _write_csv(args.out, ("stage", "auc", "warned_count"), rows)
+    rows = _write_stage_auc(args.out, net, model, trips, config.weights)
     print(f"stages={len(rows)} final_auc={rows[-1][1]:.6f} -> {args.out}")
     return 0
 
@@ -291,7 +299,9 @@ _INTERVAL_HEADER = (
 )
 
 
-def _interval_rows(rows):
+def _write_intervals(path, net, schedule, trips):
+    """Write intervals.csv; returns ``pricing.interval_report``'s rows and fit."""
+    rows, fit = pricing.interval_report(net, schedule, trips)
     out = []
     for row in rows:
         st = row.stats
@@ -304,16 +314,15 @@ def _interval_rows(rows):
             None if adj is None else adj.delta_rate_per_km,
             None if adj is None else adj.delta_opportunity_cost,
         ))
-    return out
+    _write_csv(path, _INTERVAL_HEADER, out)
+    return rows, fit
 
 
 def cmd_pricing(args) -> int:
     _config_for(args)  # pricing reads no config value, but a bad config file still fails
     net = load_network(args.network)
     trips = trips_mod.load_trips(args.trips)
-    schedule = _schedule_arg(args.schedule)
-    rows, fit = pricing.interval_report(net, schedule, trips)
-    _write_csv(args.out, _INTERVAL_HEADER, _interval_rows(rows))
+    rows, fit = _write_intervals(args.out, net, _schedule_arg(args.schedule), trips)
     if fit is not None:
         u0 = "" if fit.u0 is None else f"{fit.u0:.6f}"
         print(f"fit coefficient={fit.coefficient:.6f} intercept={fit.intercept:.6f} "
@@ -331,15 +340,9 @@ def cmd_report(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    samples = _labeled_samples(net, trips)
-    auc, roc = classifier.evaluate_roc_auc(model, samples)
-    _write_csv(out / "roc.csv", ("fpr", "tpr"), roc)
-
-    stage_rows = _stage_rows(net, model, trips, config.weights)
-    _write_csv(out / "stage_auc.csv", ("stage", "auc", "warned_count"), stage_rows)
-
-    rows, fit = pricing.interval_report(net, schedule, trips)
-    _write_csv(out / "intervals.csv", _INTERVAL_HEADER, _interval_rows(rows))
+    auc, _ = _write_roc(out / "roc.csv", net, model, trips)
+    stage_rows = _write_stage_auc(out / "stage_auc.csv", net, model, trips, config.weights)
+    rows, _ = _write_intervals(out / "intervals.csv", net, schedule, trips)
 
     if not args.no_svg:
         mids = [(r.stats.interval, (schedule.intervals[r.stats.interval].start_min
@@ -379,16 +382,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON run configuration; flags override it")
-    common.add_argument("--seed", type=int, default=None,
-                        help="override the simulation seed (generation commands)")
+    generating = argparse.ArgumentParser(add_help=False, parents=[common])
+    generating.add_argument("--seed", type=int, default=None,
+                            help="override the simulation seed")
 
-    p = sub.add_parser("gen-network", parents=[common], help="generate a grid road network")
+    p = sub.add_parser("gen-network", parents=[generating], help="generate a grid road network")
     p.add_argument("--rows", type=int, default=None)
     p.add_argument("--cols", type=int, default=None)
     p.add_argument("--out", required=True, help="network JSON path")
     p.set_defaults(func=cmd_gen_network)
 
-    p = sub.add_parser("gen-trips", parents=[common], help="simulate labeled trips")
+    p = sub.add_parser("gen-trips", parents=[generating], help="simulate labeled trips")
     p.add_argument("--network", required=True)
     p.add_argument("--n-trips", type=int, default=None)
     p.add_argument("--out", required=True, help="output directory")

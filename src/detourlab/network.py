@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
 
-from .errors import InputError, read_number
+from .errors import InputError, read_number, read_string
 
 EARTH_RADIUS_KM = 6371.0
 DAY_MINUTES = 1440.0
@@ -253,13 +253,14 @@ def network_to_dict(net: RoadNetwork) -> dict:
 
 def network_from_dict(data: dict) -> RoadNetwork:
     try:
-        nodes = [Node(str(n["id"]), read_number(n["lat"], "lat"), read_number(n["lng"], "lng"))
+        nodes = [Node(read_string(n["id"], "node id"), read_number(n["lat"], "lat"),
+                      read_number(n["lng"], "lng"))
                  for n in data["nodes"]]
         segments = [
             Segment(
-                str(s["id"]),
-                str(s["from"]),
-                str(s["to"]),
+                read_string(s["id"], "segment id"),
+                read_string(s["from"], "segment from"),
+                read_string(s["to"], "segment to"),
                 read_number(s["length_km"], "length_km"),
                 tuple((read_number(b["start_min"], "start_min"),
                        read_number(b["speed_kmh"], "speed_kmh")) for b in s["speed_profile"]),

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import FitError, InputError, read_number
+from .errors import FitError, InputError, read_number, read_string
 from .network import minute_of_day
 from .trips import trajectory_distance_km, trajectory_minutes
 
@@ -212,14 +212,15 @@ def interval_stats(net, schedule: FareSchedule, trips) -> list[IntervalStats]:
     excess_km = [0.0] * n
     excess_min = [0.0] * n
     for trip in trips:
-        i = schedule.interval_index(minute_of_day(trip.start_time))
+        start_minute = minute_of_day(trip.atr.steps[0].t)
+        i = schedule.interval_index(start_minute)
         counts[i] += 1
         if trip.label == "detour":
             detours[i] += 1
         drivers[i].add(trip.driver_id)
         dist = trajectory_distance_km(net, trip.atr)
         minutes = trajectory_minutes(trip.atr)
-        income[i] += fare(schedule, dist, minutes, minute_of_day(trip.start_time))
+        income[i] += fare(schedule, dist, minutes, start_minute)
         excess_km[i] += max(dist - schedule.base_km, 0.0)
         excess_min[i] += max(minutes - schedule.base_min, 0.0)
     return [
@@ -349,15 +350,11 @@ def schedule_from_dict(data: dict) -> FareSchedule:
                 "serving_speed_km_per_min")))
             for iv in data["intervals"]
         )
-        return FareSchedule(str(data["city"]), *(read_number(data[key], key) for key in (
+        city = read_string(data["city"], "city")
+        return FareSchedule(city, *(read_number(data[key], key) for key in (
             "base_fare", "base_km", "base_min", "operating_cost_per_km")), intervals)
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed schedule data: {exc}") from exc
-
-
-def save_schedule(schedule: FareSchedule, path) -> None:
-    text = json.dumps(schedule_to_dict(schedule), indent=2, sort_keys=True)
-    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def load_schedule(path) -> FareSchedule:

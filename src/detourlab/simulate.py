@@ -357,7 +357,6 @@ def generate_trips(
             plan=plan,
             recorded_destination=LatLng(end.lat, end.lng),
             actual_destination=LatLng(end.lat, end.lng),
-            start_time=t_start,
             label="detour" if behavior == "detour" else "normal",
             raw_gps=raw,
             behavior=behavior,

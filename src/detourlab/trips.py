@@ -1,7 +1,7 @@
 """Trip data model, trajectories, destination-change screening, filtering, persistence.
 
-Datasets are JSONL: one trip or one driver per line, canonical key order,
-segment ids referencing a separately stored network file.
+Datasets are JSONL: one trip per line, canonical key order, segment ids
+referencing a separately stored network file.
 """
 
 from __future__ import annotations
@@ -82,7 +82,6 @@ class TripRecord:
     plan: RoutePlanStep
     recorded_destination: LatLng
     actual_destination: LatLng
-    start_time: float
     label: str = "unlabeled"
     raw_gps: tuple[GpsPoint, ...] | None = None
     behavior: str | None = None
@@ -91,11 +90,6 @@ class TripRecord:
         if self.label not in LABELS:
             raise InputError(f"trip {self.trip_id!r}: unknown label {self.label!r}")
         where = f"trip {self.trip_id!r}"
-        if not math.isfinite(self.start_time):
-            raise InputError(f"{where}: start_time {self.start_time} is not finite")
-        if self.start_time != self.atr.steps[0].t:
-            raise InputError(f"{where}: start_time {self.start_time} is not the first "
-                             f"step's timestamp {self.atr.steps[0].t}")
         for name, dest in (("recorded", self.recorded_destination),
                            ("actual", self.actual_destination)):
             check_coordinates(dest.lat, dest.lng, f"{where}: {name} destination")
@@ -238,7 +232,6 @@ def trip_to_dict(trip: TripRecord) -> dict:
     out = {
         "trip_id": trip.trip_id,
         "driver_id": trip.driver_id,
-        "start_time": trip.start_time,
         "label": trip.label,
         "recorded_destination": {"lat": trip.recorded_destination.lat,
                                  "lng": trip.recorded_destination.lng},
@@ -265,6 +258,10 @@ def trip_from_dict(d: dict) -> TripRecord:
         tuple(TrajStep(read_string(s["segment"], "atr segment"), read_number(s["t"], "atr t"))
               for s in d["atr"]),
     )
+    # files written by older versions repeat the first step's timestamp
+    if "start_time" in d and read_number(d["start_time"], "start_time") != atr.steps[0].t:
+        raise InputError(f"trip {trip_id!r}: start_time {d['start_time']} is not the first "
+                         f"step's timestamp {atr.steps[0].t}")
     plans = d["plans"]
     if not isinstance(plans, list) or not plans:
         raise InputError(f"trip {atr.trip_id!r}: 'plans' must be a non-empty list")
@@ -276,7 +273,6 @@ def trip_from_dict(d: dict) -> TripRecord:
         plan=_plan_from_dict(plans[0]),
         recorded_destination=_lat_lng(d["recorded_destination"], "recorded_destination"),
         actual_destination=_lat_lng(d["actual_destination"], "actual_destination"),
-        start_time=read_number(d["start_time"], "start_time"),
         label=read_string(d["label"], "label"),
         raw_gps=None if raw is None else tuple(
             GpsPoint(*(read_number(p[k], f"raw_gps {k}") for k in ("lat", "lng", "t")))
@@ -317,20 +313,3 @@ def save_trips(trips, path) -> None:
 
 def load_trips(path) -> list[TripRecord]:
     return _read_jsonl(path, trip_from_dict, "trip")
-
-
-def driver_to_dict(driver: DriverRecord) -> dict:
-    return {"driver_id": driver.driver_id, "trips": list(driver.trips)}
-
-
-def driver_from_dict(d: dict) -> DriverRecord:
-    return DriverRecord(driver_id=read_string(d["driver_id"], "driver_id"),
-                        trips=tuple(read_string(t, "driver trip id") for t in d["trips"]))
-
-
-def save_drivers(drivers, path) -> None:
-    _write_jsonl(path, (driver_to_dict(d) for d in drivers))
-
-
-def load_drivers(path) -> list[DriverRecord]:
-    return _read_jsonl(path, driver_from_dict, "driver")

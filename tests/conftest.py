@@ -53,7 +53,6 @@ def make_trip(
         plan=plan,
         recorded_destination=LatLng(recorded.lat, recorded.lng),
         actual_destination=LatLng(actual.lat, actual.lng),
-        start_time=steps[0].t,
         label=label,
     )
 

@@ -289,7 +289,6 @@ def test_11_pipeline_determinism(tmp_path):
             outputs.append({
                 "network.json": net.read_bytes(),
                 "trips.jsonl": (data / "trips.jsonl").read_bytes(),
-                "drivers.jsonl": (data / "drivers.jsonl").read_bytes(),
                 "kept.jsonl": (filt / "kept.jsonl").read_bytes(),
                 "model.json": model.read_bytes(),
                 "roc.csv": roc.read_bytes(),

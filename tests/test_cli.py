@@ -31,6 +31,47 @@ def pipeline_dir(tmp_path_factory):
     return root, net, data, filt, model
 
 
+def test_gen_trips_writes_only_the_trip_file(pipeline_dir):
+    root, net, data, filt, model = pipeline_dir
+    assert sorted(p.name for p in data.iterdir()) == ["trips.jsonl"]
+
+
+def test_seed_is_only_on_generation_commands(pipeline_dir):
+    root, net, data, filt, model = pipeline_dir
+    with pytest.raises(SystemExit) as err:
+        run(["filter", "--network", net, "--trips", data / "trips.jsonl", "--seed", 3,
+             "--out", root / "unused"])
+    assert err.value.code == 2
+
+
+@pytest.fixture(scope="module")
+def separable_dir(tmp_path_factory):
+    """30 trips that a fit without a ridge separates perfectly."""
+    root = tmp_path_factory.mktemp("separable")
+    net = root / "network.json"
+    assert run(["gen-network", "--seed", 7, "--rows", 4, "--cols", 4, "--out", net]) == 0
+    assert run(["gen-trips", "--network", net, "--seed", 7, "--n-trips", 30,
+                "--out", root / "data"]) == 0
+    return net, root / "data" / "trips.jsonl"
+
+
+def test_train_that_does_not_converge_exits_3(separable_dir, tmp_path, capsys):
+    net, trips = separable_dir
+    model = tmp_path / "model.json"
+    assert run(["train", "--network", net, "--trips", trips, "--out", model]) == 3
+    assert "perfect separation" in capsys.readouterr().err
+    assert not model.exists()
+
+
+def test_train_with_ridge_converges(separable_dir, tmp_path, capsys):
+    net, trips = separable_dir
+    model = tmp_path / "model.json"
+    assert run(["train", "--network", net, "--trips", trips, "--ridge", "1e-6",
+                "--out", model]) == 0
+    assert "converged=True" in capsys.readouterr().out
+    assert model.exists()
+
+
 def test_gen_network_deterministic(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -255,11 +296,11 @@ def test_trip_file_with_nan_step_exits_3(pipeline_dir, tmp_path, command):
 
 @pytest.mark.parametrize("command", ["filter", "train", "pricing"])
 def test_trip_file_with_shifted_start_time_exits_3(pipeline_dir, tmp_path, command):
-    # start_time 12 h away from the first step's timestamp
+    # a legacy start_time 12 h away from the first step's timestamp
     root, net, data, filt, model = pipeline_dir
     lines = (filt / "kept.jsonl").read_text().splitlines()
     trip = json.loads(lines[0])
-    trip["start_time"] += 12 * 3600.0
+    trip["start_time"] = trip["atr"][0]["t"] + 12 * 3600.0
     bad = tmp_path / "kept.jsonl"
     bad.write_text("\n".join([json.dumps(trip)] + lines[1:]) + "\n")
     extra = ["--schedule", "beijing"] if command == "pricing" else []
@@ -352,11 +393,11 @@ def test_non_finite_setting_exits_3(pipeline_dir, tmp_path, command, flags):
 
 
 def test_pricing_accepts_schedule_file(pipeline_dir, tmp_path):
-    from detourlab.pricing import DEFAULT_SCHEDULES, save_schedule
+    from detourlab.pricing import DEFAULT_SCHEDULES, schedule_to_dict
 
     root, net, data, filt, model = pipeline_dir
     schedule_path = tmp_path / "tariff.json"
-    save_schedule(DEFAULT_SCHEDULES["shenzhen"], schedule_path)
+    schedule_path.write_text(json.dumps(schedule_to_dict(DEFAULT_SCHEDULES["shenzhen"])))
     out = tmp_path / "intervals.csv"
     assert run(["pricing", "--network", net, "--trips", filt / "kept.jsonl",
                 "--schedule", schedule_path, "--out", out]) == 0

@@ -214,6 +214,19 @@ def test_load_rejects_strings_and_booleans_as_numbers(small_grid, where, bad):
         network_from_dict(data)
 
 
+def test_load_rejects_ids_that_are_not_strings(small_grid):
+    # a node id and its segment endpoints all false would load as node 'False'
+    data = network_to_dict(small_grid)
+    node = data["nodes"][0]["id"]
+    data["nodes"][0]["id"] = False
+    for seg in data["segments"]:
+        for end in ("from", "to"):
+            if seg[end] == node:
+                seg[end] = False
+    with pytest.raises(InputError):
+        network_from_dict(data)
+
+
 def test_adjacency_matches_linear_scan():
     net = generate_network(SimConfig(seed=9, grid_dims=(7, 9)))
     assert len(net.segments) <= 1000

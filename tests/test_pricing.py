@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -15,7 +16,6 @@ from detourlab.pricing import (
     interval_report,
     interval_stats,
     load_schedule,
-    save_schedule,
     schedule_from_dict,
     schedule_to_dict,
     solve_price_adjustment,
@@ -221,14 +221,13 @@ def test_interval_report_empty_interval_marked_unavailable():
 
     shifted = []
     for t in trips:
-        delta = (8 * 60.0 - (t.start_time / 60.0) % 1440.0) * 60.0
+        delta = (8 * 60.0 - (t.atr.steps[0].t / 60.0) % 1440.0) * 60.0
         steps = tuple(
             dataclasses.replace(s, t=s.t + delta) for s in t.atr.steps
         )
         plan = dataclasses.replace(t.plan, planned_at=t.plan.planned_at + delta)
         shifted.append(dataclasses.replace(
-            t, start_time=t.start_time + delta,
-            atr=AbstractTrajectory(t.trip_id, steps), plan=plan,
+            t, atr=AbstractTrajectory(t.trip_id, steps), plan=plan,
         ))
     rows, _ = interval_report(net, BEIJING, shifted)
     assert rows[1].stats.trip_count == len(shifted)
@@ -240,7 +239,7 @@ def test_interval_report_empty_interval_marked_unavailable():
 
 def test_schedule_save_load_roundtrip(tmp_path):
     path = tmp_path / "schedule.json"
-    save_schedule(BEIJING, path)
+    path.write_text(json.dumps(schedule_to_dict(BEIJING)), encoding="utf-8")
     assert load_schedule(path) == BEIJING
 
 
@@ -262,6 +261,13 @@ def test_schedule_validation():
 def test_schedule_rejects_strings_and_booleans(key, bad):
     data = schedule_to_dict(BEIJING)
     (data if key == "base_fare" else data["intervals"][1])[key] = bad
+    with pytest.raises(InputError):
+        schedule_from_dict(data)
+
+
+def test_schedule_rejects_a_city_that_is_not_a_string():
+    data = schedule_to_dict(BEIJING)
+    data["city"] = 7
     with pytest.raises(InputError):
         schedule_from_dict(data)
 

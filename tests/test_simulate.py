@@ -104,7 +104,7 @@ def test_trip_structure_valid(sim_dataset):
         assert trip.behavior in BEHAVIORS
         assert (trip.label == "detour") == (trip.behavior == "detour")
         plan = trip.plan
-        assert plan.planned_at == trip.start_time
+        assert plan.planned_at == trip.atr.steps[0].t
         assert plan.distance == path_distance(net, plan.path)
         assert plan.est_time == path_est_time(net, plan.path, plan.planned_at)
         assert trip.actual_destination == net.segment_end(trip.atr.steps[-1].segment)

@@ -13,16 +13,13 @@ from detourlab.routing import RoutingWeights
 from detourlab.simulate import SimConfig, generate_network, generate_trips
 from detourlab.trips import (
     REJECT_DESTINATION,
-    DriverRecord,
     REJECT_MALFORMED,
     REJECT_SPEED,
     REJECT_TIME,
     FilterRules,
     destination_change_probability,
     filter_dataset,
-    load_drivers,
     load_trips,
-    save_drivers,
     save_trips,
     trajectory_distance_km,
     trajectory_minutes,
@@ -166,19 +163,13 @@ def test_trip_roundtrip_via_dict():
 def test_save_load_simulated_trips(tmp_path):
     cfg = SimConfig(seed=13, grid_dims=(8, 8), n_trips=1000, gps_period_s=20.0)
     net = generate_network(cfg)
-    sim_trips, drivers = generate_trips(net, cfg)
+    sim_trips, _ = generate_trips(net, cfg)
     path = tmp_path / "trips.jsonl"
     save_trips(sim_trips, path)
     loaded = load_trips(path)
     assert len(loaded) == len(sim_trips)
     for got, want in zip(loaded, sim_trips):
         assert trip_to_dict(got) == trip_to_dict(want)
-
-    dpath = tmp_path / "drivers.jsonl"
-    save_drivers(drivers, dpath)
-    assert load_drivers(dpath) == drivers
-    trip_ids = {t.trip_id for t in sim_trips}
-    assert all(tid in trip_ids for d in drivers for tid in d.trips)
 
 
 def test_plan_weights_roundtrip(sim_dataset, tmp_path):
@@ -229,7 +220,7 @@ def test_load_rejects_start_time_off_the_first_step(tmp_path):
     net = line_network([1.0] * 3)
     d = trip_to_dict(chain_trip(net, 2, 300.0))
     good = json.dumps(d)
-    d["start_time"] += 12 * 3600.0
+    d["start_time"] = d["atr"][0]["t"] + 12 * 3600.0
     path = tmp_path / "trips.jsonl"
     path.write_text(good + "\n" + json.dumps(d) + "\n", encoding="utf-8")
     with pytest.raises(DataFormatError) as err:
@@ -237,15 +228,27 @@ def test_load_rejects_start_time_off_the_first_step(tmp_path):
     assert err.value.line == 2
 
 
-def test_old_driver_files_still_load(tmp_path):
-    # the older drivers.jsonl format also carried a per-interval income map
-    path = tmp_path / "drivers.jsonl"
-    path.write_text(
-        '{"driver_id": "d0", "interval_income": {}, "trips": ["t1", "t2"]}\n'
-        '{"driver_id": "d1", "interval_income": {"06:00-12:00": 41.6}, "trips": ["t3"]}\n',
-        encoding="utf-8",
-    )
-    assert load_drivers(path) == [DriverRecord("d0", ("t1", "t2")), DriverRecord("d1", ("t3",))]
+def test_trip_line_without_start_time_loads(tmp_path):
+    net = line_network([1.0] * 3)
+    trip = chain_trip(net, 2, 300.0)
+    d = trip_to_dict(trip)
+    assert "start_time" not in d
+    path = tmp_path / "trips.jsonl"
+    path.write_text(json.dumps(d, sort_keys=True) + "\n", encoding="utf-8")
+    assert load_trips(path) == [trip]
+
+
+def test_trip_line_with_legacy_start_time_loads(sim_dataset, tmp_path):
+    # trip files written by older versions repeat the first step's timestamp
+    _, trips, _ = sim_dataset
+    lines = []
+    for trip in trips[:40]:
+        d = trip_to_dict(trip)
+        d["start_time"] = trip.atr.steps[0].t
+        lines.append(json.dumps(d, sort_keys=True) + "\n")
+    path = tmp_path / "old.jsonl"
+    path.write_text("".join(lines), encoding="utf-8")
+    assert load_trips(path) == trips[:40]
 
 
 def test_load_empty_file(tmp_path):
@@ -326,14 +329,6 @@ def test_load_rejects_ids_and_labels_that_are_not_strings(tmp_path, where, bad):
     path.write_text(json.dumps(d, sort_keys=True) + "\n", encoding="utf-8")
     with pytest.raises(DataFormatError):
         load_trips(path)
-
-
-def test_load_drivers_rejects_ids_that_are_not_strings(tmp_path):
-    path = tmp_path / "drivers.jsonl"
-    for line in ('{"driver_id": false, "trips": ["t1"]}', '{"driver_id": "d0", "trips": [7]}'):
-        path.write_text(line + "\n", encoding="utf-8")
-        with pytest.raises(DataFormatError):
-            load_drivers(path)
 
 
 def test_only_the_first_stored_plan_is_read(tmp_path):
