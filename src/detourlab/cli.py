@@ -138,8 +138,9 @@ def cmd_gen_network(args) -> int:
     cfg = _config_for(args).sim
     if args.seed is not None:
         cfg.seed = args.seed
-    if args.rows:
-        cfg.grid_dims = (args.rows, args.cols or args.rows)
+    rows, cols = cfg.grid_dims
+    cfg.grid_dims = (rows if args.rows is None else args.rows,
+                     cols if args.cols is None else args.cols)
     net = generate_network(cfg)
     save_network(net, args.out)
     print(f"network nodes={len(net.nodes)} segments={len(net.segments)} -> {args.out}")

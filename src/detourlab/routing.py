@@ -109,12 +109,36 @@ _MAX_TABLES = 512
 _FIRST = itemgetter(0)
 
 
+class _NetworkTables(OrderedDict):
+    """One network's LRU of per-goal tables.
+
+    ``reverse`` holds the network's compiled reverse graph per edge cost.
+    It is O(segments), kept for the network's lifetime, and neither counts
+    toward ``_MAX_TABLES`` nor is ever evicted.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.reverse = {}
+
+
 def _segment_km(seg) -> float:
     return seg.length
 
 
 def _fastest_minutes(seg) -> float:
     return min(seg.length / kmh * 60.0 for _, kmh in seg.speed_profile)
+
+
+def _reverse_graph(net: RoadNetwork, edge_cost):
+    """Node ids in sorted order, their index map, and per node index a tuple
+    of ``(from_index, edge_cost(seg))`` over its incoming segments in
+    ``net.incoming`` order.  Each segment's cost is evaluated once."""
+    ids = sorted(net.nodes)
+    index = {nid: i for i, nid in enumerate(ids)}
+    incoming = tuple(tuple((index[seg.from_node], edge_cost(seg)) for seg in net.incoming(nid))
+                     for nid in ids)
+    return ids, index, incoming
 
 
 def _lower_bounds(net: RoadNetwork, goal: str, edge_cost) -> dict[str, float]:
@@ -124,28 +148,45 @@ def _lower_bounds(net: RoadNetwork, goal: str, edge_cost) -> dict[str, float]:
     ``_fastest_minutes`` it is the remaining minutes at each segment's
     fastest bucket.  Both are admissible and consistent for the
     time-dependent search whatever the departure time.  Each table is built
-    on first use, so a caller that reads only km never builds minutes.
+    on first use, so a caller that reads only km never builds minutes.  The
+    table maps every node that reaches ``goal`` to its bound.
+
+    The build is a reverse Dijkstra over the network's compiled reverse
+    graph.  Node indices follow sorted id order, so ``(cost, index)`` heap
+    entries break ties exactly as ``(cost, node_id)`` would.
     """
-    tables = _HEURISTICS.setdefault(net, OrderedDict())
+    tables = _HEURISTICS.get(net)
+    if tables is None:
+        tables = _HEURISTICS[net] = _NetworkTables()
     key = (goal, edge_cost)
     if key in tables:
         tables.move_to_end(key)
         return tables[key]
-    dist = {goal: 0.0}
-    heap = [(0.0, goal)]
+    graph = tables.reverse.get(edge_cost)
+    if graph is None:
+        graph = tables.reverse[edge_cost] = _reverse_graph(net, edge_cost)
+    ids, index, incoming = graph
+    start = index.get(goal)
+    if start is None:
+        raise InputError(f"unknown node id {goal!r}")
+    heappush, heappop = heapq.heappush, heapq.heappop
+    dist = [math.inf] * len(ids)
+    dist[start] = 0.0
+    heap = [(0.0, start)]
     while heap:
-        d, node = heapq.heappop(heap)
-        if d > dist.get(node, float("inf")):
+        d, v = heappop(heap)
+        if d > dist[v]:
             continue
-        for seg in net.incoming(node):
-            nd = d + edge_cost(seg)
-            if nd < dist.get(seg.from_node, float("inf")):
-                dist[seg.from_node] = nd
-                heapq.heappush(heap, (nd, seg.from_node))
-    tables[key] = dist
+        for u, cost in incoming[v]:
+            nd = d + cost
+            if nd < dist[u]:
+                dist[u] = nd
+                heappush(heap, (nd, u))
+    table = {nid: d for nid, d in zip(ids, dist) if d != math.inf}
+    tables[key] = table
     if len(tables) > _MAX_TABLES:
         tables.popitem(last=False)
-    return dist
+    return table
 
 
 def route_km(net: RoadNetwork, origin: str, dest: str) -> float | None:

@@ -80,6 +80,25 @@ def test_gen_network_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def grid_shape(path):
+    ids = [n.id for n in load_network(path).nodes.values()]
+    return (1 + max(int(i[1:].split("_")[0]) for i in ids),
+            1 + max(int(i.split("_")[1]) for i in ids))
+
+
+@pytest.mark.parametrize("flag, value, shape", [("--cols", 3, (8, 3)), ("--rows", 3, (3, 8))])
+def test_gen_network_size_flag_alone_overrides_its_own_dimension(tmp_path, flag, value, shape):
+    net = tmp_path / "net.json"
+    assert run(["gen-network", "--seed", 7, flag, value, "--out", net]) == 0
+    assert grid_shape(net) == shape  # the config's grid is 8x8
+
+
+def test_gen_network_rows_0_exits_3(tmp_path):
+    net = tmp_path / "net.json"
+    assert run(["gen-network", "--seed", 7, "--rows", 0, "--out", net]) == 3
+    assert not net.exists()
+
+
 def test_eval_prints_auc_line(pipeline_dir, capsys):
     root, net, data, filt, model = pipeline_dir
     roc = root / "roc.csv"

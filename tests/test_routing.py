@@ -400,6 +400,96 @@ def test_heuristic_tables_stay_under_the_cap(monkeypatch, small_grid):
         assert route_plan(small_grid, *query) == plan
 
 
+def reference_lower_bounds(net, goal, edge_cost):
+    """The dict-based reverse Dijkstra over ``net.incoming`` that the compiled
+    reverse graph replaced: the differential oracle for ``_lower_bounds``."""
+    dist = {goal: 0.0}
+    heap = [(0.0, goal)]
+    while heap:
+        d, node = routing.heapq.heappop(heap)
+        if d > dist.get(node, float("inf")):
+            continue
+        for seg in net.incoming(node):
+            nd = d + edge_cost(seg)
+            if nd < dist.get(seg.from_node, float("inf")):
+                dist[seg.from_node] = nd
+                routing.heapq.heappush(heap, (nd, seg.from_node))
+    return dist
+
+
+def dead_end_net():
+    """A dead-end node ``d``, a two-node component {x, y} that reaches
+    nothing else, two parallel segments a -> b, and a tie: p and q are both
+    1 from g in km and in minutes, so which one the build settles first
+    decides how often r is pushed."""
+    return RoadNetwork(
+        [Node(n, 0.0, 0.001 * i) for i, n in enumerate("abcdxygpqr")],
+        [
+            Segment("ab", "a", "b", 1.0, flat(60.0)),
+            Segment("ab2", "a", "b", 1.0, ((0.0, 30.0), (600.0, 90.0))),
+            Segment("ba", "b", "a", 1.0, flat(40.0)),
+            Segment("bc", "b", "c", 0.5, flat(60.0)),
+            Segment("ca", "c", "a", 1.5, ((0.0, 20.0), (360.0, 50.0))),
+            Segment("cd", "c", "d", 0.7, flat(60.0)),
+            Segment("xy", "x", "y", 0.3, flat(60.0)),
+            Segment("yx", "y", "x", 0.3, flat(60.0)),
+            Segment("ya", "y", "a", 0.9, flat(60.0)),
+            Segment("pg", "p", "g", 1.0, flat(60.0)),
+            Segment("qg", "q", "g", 1.0, flat(60.0)),
+            Segment("rp", "r", "p", 1.0, flat(60.0)),
+            Segment("rq", "r", "q", 0.5, flat(60.0)),
+            Segment("ga", "g", "a", 1.0, flat(60.0)),
+        ],
+    )
+
+
+@pytest.mark.parametrize("net, connected", [
+    (generate_network(SimConfig(seed=8, grid_dims=(8, 8))), True),
+    (generate_network(SimConfig(seed=20, grid_dims=(20, 20))), True),
+    (dead_end_net(), False),
+], ids=["grid8", "grid20", "dead_end"])
+def test_lower_bounds_equal_the_dict_build(monkeypatch, net, connected):
+    counts = [0, 0]  # heap pushes, pops
+
+    def heappush(heap, item):
+        counts[0] += 1
+        heapq.heappush(heap, item)
+
+    def heappop(heap):
+        counts[1] += 1
+        return heapq.heappop(heap)
+
+    monkeypatch.setattr(routing, "heapq",
+                        types.SimpleNamespace(heappush=heappush, heappop=heappop))
+    unreachable = 0
+    for goal in sorted(net.nodes):
+        for edge_cost in (routing._segment_km, routing._fastest_minutes):
+            counts[:] = [0, 0]
+            want = reference_lower_bounds(net, goal, edge_cost)
+            want_work, counts[:] = list(counts), [0, 0]
+            got = routing._lower_bounds(net, goal, edge_cost)
+            assert got.keys() == want.keys(), (goal, edge_cost)
+            assert all(got[node] == want[node] for node in want), (goal, edge_cost)
+            assert counts == want_work, (goal, edge_cost)
+            unreachable += len(net.nodes) - len(want)
+    assert (unreachable == 0) == connected
+
+
+def test_static_edge_costs_are_computed_once_per_segment():
+    net = generate_network(SimConfig(seed=8, grid_dims=(8, 8)))
+    calls = 0
+
+    def counting_km(seg):
+        nonlocal calls
+        calls += 1
+        return seg.length
+
+    for goal in net.nodes:
+        assert routing._lower_bounds(net, goal, counting_km) == routing._lower_bounds(
+            net, goal, routing._segment_km)
+    assert calls == len(net.segments)
+
+
 def test_non_contiguous_path_rejected(two_route_net):
     with pytest.raises(InputError):
         path_distance(two_route_net, ("in", "long2"))
