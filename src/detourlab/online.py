@@ -17,10 +17,9 @@ from dataclasses import dataclass
 from .classifier import LogitModel, excess_ratios, rank_auc
 from .errors import FitError, InputError
 from .network import RoadNetwork
-from .routing import RoutePlanStep, RoutingWeights, entry_times, path_distance, route_plan
+from .routing import (RoutePlanStep, RoutingWeights, entry_times, path_distance, path_km,
+                      route_plan)
 
-ACTIONS = ("none", "warn_issued", "warn_maintained", "warn_cancelled")
-SCENARIOS = ("worse", "longer_but_faster", "shorter_but_slower", "better", "mixed_zero")
 STAGES = 10  # completeness stages of stage_auc: the first 10%, 20%, ..., 100% of steps
 
 
@@ -114,7 +113,7 @@ def step(net: RoadNetwork, model: LogitModel, progress: TripProgress,
     path, times, k = progress.plan_path, progress.plan_times, progress.plan_index
     if k < len(path) and path[k] == segment and times[k] == t:  # on the held plan
         rest = path[k:]
-        plan = RoutePlanStep(rest, t, path_distance(net, rest), (times[-1] - t) / 60.0,
+        plan = RoutePlanStep(rest, t, path_km(net, rest), (times[-1] - t) / 60.0,
                              progress.weights)
     else:
         plan = (RoutePlanStep((), t, 0.0, 0.0, progress.weights)

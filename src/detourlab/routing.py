@@ -61,7 +61,8 @@ class RoutePlanStep:
     weights: RoutingWeights | None = None
 
 
-def _check_contiguous(net: RoadNetwork, path) -> None:
+def check_contiguous(net: RoadNetwork, path) -> None:
+    """InputError unless each segment of ``path`` starts where the one before ends."""
     prev = None
     for i, sid in enumerate(path):
         seg = net.segment(sid)
@@ -70,13 +71,21 @@ def _check_contiguous(net: RoadNetwork, path) -> None:
         prev = seg
 
 
-def path_distance(net: RoadNetwork, path) -> float:
-    """Total length in km of a contiguous segment path; 0 for the empty path."""
-    _check_contiguous(net, path)
+def path_km(net: RoadNetwork, path) -> float:
+    """Total length in km of ``path``, summed forward; 0 for the empty path.
+
+    Contiguity is not checked: this is for paths the planner produced.
+    """
     total = 0.0
     for sid in path:
         total += net.segment(sid).length
     return total
+
+
+def path_distance(net: RoadNetwork, path) -> float:
+    """Total length in km of a contiguous segment path; 0 for the empty path."""
+    check_contiguous(net, path)
+    return path_km(net, path)
 
 
 def entry_times(net: RoadNetwork, path, depart: float) -> list[float]:
@@ -95,7 +104,7 @@ def entry_times(net: RoadNetwork, path, depart: float) -> list[float]:
 
 def path_est_time(net: RoadNetwork, path, depart: float) -> float:
     """Estimated minutes to traverse ``path`` departing at ``depart``."""
-    _check_contiguous(net, path)
+    check_contiguous(net, path)
     return (entry_times(net, path, depart)[-1] - depart) / 60.0
 
 

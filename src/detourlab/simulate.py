@@ -21,8 +21,6 @@ from .network import (
     RoadNetwork,
     Segment,
     haversine_km,
-    minute_of_day,
-    segment_travel_time,
 )
 from .routing import RoutingWeights, entry_times, route_plan
 from .trips import AbstractTrajectory, DriverRecord, TrajStep, TripRecord
@@ -102,7 +100,7 @@ def generate_network(cfg: SimConfig) -> RoadNetwork:
     great-circle length lands in [0.2, 1.5] km; day and night speeds are
     drawn per directed segment (three buckets: night until 06:00, day until
     22:00, night again).  A fraction of segments is congested during the
-    day, which is what makes longer-but-faster bypasses exist at all.
+    day, which is what makes longer-but-faster routes exist at all.
     """
     cfg.validate()
     rows, cols = cfg.grid_dims
@@ -180,52 +178,22 @@ def _plant_detour(net, plan, inflation, rng) -> list[str] | None:
     return base[:k] + list(loop) * repeats + base[k:]
 
 
-def _plant_avoid(net, plan, t_start) -> list[str] | None:
-    """Longer-but-faster variant: bypass one slow planned segment.
+def _plant_alternative(net, plan, origin, dest, t_start, behavior) -> list[str] | None:
+    """The planner's one-criterion route for a legitimate deviation.
 
-    Tries u-shaped three-segment bypasses around each planned segment after
-    the first (the pickup segment is where the recommendation was issued, so
-    deviation can only start beyond it) and keeps the first bypass that makes
-    the whole trip strictly longer in distance and strictly faster end to
-    end.
+    Congestion avoiders take the time-optimal route when it is strictly
+    longer and strictly faster than the recommendation; shortcut takers take
+    the distance-optimal route when it is strictly shorter and strictly
+    slower.  Like the recommendation, the route starts on the pickup
+    segment, so the deviation starts beyond it.  None when the route is not
+    such a deviation.
     """
-    base = list(plan.path)
-    entries = entry_times(net, base, t_start)
-    for i, sid in enumerate(base):
-        if i == 0:
-            continue
-        seg = net.segment(sid)
-        t_entry = entries[i]
-        direct = segment_travel_time(seg, minute_of_day(t_entry))
-        for first in net.outgoing(seg.from_node):
-            if first.to_node == seg.to_node:
-                continue
-            for second in net.outgoing(first.to_node):
-                if second.to_node == seg.from_node:
-                    continue
-                for third in net.outgoing(second.to_node):
-                    if third.to_node != seg.to_node:
-                        continue
-                    local = (
-                        segment_travel_time(first, minute_of_day(t_entry))
-                        + segment_travel_time(second, minute_of_day(t_entry))
-                        + segment_travel_time(third, minute_of_day(t_entry))
-                    )
-                    extra_km = first.length + second.length + third.length - seg.length
-                    if local >= direct or extra_km <= 1e-9:
-                        continue
-                    candidate = base[:i] + [first.id, second.id, third.id] + base[i + 1:]
-                    total_min = (entry_times(net, candidate, t_start)[-1] - t_start) / 60.0
-                    if total_min < plan.est_time - 1e-9:
-                        return candidate
-    return None
-
-
-def _plant_shortcut(net, plan, origin, dest, t_start) -> list[str] | None:
-    """Shorter-but-slower variant: the distance-optimal route, when it is
-    strictly shorter than the recommendation and strictly slower."""
-    alt = route_plan(net, origin, dest, t_start, RoutingWeights(1.0, 0.0))
-    ok = alt.distance < plan.distance - 1e-9 and alt.est_time > plan.est_time + 1e-9
+    if behavior == "avoid_congestion":
+        alt = route_plan(net, origin, dest, t_start, RoutingWeights(0.0, 1.0))
+        ok = alt.distance > plan.distance + 1e-9 and alt.est_time < plan.est_time - 1e-9
+    else:
+        alt = route_plan(net, origin, dest, t_start, RoutingWeights(1.0, 0.0))
+        ok = alt.distance < plan.distance - 1e-9 and alt.est_time > plan.est_time + 1e-9
     return list(alt.path) if ok else None
 
 
@@ -278,13 +246,15 @@ def generate_trips(
     """Simulate labeled trips with planted driver behaviors.
 
     Normal drivers follow the initial recommendation; detour drivers insert
-    out-and-back loops until the planted extra distance is reached;
-    avoid-congestion drivers take a longer-but-faster alternative and
-    shortcut drivers a shorter-but-slower one, falling back to normal when
-    the network offers no such alternative (the fallback is recorded in the
-    trip's ``behavior``).  Start times follow a peaked daily demand curve,
-    which is what gives the per-interval income and opportunity-cost numbers
-    their shape.
+    out-and-back loops until the planted extra distance is reached.
+    Avoid-congestion drivers take the planner's time-optimal route when it
+    is longer but faster than the recommendation, and shortcut drivers its
+    distance-optimal route when it is shorter but slower.  A trip whose
+    requested behavior finds no such route falls back to normal (the
+    fallback is recorded in the trip's ``behavior``).  Start times follow a
+    peaked daily demand curve, which is what gives the per-interval income
+    and opportunity-cost numbers their shape.  Returns the trips and, per
+    driver, the ids of the trips they drove.
     """
     cfg.validate()
     rng = _rng(cfg.seed, 2)
@@ -329,10 +299,8 @@ def generate_trips(
         behavior = requested
         if requested == "detour":
             segs = _plant_detour(net, plan, cfg.detour_inflation, rng)
-        elif requested == "avoid_congestion":
-            segs = _plant_avoid(net, plan, t_start)
-        elif requested == "shortcut":
-            segs = _plant_shortcut(net, plan, origin, dest, t_start)
+        elif requested in ("avoid_congestion", "shortcut"):
+            segs = _plant_alternative(net, plan, origin, dest, t_start, requested)
         else:
             segs = list(plan.path)
         if segs is None:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .errors import DataFormatError, InputError, read_number, read_string
 from .network import GpsPoint, LatLng, RoadNetwork, check_coordinates, haversine_km
-from .routing import RoutePlanStep, RoutingWeights
+from .routing import RoutePlanStep, RoutingWeights, check_contiguous
 
 LABELS = ("detour", "normal", "unlabeled")
 
@@ -168,9 +168,11 @@ REJECT_DESTINATION = "destination_change"
 def filter_dataset(net, trips, rules: FilterRules = FilterRules()):
     """Screen trips; returns (kept, rejected) with one reason per rejection.
 
-    Rules apply in a fixed order (duration, then mean speed, then
-    destination change), so each rejected trip carries exactly one primary
-    reason.  Input order is preserved on both sides.
+    A trip with fewer than two steps, or whose trajectory or pickup plan
+    does not connect in ``net``, is malformed; an unknown segment id raises
+    InputError.  The rules then apply in a fixed order (duration, then mean
+    speed, then destination change), so each rejected trip carries exactly
+    one primary reason.  Input order is preserved on both sides.
     """
     kept: list[TripRecord] = []
     rejected: list[tuple[TripRecord, str]] = []
@@ -184,12 +186,17 @@ def filter_dataset(net, trips, rules: FilterRules = FilterRules()):
 
 
 def _rejection_reason(net, trip, rules) -> str | None:
+    for sid in (*(step.segment for step in trip.atr.steps), *trip.plan.path):
+        net.segment(sid)  # an unknown id fails the whole file, not one trip
     if len(trip.atr.steps) < 2:
+        return REJECT_MALFORMED
+    try:
+        validate_trajectory(net, trip.atr)
+        check_contiguous(net, trip.plan.path)
+    except InputError:
         return REJECT_MALFORMED
     seconds = trip.atr.steps[-1].t - trip.atr.steps[0].t
     dist = trajectory_distance_km(net, trip.atr)
-    if seconds <= 0.0 or dist <= 0.0:
-        return REJECT_MALFORMED
     if seconds < rules.min_travel_time:
         return REJECT_TIME
     if dist / (seconds / 3600.0) > rules.max_speed:

@@ -313,6 +313,28 @@ def test_trip_file_with_nan_step_exits_3(pipeline_dir, tmp_path, command):
                 "--out", tmp_path / "out"]) == 3
 
 
+@pytest.mark.parametrize("part", ["atr", "plan"])
+def test_filter_rejects_a_trip_that_does_not_connect(pipeline_dir, tmp_path, part):
+    # segments 1 and 2 of one line swapped, timestamps kept
+    root, net, data, filt, model = pipeline_dir
+    lines = (filt / "kept.jsonl").read_text().splitlines()
+    trip = json.loads(lines[0])
+    if part == "atr":
+        a, b = trip["atr"][1], trip["atr"][2]
+        a["segment"], b["segment"] = b["segment"], a["segment"]
+    else:
+        path = trip["plans"][0]["path"]
+        path[1], path[2] = path[2], path[1]
+    bad = tmp_path / "kept.jsonl"
+    bad.write_text("\n".join([json.dumps(trip)] + lines[1:]) + "\n")
+    out = tmp_path / "out"
+    assert run(["filter", "--network", net, "--trips", bad, "--out", out]) == 0
+    rejected = [json.loads(line) for line in (out / "rejected.jsonl").read_text().splitlines()]
+    assert [(r["reason"], r["trip"]["trip_id"]) for r in rejected] == [
+        ("malformed", trip["trip_id"])]
+    assert len(load_trips(out / "kept.jsonl")) == len(lines) - 1
+
+
 @pytest.mark.parametrize("command", ["filter", "train", "pricing"])
 def test_trip_file_with_shifted_start_time_exits_3(pipeline_dir, tmp_path, command):
     # a legacy start_time 12 h away from the first step's timestamp

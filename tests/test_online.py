@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from detourlab import online
+from detourlab import online, routing
 from detourlab.classifier import LogitModel, evaluate_roc_auc, offline_features
 from detourlab.errors import FitError, InputError
 from detourlab.network import Node, RoadNetwork, Segment
@@ -235,6 +235,18 @@ def test_seeded_plan_follower_makes_no_search(sim_dataset, searches):
         assert trip.plan.weights == RoutingWeights()
         assert all(d.action == "none" for d in run_trip(net, BEIJING, trip))
     assert searches == []
+
+
+def test_on_plan_steps_do_not_recheck_contiguity(sim_dataset, monkeypatch):
+    # a plan follower's path is checked once, when its stored plan seeds the
+    # detector; the on-plan steps take suffixes of that path unchecked
+    net, trips, _ = sim_dataset
+    checked = []
+    monkeypatch.setattr(routing, "check_contiguous", lambda net, path: checked.append(path))
+    followers = [t for t in trips if t.behavior == "normal"][:30]
+    for trip in followers:
+        run_trip(net, BEIJING, trip)
+    assert checked == [t.plan.path for t in followers]
 
 
 @pytest.mark.parametrize("weights", [None, RoutingWeights(1.0, 0.0)],

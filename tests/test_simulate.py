@@ -1,11 +1,14 @@
+from collections import Counter
+
 import pytest
 
 from detourlab.classifier import offline_features
 from detourlab.errors import InputError
 from detourlab.network import network_to_dict
-from detourlab.routing import path_distance, path_est_time
+from detourlab.routing import RoutingWeights, path_distance, path_est_time, route_plan
 from detourlab.simulate import BEHAVIORS, SimConfig, generate_network, generate_trips
-from detourlab.trips import trip_to_dict, validate_trajectory
+from detourlab.trips import (trajectory_distance_km, trajectory_minutes, trip_to_dict,
+                             validate_trajectory)
 
 
 def test_network_deterministic():
@@ -84,6 +87,36 @@ def test_planted_separation():
             assert fv.extra_distance_ratio >= 0.2 - 1e-9
         else:
             assert fv.extra_distance_ratio == 0.0
+
+
+def test_planted_alternatives_are_the_one_criterion_routes():
+    # avoiders drive the time-optimal route, longer and faster than the plan;
+    # shortcut takers the distance-optimal one, shorter and slower; a trip
+    # with no such route falls back to normal and drives its plan
+    cfg = SimConfig(seed=1, grid_dims=(8, 8), n_trips=300, gps_period_s=0.0,
+                    behavior_mix={"avoid_congestion": 0.5, "shortcut": 0.5})
+    net = generate_network(cfg)
+    trips, _ = generate_trips(net, cfg)
+    for trip in trips:
+        plan = trip.plan
+        driven = tuple(st.segment for st in trip.atr.steps[:-1])
+        if trip.behavior == "normal":
+            assert driven == plan.path
+            continue
+        km = trajectory_distance_km(net, trip.atr)
+        minutes = trajectory_minutes(trip.atr)
+        if trip.behavior == "avoid_congestion":
+            weights = RoutingWeights(0.0, 1.0)
+            assert km > plan.distance + 1e-9 and minutes < plan.est_time - 1e-9
+        else:
+            assert trip.behavior == "shortcut"
+            weights = RoutingWeights(1.0, 0.0)
+            assert km < plan.distance - 1e-9 and minutes > plan.est_time + 1e-9
+        alt = route_plan(net, plan.path[0], trip.atr.steps[-1].segment, plan.planned_at,
+                         weights)
+        assert driven == alt.path
+    counts = Counter(t.behavior for t in trips)
+    assert min(counts[b] for b in ("normal", "avoid_congestion", "shortcut")) >= 5, counts
 
 
 def test_label_proportions_match_mix():

@@ -17,6 +17,7 @@ from detourlab.trips import (
     REJECT_SPEED,
     REJECT_TIME,
     FilterRules,
+    TrajStep,
     destination_change_probability,
     filter_dataset,
     load_trips,
@@ -143,6 +144,20 @@ def test_filter_malformed_trip(filter_fixture):
     one_step = make_trip(net, [("e0", T0)], ["e0"], 1.0, 1.0, trip_id="stub")
     _, rejected = filter_dataset(net, [one_step])
     assert rejected[0][1] == REJECT_MALFORMED
+
+
+@pytest.mark.parametrize("part", ["atr", "plan"])
+def test_filter_raises_on_an_unknown_segment(filter_fixture, part):
+    net, _ = filter_fixture
+    trip = chain_trip(net, 10, 900.0)
+    if part == "atr":
+        steps = trip.atr.steps[:-1] + (TrajStep("nowhere", trip.atr.steps[-1].t),)
+        trip = dataclasses.replace(trip, atr=dataclasses.replace(trip.atr, steps=steps))
+    else:
+        trip = dataclasses.replace(
+            trip, plan=dataclasses.replace(trip.plan, path=trip.plan.path + ("nowhere",)))
+    with pytest.raises(InputError, match="unknown segment id 'nowhere'"):
+        filter_dataset(net, [trip])
 
 
 def test_filter_rules_validation():
