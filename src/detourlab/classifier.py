@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FitError, InputError, read_number
+from .errors import FitError, InputError, read_json_file, read_number
 from .routing import RoutePlanStep
 from .trips import TripRecord, trajectory_distance_km, trajectory_minutes
 
@@ -241,12 +241,9 @@ def save_model(model: LogitModel, path, trained_on: int = 0, ridge: float = 0.0)
 
 
 def load_model(path) -> LogitModel:
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"model file not found: {p}")
+    data = read_json_file(path, "model")
     try:
-        data = json.loads(p.read_text(encoding="utf-8"))
         coefs = [read_number(data[key], key) for key in ("beta0", "beta1", "beta2")]
-    except (json.JSONDecodeError, KeyError, TypeError, InputError) as exc:
-        raise InputError(f"malformed model file {p}: {exc}") from exc
+    except (KeyError, TypeError, InputError) as exc:
+        raise InputError(f"malformed model file {path}: {exc}") from exc
     return LogitModel(*coefs)

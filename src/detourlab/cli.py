@@ -15,7 +15,8 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from . import charts, classifier, online, pricing, trips as trips_mod
-from .errors import DataFormatError, DetourlabError, FitError, InputError, read_number, read_string
+from .errors import (DataFormatError, DetourlabError, FitError, InputError, read_json_file,
+                     read_number, read_string)
 from .network import load_network, save_network
 from .routing import RoutingWeights
 from .simulate import SimConfig, generate_network, generate_trips
@@ -86,14 +87,7 @@ class RunConfig:
 
 
 def load_run_config(path) -> RunConfig:
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"config file not found: {p}")
-    try:
-        data = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"config file {p} is not valid JSON: {exc}") from exc
-    return RunConfig.from_dict(data)
+    return RunConfig.from_dict(read_json_file(path, "config"))
 
 
 def _config_for(args) -> RunConfig:
@@ -229,11 +223,8 @@ def cmd_detect(args) -> int:
     with ExitStack() as stack:
         if args.events == "-":
             lines = sys.stdin
-        else:
-            p = Path(args.events)
-            if not p.exists():  # before --out is opened, so a missing input truncates nothing
-                raise FileNotFoundError(f"events file not found: {p}")
-            lines = stack.enter_context(p.open("r", encoding="utf-8"))
+        else:  # opened before --out, so a missing input truncates nothing
+            lines = stack.enter_context(Path(args.events).open("r", encoding="utf-8"))
         out = (stack.enter_context(Path(args.out).open("w", encoding="utf-8"))
                if args.out else sys.stdout)
         for lineno, line in enumerate(lines, start=1):
@@ -255,7 +246,7 @@ def cmd_detect(args) -> int:
                         f"line {lineno}: first event of trip {trip_id!r} must carry 'dest'",
                         line=lineno,
                     )
-                sessions[trip_id] = online.begin_trip(trip_id, dest, weights)
+                sessions[trip_id] = online.TripProgress(trip_id, dest, weights)
             progress = sessions[trip_id]
             decision = online.step(net, model, progress, segment, t)
             if segment == progress.dest_segment:

@@ -1,6 +1,9 @@
-"""Exception types shared across the package, and the strict number and string readers."""
+"""Exception types shared across the package, the one JSON file reader, and the
+strict number and string readers that every loader uses on parsed JSON."""
 
+import json
 import math
+from pathlib import Path
 
 
 class DetourlabError(Exception):
@@ -33,6 +36,23 @@ class DataFormatError(DetourlabError):
     def __init__(self, message: str, line: int | None = None):
         super().__init__(message)
         self.line = line
+
+
+def read_json_file(path, what: str):
+    """The parsed contents of the JSON file at ``path``.
+
+    Every JSON loader reads its file here.  A missing file raises
+    FileNotFoundError (the command-line exit code 2); text that is not JSON,
+    or bytes that are not UTF-8, raise InputError (exit code 3).  ``what``
+    names the file in either message.  The caller checks the fields.
+    """
+    p = Path(path)
+    if not p.exists():
+        raise FileNotFoundError(f"{what} file not found: {p}")
+    try:
+        return json.loads(p.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InputError(f"{what} file {p} is not valid JSON: {exc}") from exc
 
 
 def read_number(value, what: str) -> float:

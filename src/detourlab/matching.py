@@ -23,7 +23,7 @@ from weakref import WeakKeyDictionary
 from . import trips
 from .errors import InputError, MatchError, NoRouteError
 from .network import EARTH_RADIUS_KM, RoadNetwork, Segment, haversine_km
-from .routing import RoutingWeights, route_km, route_plan
+from .routing import RoutingWeights, check_contiguous, route_km, route_plan
 
 
 @dataclass(frozen=True)
@@ -313,5 +313,5 @@ def match_trajectory(
         steps.append(cur)
 
     atr = trips.AbstractTrajectory(trip_id, tuple(steps))
-    trips.validate_trajectory(net, atr)
+    check_contiguous(net, [step.segment for step in steps])
     return atr

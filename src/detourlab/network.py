@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
 
-from .errors import InputError, read_number, read_string
+from .errors import InputError, read_json_file, read_number, read_string
 
 EARTH_RADIUS_KM = 6371.0
 DAY_MINUTES = 1440.0
@@ -278,11 +278,4 @@ def save_network(net: RoadNetwork, path) -> None:
 
 
 def load_network(path) -> RoadNetwork:
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"network file not found: {p}")
-    try:
-        data = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"network file {p} is not valid JSON: {exc}") from exc
-    return network_from_dict(data)
+    return network_from_dict(read_json_file(path, "network"))

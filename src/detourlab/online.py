@@ -68,11 +68,6 @@ class TripProgress:
     plan_index: int = 0  # position in plan_path of the next planned entry
 
 
-def begin_trip(trip_id: str, dest_segment: str,
-               weights: RoutingWeights = RoutingWeights()) -> TripProgress:
-    return TripProgress(trip_id=trip_id, dest_segment=dest_segment, weights=weights)
-
-
 def _scenario(x1: float, x2: float) -> str:
     if x1 > 0.0 and x2 > 0.0:
         return "worse"
@@ -163,7 +158,7 @@ def run_trip(net: RoadNetwork, model: LogitModel, trip,
     The first step then needs no route search.
     """
     dest = trip.atr.steps[-1].segment
-    progress = begin_trip(trip.trip_id, dest, weights)
+    progress = TripProgress(trip.trip_id, dest, weights)
     plan = trip.plan
     if (plan.weights == weights and plan.path
             and net.segment(plan.path[-1]).to_node == net.segment(dest).from_node):

@@ -11,12 +11,10 @@ level where the fitted detour ratio reaches zero.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
-from .errors import FitError, InputError, read_number, read_string
+from .errors import FitError, InputError, read_json_file, read_number, read_string
 from .network import minute_of_day
 from .trips import trajectory_distance_km, trajectory_minutes
 
@@ -358,10 +356,4 @@ def schedule_from_dict(data: dict) -> FareSchedule:
 
 
 def load_schedule(path) -> FareSchedule:
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"schedule file not found: {p}")
-    try:
-        return schedule_from_dict(json.loads(p.read_text(encoding="utf-8")))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"schedule file {p} is not valid JSON: {exc}") from exc
+    return schedule_from_dict(read_json_file(path, "schedule"))

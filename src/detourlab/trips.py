@@ -1,7 +1,10 @@
-"""Trip data model, trajectories, destination-change screening, filtering, persistence.
+"""Trip data model, the checked trajectory walk, destination-change screening,
+filtering, and persistence.
 
-Datasets are JSONL: one trip per line, canonical key order, segment ids
-referencing a separately stored network file.
+``trajectory_distance_km`` is the one walk over a trajectory's segments: it
+sums the distance and checks that the segments connect.  Datasets are JSONL:
+one trip per line, canonical key order, segment ids referencing a separately
+stored network file.
 """
 
 from __future__ import annotations
@@ -31,9 +34,9 @@ class AbstractTrajectory:
     """Ordered segment entries of one occupied trip.
 
     Steps record *entries*: the final step marks arrival on the destination
-    segment.  Timestamps strictly increase and consecutive segments connect
-    in the network (the connectivity half needs the network, see
-    ``validate_trajectory``).
+    segment.  Timestamps strictly increase, checked here.  Consecutive
+    segments must connect in the network; that half needs the network and is
+    checked by ``trajectory_distance_km``.
     """
 
     trip_id: str
@@ -50,19 +53,6 @@ class AbstractTrajectory:
                 raise InputError(
                     f"trajectory {self.trip_id!r}: timestamps not increasing at step {i}"
                 )
-
-
-def validate_trajectory(net: RoadNetwork, atr: AbstractTrajectory) -> None:
-    """Check the network-dependent half of the trajectory invariants."""
-    prev = None
-    for i, step in enumerate(atr.steps):
-        seg = net.segment(step.segment)
-        if prev is not None and net.segment(prev.segment).to_node != seg.from_node:
-            raise InputError(
-                f"trajectory {atr.trip_id!r}: segments {prev.segment!r} -> {step.segment!r} "
-                f"are not connected (step {i})"
-            )
-        prev = step
 
 
 @dataclass(frozen=True)
@@ -133,11 +123,23 @@ def trajectory_distance_km(net: RoadNetwork, atr: AbstractTrajectory) -> float:
 
     Steps record segment entries and the final step only marks arrival, so
     the total runs from entering the first segment to entering the last:
-    the last segment's length is not part of the trip.
+    the last segment's length is not part of the trip.  This is the one walk
+    that checks a trajectory connects: it looks each segment up once and
+    raises InputError at the first step whose segment does not start where
+    the one before ends, or on an unknown segment id.
     """
+    steps = atr.steps
+    prev = net.segment(steps[0].segment)
     total = 0.0
-    for step in atr.steps[:-1]:
-        total += net.segment(step.segment).length
+    for i in range(1, len(steps)):
+        seg = net.segment(steps[i].segment)
+        if prev.to_node != seg.from_node:
+            raise InputError(
+                f"trajectory {atr.trip_id!r}: segments {prev.id!r} -> {seg.id!r} "
+                f"are not connected (step {i})"
+            )
+        total += prev.length
+        prev = seg
     return total
 
 
@@ -191,12 +193,11 @@ def _rejection_reason(net, trip, rules) -> str | None:
     if len(trip.atr.steps) < 2:
         return REJECT_MALFORMED
     try:
-        validate_trajectory(net, trip.atr)
+        dist = trajectory_distance_km(net, trip.atr)
         check_contiguous(net, trip.plan.path)
     except InputError:
         return REJECT_MALFORMED
     seconds = trip.atr.steps[-1].t - trip.atr.steps[0].t
-    dist = trajectory_distance_km(net, trip.atr)
     if seconds < rules.min_travel_time:
         return REJECT_TIME
     if dist / (seconds / 3600.0) > rules.max_speed:
@@ -290,33 +291,27 @@ def trip_from_dict(d: dict) -> TripRecord:
     )
 
 
-def _write_jsonl(path, dicts) -> None:
+def save_trips(trips, path) -> None:
     with Path(path).open("w", encoding="utf-8") as fh:
-        for d in dicts:
-            fh.write(json.dumps(d, sort_keys=True) + "\n")
+        for trip in trips:
+            fh.write(json.dumps(trip_to_dict(trip), sort_keys=True) + "\n")
 
 
-def _read_jsonl(path, parse, what: str):
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"{what} file not found: {p}")
+def load_trips(path) -> list[TripRecord]:
+    """The trips of a JSONL file, one per non-blank line.
+
+    A missing file raises FileNotFoundError; a line that is not a valid trip
+    raises DataFormatError with its line number.
+    """
     out = []
-    with p.open("r", encoding="utf-8") as fh:
+    with Path(path).open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                out.append(parse(json.loads(line)))
+                out.append(trip_from_dict(json.loads(line)))
             except (json.JSONDecodeError, KeyError, TypeError, ValueError, InputError) as exc:
                 raise DataFormatError(
-                    f"{p}: bad {what} record on line {lineno}: {exc}", line=lineno
+                    f"{path}: bad trip record on line {lineno}: {exc}", line=lineno
                 ) from exc
     return out
-
-
-def save_trips(trips, path) -> None:
-    _write_jsonl(path, (trip_to_dict(t) for t in trips))
-
-
-def load_trips(path) -> list[TripRecord]:
-    return _read_jsonl(path, trip_from_dict, "trip")

@@ -313,10 +313,9 @@ def test_trip_file_with_nan_step_exits_3(pipeline_dir, tmp_path, command):
                 "--out", tmp_path / "out"]) == 3
 
 
-@pytest.mark.parametrize("part", ["atr", "plan"])
-def test_filter_rejects_a_trip_that_does_not_connect(pipeline_dir, tmp_path, part):
-    # segments 1 and 2 of one line swapped, timestamps kept
-    root, net, data, filt, model = pipeline_dir
+def write_disconnected_trip(filt, tmp_path, part):
+    """kept.jsonl with segments 1 and 2 of the first line's ``part`` swapped,
+    timestamps kept; returns the file, that trip and the line count."""
     lines = (filt / "kept.jsonl").read_text().splitlines()
     trip = json.loads(lines[0])
     if part == "atr":
@@ -327,12 +326,33 @@ def test_filter_rejects_a_trip_that_does_not_connect(pipeline_dir, tmp_path, par
         path[1], path[2] = path[2], path[1]
     bad = tmp_path / "kept.jsonl"
     bad.write_text("\n".join([json.dumps(trip)] + lines[1:]) + "\n")
+    return bad, trip, len(lines)
+
+
+@pytest.mark.parametrize("part", ["atr", "plan"])
+def test_filter_rejects_a_trip_that_does_not_connect(pipeline_dir, tmp_path, part):
+    root, net, data, filt, model = pipeline_dir
+    bad, trip, n_lines = write_disconnected_trip(filt, tmp_path, part)
     out = tmp_path / "out"
     assert run(["filter", "--network", net, "--trips", bad, "--out", out]) == 0
     rejected = [json.loads(line) for line in (out / "rejected.jsonl").read_text().splitlines()]
     assert [(r["reason"], r["trip"]["trip_id"]) for r in rejected] == [
         ("malformed", trip["trip_id"])]
-    assert len(load_trips(out / "kept.jsonl")) == len(lines) - 1
+    assert len(load_trips(out / "kept.jsonl")) == n_lines - 1
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "pricing"])
+def test_trip_that_does_not_connect_exits_3(pipeline_dir, tmp_path, capsys, command):
+    root, net, data, filt, model = pipeline_dir
+    bad, trip, _ = write_disconnected_trip(filt, tmp_path, "atr")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(RunConfig(ridge=1e-6).to_dict()))  # a fit that converges
+    extra = {"train": ["--config", config], "eval": ["--model", model],
+             "pricing": ["--schedule", "beijing"]}[command]
+    out = tmp_path / "out"
+    assert run([command, "--network", net, "--trips", bad, *extra, "--out", out]) == 3
+    assert f"trajectory {trip['trip_id']!r}: segments" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["filter", "train", "pricing"])
@@ -358,6 +378,23 @@ def test_report_emits_all_outputs(pipeline_dir):
     for name in ("roc.csv", "stage_auc.csv", "intervals.csv",
                  "detour_ratio.svg", "utility.svg", "adjustments.svg"):
         assert (out / name).exists()
+
+
+@pytest.mark.parametrize("flag", ["--network", "--model", "--schedule", "--config"])
+@pytest.mark.parametrize("content, code", [(None, 2), (b"{not json", 3), (b"\xff{}", 3)],
+                         ids=["missing", "not_json", "not_utf8"])
+def test_json_input_file_rule(pipeline_dir, tmp_path, flag, content, code):
+    # every JSON input follows one rule: missing exits 2, unreadable as JSON exits 3
+    root, net, data, filt, model = pipeline_dir
+    inputs = {"--network": net, "--model": model, "--schedule": "beijing"}
+    bad = tmp_path / "input.json"
+    if content is not None:
+        bad.write_bytes(content)
+    inputs[flag] = bad
+    out = tmp_path / "out"
+    assert run(["report", "--trips", filt / "kept.jsonl", "--out", out,
+                *(arg for pair in inputs.items() for arg in pair)]) == code
+    assert not out.exists()
 
 
 def test_missing_input_exits_2(tmp_path):

@@ -6,7 +6,7 @@ from detourlab import online, routing
 from detourlab.classifier import LogitModel, evaluate_roc_auc, offline_features
 from detourlab.errors import FitError, InputError
 from detourlab.network import Node, RoadNetwork, Segment
-from detourlab.online import begin_trip, run_trip, stage_auc, step
+from detourlab.online import TripProgress, run_trip, stage_auc, step
 from detourlab.routing import RoutingWeights, entry_times, route_plan
 
 from conftest import flat, make_trip
@@ -36,7 +36,7 @@ def loop_net():
 
 
 def test_first_step_scores_zero(loop_net):
-    progress = begin_trip("t", "e7")
+    progress = TripProgress("t", "e7")
     decision = step(loop_net, BEIJING, progress, "e0", T0)
     assert decision.extra_distance_ratio == 0.0
     assert decision.extra_time_ratio == 0.0
@@ -125,14 +125,14 @@ def test_warning_state_machine_sound(sim_dataset):
 
 
 def test_disconnected_step_rejected(loop_net):
-    progress = begin_trip("t", "e7")
+    progress = TripProgress("t", "e7")
     step(loop_net, BEIJING, progress, "e0", T0)
     with pytest.raises(InputError):
         step(loop_net, BEIJING, progress, "e5", T0 + 60.0)
 
 
 def test_failed_step_leaves_progress_unchanged(loop_net):
-    progress = begin_trip("t", "e7")
+    progress = TripProgress("t", "e7")
     step(loop_net, BEIJING, progress, "e0", T0)
     step(loop_net, BEIJING, progress, "e1", T0 + 60.0)
     snapshot = dataclasses.replace(progress)
@@ -144,14 +144,14 @@ def test_failed_step_leaves_progress_unchanged(loop_net):
 
 
 def test_non_increasing_time_rejected(loop_net):
-    progress = begin_trip("t", "e7")
+    progress = TripProgress("t", "e7")
     step(loop_net, BEIJING, progress, "e0", T0)
     with pytest.raises(InputError):
         step(loop_net, BEIJING, progress, "e1", T0)
 
 
 def test_degenerate_initial_plan_rejected(loop_net):
-    progress = begin_trip("t", "e0")
+    progress = TripProgress("t", "e0")
     with pytest.raises(InputError):
         step(loop_net, BEIJING, progress, "e0", T0)
 
@@ -216,7 +216,7 @@ def test_held_plan_decisions_equal_fresh_replanning(sim_dataset, searches, weigh
     net, trips, _ = sim_dataset
     for trip in trips:
         held = run_trip(net, BEIJING, trip, weights)
-        progress = begin_trip(trip.trip_id, trip.atr.steps[-1].segment, weights)
+        progress = TripProgress(trip.trip_id, trip.atr.steps[-1].segment, weights)
         fresh = []
         for st in trip.atr.steps:
             progress.plan_path, progress.plan_times = (), ()
@@ -273,7 +273,7 @@ def test_plan_from_another_network_is_not_seeded(sim_dataset, searches):
 def test_late_entry_onto_the_held_plan_replans(loop_net, searches):
     # the driver stays on the planned segments but enters e2 a minute late:
     # the held plan's times no longer hold, so that step searches afresh
-    progress = begin_trip("t", "e7")
+    progress = TripProgress("t", "e7")
     step(loop_net, BEIJING, progress, "e0", T0)
     step(loop_net, BEIJING, progress, "e1", T0 + 60.0)
     assert searches == [("e0", "e7")]

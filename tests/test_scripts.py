@@ -4,14 +4,30 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(p.stem for p in (ROOT / "src" / "detourlab").glob("*.py")
+                 if p.stem != "__init__")
+
+
+def run_python(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *map(str, args)],
+                          env=env, capture_output=True, text=True, timeout=300)
 
 
 def run_script(name, *args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *map(str, args)],
-                          env=env, capture_output=True, text=True, timeout=300)
+    return run_python(ROOT / "scripts" / name, *args)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_on_its_own(module):
+    # a fresh interpreter per module: an import cycle can fail only when one
+    # particular module in it is the first one imported
+    done = run_python("-c", f"import detourlab.{module}")
+    assert done.returncode == 0, done.stderr
 
 
 def test_pipeline_then_replay(tmp_path):

@@ -7,8 +7,7 @@ from detourlab.errors import InputError
 from detourlab.network import network_to_dict
 from detourlab.routing import RoutingWeights, path_distance, path_est_time, route_plan
 from detourlab.simulate import BEHAVIORS, SimConfig, generate_network, generate_trips
-from detourlab.trips import (trajectory_distance_km, trajectory_minutes, trip_to_dict,
-                             validate_trajectory)
+from detourlab.trips import trajectory_distance_km, trajectory_minutes, trip_to_dict
 
 
 def test_network_deterministic():
@@ -133,7 +132,7 @@ def test_trip_structure_valid(sim_dataset):
     net, trips, drivers = sim_dataset
     trip_ids = {t.trip_id for t in trips}
     for trip in trips:
-        validate_trajectory(net, trip.atr)
+        trajectory_distance_km(net, trip.atr)  # raises unless the segments connect
         assert trip.behavior in BEHAVIORS
         assert (trip.label == "detour") == (trip.behavior == "detour")
         plan = trip.plan

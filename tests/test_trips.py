@@ -16,6 +16,7 @@ from detourlab.trips import (
     REJECT_MALFORMED,
     REJECT_SPEED,
     REJECT_TIME,
+    AbstractTrajectory,
     FilterRules,
     TrajStep,
     destination_change_probability,
@@ -52,6 +53,17 @@ def test_trajectory_totals_cover_entry_to_entry():
     trip = chain_trip(net, 2, 600.0)
     assert trajectory_distance_km(net, trip.atr) == 10.0  # final entry not counted
     assert trajectory_minutes(trip.atr) == 10.0
+
+
+@pytest.mark.parametrize("last, message", [
+    ("e2", r"trajectory 't0': segments 'e0' -> 'e2' are not connected \(step 1\)"),
+    ("nowhere", "unknown segment id 'nowhere'"),
+], ids=["gap", "unknown_last_segment"])
+def test_trajectory_distance_checks_every_step(last, message):
+    net = line_network([4.0, 6.0, 2.0])
+    atr = AbstractTrajectory("t0", (TrajStep("e0", T0), TrajStep(last, T0 + 60.0)))
+    with pytest.raises(InputError, match=message):
+        trajectory_distance_km(net, atr)
 
 
 def test_epsilon_same_destination_is_one():
