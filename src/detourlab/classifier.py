@@ -241,9 +241,5 @@ def save_model(model: LogitModel, path, trained_on: int = 0, ridge: float = 0.0)
 
 
 def load_model(path) -> LogitModel:
-    data = read_json_file(path, "model")
-    try:
-        coefs = [read_number(data[key], key) for key in ("beta0", "beta1", "beta2")]
-    except (KeyError, TypeError, InputError) as exc:
-        raise InputError(f"malformed model file {path}: {exc}") from exc
-    return LogitModel(*coefs)
+    return read_json_file(path, "model", lambda data: LogitModel(
+        *(read_number(data[key], key) for key in ("beta0", "beta1", "beta2"))))

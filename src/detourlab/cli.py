@@ -2,7 +2,8 @@
 
 Every command is a pure function of (inputs, config, seed): re-running with
 the same arguments overwrites outputs byte-identically.  Exit codes: 0 ok,
-2 missing input file, 3 validation failure, 4 internal invariant breach.
+2 missing input file (or a directory given as one), 3 validation failure,
+4 internal invariant breach.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 
 from . import charts, classifier, online, pricing, trips as trips_mod
 from .errors import (DataFormatError, DetourlabError, FitError, InputError, read_json_file,
-                     read_number, read_string)
+                     read_jsonl, read_number, read_string)
 from .network import load_network, save_network
 from .routing import RoutingWeights
 from .simulate import SimConfig, generate_network, generate_trips
@@ -69,7 +70,7 @@ def _json_value(value, default, where: str):
     return want(value)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """File-backed defaults for the pipeline; command-line flags win."""
 
@@ -87,7 +88,7 @@ class RunConfig:
 
 
 def load_run_config(path) -> RunConfig:
-    return RunConfig.from_dict(read_json_file(path, "config"))
+    return read_json_file(path, "config", RunConfig.from_dict)
 
 
 def _config_for(args) -> RunConfig:
@@ -128,13 +129,16 @@ def _schedule_arg(name_or_path: str) -> pricing.FareSchedule:
 # commands
 
 
+def _with_flags(config, **flags):
+    """``config`` with each flag that was given, not None, replacing its field."""
+    return replace(config, **{k: v for k, v in flags.items() if v is not None})
+
+
 def cmd_gen_network(args) -> int:
     cfg = _config_for(args).sim
-    if args.seed is not None:
-        cfg.seed = args.seed
     rows, cols = cfg.grid_dims
-    cfg.grid_dims = (rows if args.rows is None else args.rows,
-                     cols if args.cols is None else args.cols)
+    cfg = _with_flags(cfg, seed=args.seed, grid_dims=(rows if args.rows is None else args.rows,
+                                                      cols if args.cols is None else args.cols))
     net = generate_network(cfg)
     save_network(net, args.out)
     print(f"network nodes={len(net.nodes)} segments={len(net.segments)} -> {args.out}")
@@ -143,11 +147,7 @@ def cmd_gen_network(args) -> int:
 
 def cmd_gen_trips(args) -> int:
     config = _config_for(args)
-    cfg = config.sim
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.n_trips is not None:
-        cfg.n_trips = args.n_trips
+    cfg = _with_flags(config.sim, seed=args.seed, n_trips=args.n_trips)
     net = load_network(args.network)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -159,9 +159,8 @@ def cmd_gen_trips(args) -> int:
 
 
 def cmd_filter(args) -> int:
-    flags = ("min_travel_time", "max_speed", "epsilon_bar")
-    rules = replace(_config_for(args).rules,
-                    **{k: getattr(args, k) for k in flags if getattr(args, k) is not None})
+    rules = _with_flags(_config_for(args).rules, min_travel_time=args.min_travel_time,
+                        max_speed=args.max_speed, epsilon_bar=args.epsilon_bar)
     net = load_network(args.network)
     trips = trips_mod.load_trips(args.trips)
     kept, rejected = trips_mod.filter_dataset(net, trips, rules)
@@ -212,6 +211,14 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _read_event(event: dict) -> tuple:
+    """(trip id, segment, t, dest or None) of one detect event."""
+    trip_id = read_string(event["trip_id"], "trip_id")
+    dest = event.get("dest")
+    return (trip_id, read_string(event["segment"], "segment"), read_number(event["t"], "t"),
+            None if dest is None else read_string(dest, "dest"))
+
+
 def cmd_detect(args) -> int:
     config = _config_for(args)
     net = load_network(args.network)
@@ -222,24 +229,13 @@ def cmd_detect(args) -> int:
     events = warned = 0
     with ExitStack() as stack:
         if args.events == "-":
-            lines = sys.stdin
+            lines = sys.stdin.buffer
         else:  # opened before --out, so a missing input truncates nothing
-            lines = stack.enter_context(Path(args.events).open("r", encoding="utf-8"))
+            lines = stack.enter_context(Path(args.events).open("rb"))
         out = (stack.enter_context(Path(args.out).open("w", encoding="utf-8"))
                if args.out else sys.stdout)
-        for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                event = json.loads(line)
-                trip_id = read_string(event["trip_id"], "trip_id")
-                segment = read_string(event["segment"], "segment")
-                t = read_number(event["t"], "t")
-                dest = event.get("dest")
-                if dest is not None:
-                    dest = read_string(dest, "dest")
-            except (json.JSONDecodeError, KeyError, TypeError, InputError) as exc:
-                raise DataFormatError(f"bad event on line {lineno}: {exc}", line=lineno) from exc
+        for lineno, (trip_id, segment, t, dest) in read_jsonl(lines, f"--events {args.events}",
+                                                              _read_event):
             if trip_id not in sessions:
                 if dest is None:
                     raise DataFormatError(
@@ -336,26 +332,25 @@ def cmd_report(args) -> int:
     stage_rows = _write_stage_auc(out / "stage_auc.csv", net, model, trips, config.weights)
     rows, _ = _write_intervals(out / "intervals.csv", net, schedule, trips)
 
-    if not args.no_svg:
-        mids = [(r.stats.interval, (schedule.intervals[r.stats.interval].start_min
-                                    + schedule.intervals[r.stats.interval].end_min) / 2.0 / 60.0)
-                for r in rows]
-        ratio_pts = [(h, r.stats.detour_ratio) for (_, h), r in zip(mids, rows)]
-        charts.write_line_chart(out / "detour_ratio.svg", "Detour ratio by time of day",
-                                [("detour ratio", ratio_pts)], "hour", "ratio")
-        util_pts = [(h, r.utility) for (_, h), r in zip(mids, rows) if r.utility is not None]
-        cost_pts = [(h, r.opportunity_cost) for (_, h), r in zip(mids, rows)
-                    if r.opportunity_cost is not None]
-        charts.write_line_chart(out / "utility.svg", "Detour utility and opportunity cost",
-                                [("utility", util_pts), ("opportunity cost", cost_pts)],
-                                "hour", "per minute")
-        f0_pts = [(h, r.adjustment.delta_base_fare) for (_, h), r in zip(mids, rows)
-                  if r.adjustment is not None]
-        a1_pts = [(h, r.adjustment.delta_rate_per_km) for (_, h), r in zip(mids, rows)
-                  if r.adjustment is not None]
-        charts.write_line_chart(out / "adjustments.svg", "Suggested price adjustments",
-                                [("base fare change", f0_pts), ("km rate change", a1_pts)],
-                                "hour", "change")
+    mids = [(r.stats.interval, (schedule.intervals[r.stats.interval].start_min
+                                + schedule.intervals[r.stats.interval].end_min) / 2.0 / 60.0)
+            for r in rows]
+    ratio_pts = [(h, r.stats.detour_ratio) for (_, h), r in zip(mids, rows)]
+    charts.write_line_chart(out / "detour_ratio.svg", "Detour ratio by time of day",
+                            [("detour ratio", ratio_pts)], "hour", "ratio")
+    util_pts = [(h, r.utility) for (_, h), r in zip(mids, rows) if r.utility is not None]
+    cost_pts = [(h, r.opportunity_cost) for (_, h), r in zip(mids, rows)
+                if r.opportunity_cost is not None]
+    charts.write_line_chart(out / "utility.svg", "Detour utility and opportunity cost",
+                            [("utility", util_pts), ("opportunity cost", cost_pts)],
+                            "hour", "per minute")
+    f0_pts = [(h, r.adjustment.delta_base_fare) for (_, h), r in zip(mids, rows)
+              if r.adjustment is not None]
+    a1_pts = [(h, r.adjustment.delta_rate_per_km) for (_, h), r in zip(mids, rows)
+              if r.adjustment is not None]
+    charts.write_line_chart(out / "adjustments.svg", "Suggested price adjustments",
+                            [("base fare change", f0_pts), ("km rate change", a1_pts)],
+                            "hour", "change")
 
     print(f"auc={auc:.6f} stage_final={stage_rows[-1][1]:.6f} -> {out}")
     return 0
@@ -439,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--trips", required=True)
     p.add_argument("--schedule", required=True)
-    p.add_argument("--no-svg", action="store_true")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_report)
 
@@ -451,7 +445,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: missing-input: {exc}", file=sys.stderr)
         return 2
     except DetourlabError as exc:

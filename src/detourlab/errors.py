@@ -1,5 +1,6 @@
-"""Exception types shared across the package, the one JSON file reader, and the
-strict number and string readers that every loader uses on parsed JSON."""
+"""Exception types shared across the package, the one reader for each kind of
+input, a JSON file (``read_json_file``) or a JSONL stream (``read_jsonl``), and
+the strict number and string readers every parser uses on the parsed JSON."""
 
 import json
 import math
@@ -38,21 +39,39 @@ class DataFormatError(DetourlabError):
         self.line = line
 
 
-def read_json_file(path, what: str):
-    """The parsed contents of the JSON file at ``path``.
+# bytes that are not UTF-8 or text that is not JSON (both ValueErrors), JSON
+# nested too deep to parse, and a missing key, wrong type or failed check
+_BAD_INPUT = (KeyError, TypeError, ValueError, RecursionError, InputError)
 
-    Every JSON loader reads its file here.  A missing file raises
-    FileNotFoundError (the command-line exit code 2); text that is not JSON,
-    or bytes that are not UTF-8, raise InputError (exit code 3).  ``what``
-    names the file in either message.  The caller checks the fields.
+
+def read_json_file(path, what: str, parse):
+    """``parse`` applied to the JSON value in the UTF-8 file at ``path``.
+
+    A missing path or a directory raises the OSError that opening it raises
+    (command-line exit code 2); any other failure raises InputError naming
+    ``what`` and the path (exit code 3).
     """
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"{what} file not found: {p}")
+    data = Path(path).read_bytes()
     try:
-        return json.loads(p.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise InputError(f"{what} file {p} is not valid JSON: {exc}") from exc
+        return parse(json.loads(data.decode("utf-8")))
+    except _BAD_INPUT as exc:
+        raise InputError(f"bad {what} file {path}: {exc}") from exc
+
+
+def read_jsonl(lines, what: str, parse):
+    """``(line number, parse(value))`` for each non-blank line of ``lines``.
+
+    ``lines`` yields bytes (a binary file, or ``sys.stdin.buffer``), read one
+    UTF-8 JSON line at a time.  Any failure raises DataFormatError naming the line.
+    """
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            value = parse(json.loads(line.decode("utf-8")))
+        except _BAD_INPUT as exc:
+            raise DataFormatError(f"{what}, line {lineno}: {exc}", line=lineno) from exc
+        yield lineno, value
 
 
 def read_number(value, what: str) -> float:

@@ -22,7 +22,7 @@ from weakref import WeakKeyDictionary
 
 from . import trips
 from .errors import InputError, MatchError, NoRouteError
-from .network import EARTH_RADIUS_KM, RoadNetwork, Segment, haversine_km
+from .network import EARTH_RADIUS_KM, RoadNetwork, Segment, check_gps, haversine_km
 from .routing import RoutingWeights, check_contiguous, route_km, route_plan
 
 
@@ -210,11 +210,7 @@ def candidate_route_km(a, b, routes: RouteDistanceCache) -> float | None:
 def _check_points(tr) -> None:
     if len(tr) < 2:
         raise InputError("map matching needs at least 2 GPS points")
-    for i, p in enumerate(tr):
-        if not (math.isfinite(p.lat) and math.isfinite(p.lng) and math.isfinite(p.t)):
-            raise InputError(f"GPS point {i} has a non-finite coordinate or timestamp")
-        if i and p.t <= tr[i - 1].t:
-            raise InputError(f"GPS timestamps must strictly increase (point {i})")
+    check_gps(tr, "map matching")
 
 
 def viterbi_decode(net: RoadNetwork, tr, cfg: MatchConfig = MatchConfig()) -> list[str]:

@@ -79,6 +79,16 @@ def check_coordinates(lat: float, lng: float, what: str = "point") -> None:
         raise InputError(f"{what} has out-of-range coordinates ({lat}, {lng})")
 
 
+def check_gps(points, where: str) -> None:
+    """InputError unless every GPS fix is finite and later than the one before."""
+    prev = -math.inf
+    for i, p in enumerate(points):
+        if not (math.isfinite(p.lat) and math.isfinite(p.lng) and prev < p.t < math.inf):
+            raise InputError(f"{where}: GPS point {i} ({p.lat}, {p.lng}, t={p.t}) is not "
+                             "finite or not later than the point before")
+        prev = p.t
+
+
 def haversine_km(p, q) -> float:
     """Great-circle distance in km between two objects carrying lat/lng.
 
@@ -252,23 +262,22 @@ def network_to_dict(net: RoadNetwork) -> dict:
 
 
 def network_from_dict(data: dict) -> RoadNetwork:
-    try:
-        nodes = [Node(read_string(n["id"], "node id"), read_number(n["lat"], "lat"),
-                      read_number(n["lng"], "lng"))
-                 for n in data["nodes"]]
-        segments = [
-            Segment(
-                read_string(s["id"], "segment id"),
-                read_string(s["from"], "segment from"),
-                read_string(s["to"], "segment to"),
-                read_number(s["length_km"], "length_km"),
-                tuple((read_number(b["start_min"], "start_min"),
-                       read_number(b["speed_kmh"], "speed_kmh")) for b in s["speed_profile"]),
-            )
-            for s in data["segments"]
-        ]
-    except (KeyError, TypeError, InputError) as exc:
-        raise InputError(f"malformed network data: {exc}") from exc
+    """The network of ``network_to_dict``'s form.  A missing key or a wrong type
+    raises what reading it raises; ``load_network`` reports it as a bad file."""
+    nodes = [Node(read_string(n["id"], "node id"), read_number(n["lat"], "lat"),
+                  read_number(n["lng"], "lng"))
+             for n in data["nodes"]]
+    segments = [
+        Segment(
+            read_string(s["id"], "segment id"),
+            read_string(s["from"], "segment from"),
+            read_string(s["to"], "segment to"),
+            read_number(s["length_km"], "length_km"),
+            tuple((read_number(b["start_min"], "start_min"),
+                   read_number(b["speed_kmh"], "speed_kmh")) for b in s["speed_profile"]),
+        )
+        for s in data["segments"]
+    ]
     return RoadNetwork(nodes, segments)
 
 
@@ -278,4 +287,4 @@ def save_network(net: RoadNetwork, path) -> None:
 
 
 def load_network(path) -> RoadNetwork:
-    return network_from_dict(read_json_file(path, "network"))
+    return read_json_file(path, "network", network_from_dict)

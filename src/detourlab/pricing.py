@@ -341,19 +341,16 @@ def schedule_to_dict(schedule: FareSchedule) -> dict:
 
 
 def schedule_from_dict(data: dict) -> FareSchedule:
-    try:
-        intervals = tuple(
-            IntervalRate(*(read_number(iv[key], key) for key in (
-                "start_min", "end_min", "rate_per_km", "rate_per_min",
-                "serving_speed_km_per_min")))
-            for iv in data["intervals"]
-        )
-        city = read_string(data["city"], "city")
-        return FareSchedule(city, *(read_number(data[key], key) for key in (
-            "base_fare", "base_km", "base_min", "operating_cost_per_km")), intervals)
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed schedule data: {exc}") from exc
+    intervals = tuple(
+        IntervalRate(*(read_number(iv[key], key) for key in (
+            "start_min", "end_min", "rate_per_km", "rate_per_min",
+            "serving_speed_km_per_min")))
+        for iv in data["intervals"]
+    )
+    city = read_string(data["city"], "city")
+    return FareSchedule(city, *(read_number(data[key], key) for key in (
+        "base_fare", "base_km", "base_min", "operating_cost_per_km")), intervals)
 
 
 def load_schedule(path) -> FareSchedule:
-    return schedule_from_dict(read_json_file(path, "schedule"))
+    return read_json_file(path, "schedule", schedule_from_dict)

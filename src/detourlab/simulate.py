@@ -33,8 +33,11 @@ _BASE_LNG = 116.40
 _KM_PER_DEG_LAT = EARTH_RADIUS_KM * math.pi / 180.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
+    """Simulation settings, checked when built: from ``--config``, by
+    ``dataclasses.replace`` for a command-line flag, or in code."""
+
     seed: int = 0
     grid_dims: tuple[int, int] = (8, 8)
     n_trips: int = 500
@@ -52,7 +55,7 @@ class SimConfig:
     # tariff, which the long-term pricing fit needs to say anything.
     night_detour_boost: float = 0.0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         rows, cols = self.grid_dims
         if rows < 2 or cols < 2:
             raise InputError("grid_dims must be at least (2, 2)")
@@ -102,7 +105,6 @@ def generate_network(cfg: SimConfig) -> RoadNetwork:
     22:00, night again).  A fraction of segments is congested during the
     day, which is what makes longer-but-faster routes exist at all.
     """
-    cfg.validate()
     rows, cols = cfg.grid_dims
     rng = _rng(cfg.seed, 1)
 
@@ -256,7 +258,6 @@ def generate_trips(
     and opportunity-cost numbers their shape.  Returns the trips and, per
     driver, the ids of the trips they drove.
     """
-    cfg.validate()
     rng = _rng(cfg.seed, 2)
     gps_rng = _rng(cfg.seed, 3)
 

@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import DataFormatError, InputError, read_number, read_string
-from .network import GpsPoint, LatLng, RoadNetwork, check_coordinates, haversine_km
+from .errors import InputError, read_jsonl, read_number, read_string
+from .network import GpsPoint, LatLng, RoadNetwork, check_coordinates, check_gps, haversine_km
 from .routing import RoutePlanStep, RoutingWeights, check_contiguous
 
 LABELS = ("detour", "normal", "unlabeled")
@@ -83,10 +83,7 @@ class TripRecord:
         for name, dest in (("recorded", self.recorded_destination),
                            ("actual", self.actual_destination)):
             check_coordinates(dest.lat, dest.lng, f"{where}: {name} destination")
-        for i, p in enumerate(self.raw_gps or ()):
-            if not all(map(math.isfinite, (p.lat, p.lng, p.t))):
-                raise InputError(f"{where}: GPS point {i} ({p.lat}, {p.lng}, t={p.t}) "
-                                 "is not finite")
+        check_gps(self.raw_gps or (), where)
         plan = self.plan
         if not all(map(math.isfinite, (plan.planned_at, plan.distance, plan.est_time))):
             raise InputError(f"{where}: the plan has a non-finite planned_at, "
@@ -224,10 +221,10 @@ def _plan_to_dict(plan: RoutePlanStep) -> dict:
 
 
 def _plan_from_dict(d: dict) -> RoutePlanStep:
-    # files written before plans recorded their weights have no "weights" key
-    w = d.get("weights")
+    path = tuple(read_string(s, "plan path segment") for s in d["path"])
+    w = d.get("weights")  # absent from files written before plans recorded their weights
     return RoutePlanStep(
-        tuple(read_string(s, "plan path segment") for s in d["path"]),
+        path,
         read_number(d["planned_at"], "planned_at"),
         read_number(d["distance_km"], "distance_km"),
         read_number(d["est_time_min"], "est_time_min"),
@@ -300,18 +297,8 @@ def save_trips(trips, path) -> None:
 def load_trips(path) -> list[TripRecord]:
     """The trips of a JSONL file, one per non-blank line.
 
-    A missing file raises FileNotFoundError; a line that is not a valid trip
-    raises DataFormatError with its line number.
+    A missing path or a directory raises the OSError of opening it; a line
+    that is not UTF-8, not JSON or not a valid trip raises DataFormatError.
     """
-    out = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                out.append(trip_from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError, InputError) as exc:
-                raise DataFormatError(
-                    f"{path}: bad trip record on line {lineno}: {exc}", line=lineno
-                ) from exc
-    return out
+    with Path(path).open("rb") as fh:
+        return [trip for _, trip in read_jsonl(fh, f"trip file {path}", trip_from_dict)]

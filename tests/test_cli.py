@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +10,7 @@ from detourlab.classifier import load_model
 from detourlab.cli import RunConfig, main
 from detourlab.network import load_network
 from detourlab.online import run_trip
+from detourlab.simulate import SimConfig
 from detourlab.trips import load_trips
 
 
@@ -397,6 +402,48 @@ def test_json_input_file_rule(pipeline_dir, tmp_path, flag, content, code):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--network", "--model", "--trips", "--schedule", "--config",
+                                  "--events"])
+def test_directory_as_input_exits_2(pipeline_dir, tmp_path, flag):
+    # a directory is not an input file at all: the missing-input code, and no --out
+    root, net, data, filt, model = pipeline_dir
+    inputs = {"--network": net, "--model": model}
+    if flag == "--events":
+        command = "detect"
+    else:
+        command = "report"
+        inputs.update({"--trips": filt / "kept.jsonl", "--schedule": "beijing"})
+    inputs[flag] = tmp_path
+    out = tmp_path / "out"
+    assert run([command, *(arg for pair in inputs.items() for arg in pair), "--out", out]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--trips", "--events"])
+def test_jsonl_input_that_is_not_utf8_exits_3_naming_the_line(pipeline_dir, tmp_path, capsys,
+                                                              flag):
+    root, net, data, filt, model = pipeline_dir
+    bad = tmp_path / "input.jsonl"
+    bad.write_bytes(b"\n\xff\n")  # the blank first line still counts
+    command = ["eval", "--trips"] if flag == "--trips" else ["detect", "--events"]
+    assert run([*command, bad, "--network", net, "--model", model,
+                "--out", tmp_path / "out"]) == 3
+    assert "line 2" in capsys.readouterr().err
+
+
+def test_events_on_stdin_that_are_not_utf8_exit_3(pipeline_dir):
+    # stdin is read as bytes, so the outcome does not depend on the locale
+    root, net, data, filt, model = pipeline_dir
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "detourlab.cli", "detect", "--network", str(net),
+                           "--model", str(model), "--events", "-"],
+                          input=b"\xff\n", env=env, capture_output=True, timeout=300)
+    assert done.returncode == 3, done.stderr
+    assert b"line 1" in done.stderr
+
+
 def test_missing_input_exits_2(tmp_path):
     assert run(["gen-trips", "--network", tmp_path / "missing.json",
                 "--out", tmp_path / "out"]) == 2
@@ -483,12 +530,8 @@ def test_pricing_accepts_schedule_file(pipeline_dir, tmp_path):
 
 
 def test_gen_trips_honors_config_file(tmp_path):
-    config = RunConfig()
-    config.sim.seed = 3
-    config.sim.grid_dims = (4, 4)
-    config.sim.n_trips = 40
-    config.sim.behavior_mix = {"normal": 1.0}
-    config.sim.gps_period_s = 0.0
+    config = RunConfig(sim=SimConfig(seed=3, grid_dims=(4, 4), n_trips=40,
+                                     behavior_mix={"normal": 1.0}, gps_period_s=0.0))
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config.to_dict()))
     net = tmp_path / "net.json"
@@ -501,10 +544,7 @@ def test_gen_trips_honors_config_file(tmp_path):
 
 
 def test_run_config_roundtrip(tmp_path):
-    cfg = RunConfig()
-    cfg.sim.seed = 9
-    cfg.sim.n_trips = 123
-    cfg.ridge = 1e-5
+    cfg = RunConfig(sim=SimConfig(seed=9, n_trips=123), ridge=1e-5)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg.to_dict()))
     loaded = RunConfig.from_dict(json.loads(path.read_text()))

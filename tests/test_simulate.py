@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 
 import pytest
@@ -35,11 +36,19 @@ def test_degenerate_grid_rejected():
         generate_network(SimConfig(seed=0, grid_dims=(1, 5)))
 
 
+def test_config_is_checked_when_built_and_frozen():
+    with pytest.raises(InputError):
+        SimConfig(grid_dims=(1, 5))
+    cfg = SimConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.n_trips = 0
+
+
 def test_bad_mix_rejected():
     with pytest.raises(InputError):
-        SimConfig(behavior_mix={"normal": 0.5}).validate()
+        SimConfig(behavior_mix={"normal": 0.5})
     with pytest.raises(InputError):
-        SimConfig(behavior_mix={"normal": 0.5, "teleport": 0.5}).validate()
+        SimConfig(behavior_mix={"normal": 0.5, "teleport": 0.5})
 
 
 def test_trips_deterministic():

@@ -278,6 +278,23 @@ def test_trip_line_with_legacy_start_time_loads(sim_dataset, tmp_path):
     assert load_trips(path) == trips[:40]
 
 
+@pytest.mark.parametrize("bad", [
+    lambda d: b"\xff",
+    lambda d: b"[" * 100_000,
+    lambda d: json.dumps({**d, "plans": [[]]}).encode(),
+    lambda d: json.dumps({**d, "raw_gps": [{"lat": 0.0, "lng": 0.001, "t": T0 + 10},
+                                           {"lat": 0.0, "lng": 0.002, "t": T0}]}).encode(),
+], ids=["not_utf8", "nested_too_deep", "plan_not_an_object", "raw_gps_backwards"])
+def test_load_names_the_line_of_any_bad_record(tmp_path, bad):
+    net = line_network([1.0] * 3)
+    d = trip_to_dict(chain_trip(net, 2, 300.0))
+    path = tmp_path / "trips.jsonl"
+    path.write_bytes(json.dumps(d).encode() + b"\n" + bad(d) + b"\n")
+    with pytest.raises(DataFormatError) as err:
+        load_trips(path)
+    assert err.value.line == 2
+
+
 def test_load_empty_file(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("", encoding="utf-8")
