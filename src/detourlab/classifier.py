@@ -113,6 +113,12 @@ def _information(beta: np.ndarray, X: np.ndarray, ridge: float) -> np.ndarray:
     return X.T @ (X * (probs * (1.0 - probs))[:, None]) + ridge * np.eye(X.shape[1])
 
 
+def check_ridge(ridge: float) -> None:
+    """InputError unless the ridge penalty is finite and non-negative."""
+    if not (math.isfinite(ridge) and ridge >= 0.0):
+        raise InputError(f"ridge must be finite and non-negative, got {ridge}")
+
+
 def train(samples, ridge: float = 0.0) -> TrainReport:
     """Fit the logit model by Newton (IRLS) maximum likelihood.
 
@@ -125,8 +131,7 @@ def train(samples, ridge: float = 0.0) -> TrainReport:
     separable data with no ridge has no finite maximizer; that case is
     reported with ``converged=False`` and a diagnostic instead of an error.
     """
-    if not (math.isfinite(ridge) and ridge >= 0.0):
-        raise InputError(f"ridge must be finite and non-negative, got {ridge}")
+    check_ridge(ridge)
     X, y = _design(samples)
     positives = int(np.sum(y))
     if positives == 0 or positives == len(y):

@@ -79,6 +79,9 @@ class RunConfig:
     weights: RoutingWeights = field(default_factory=RoutingWeights)
     ridge: float = 0.0
 
+    def __post_init__(self):
+        classifier.check_ridge(self.ridge)
+
     @staticmethod
     def from_dict(data: dict) -> "RunConfig":
         return _from_json(RunConfig, data, "config")

@@ -22,8 +22,8 @@ from weakref import WeakKeyDictionary
 
 from . import trips
 from .errors import InputError, MatchError, NoRouteError
-from .network import EARTH_RADIUS_KM, RoadNetwork, Segment, check_gps, haversine_km
-from .routing import RoutingWeights, check_contiguous, route_km, route_plan
+from .network import EARTH_RADIUS_KM, Node, RoadNetwork, Segment, check_gps, haversine_km
+from .routing import RoutingWeights, check_contiguous, km_table, km_via, route_plan
 
 
 @dataclass(frozen=True)
@@ -45,16 +45,15 @@ def _metres_per_degree(lat: float) -> tuple[float, float]:
     return kx, ky
 
 
-def _project(net: RoadNetwork, point, seg: Segment) -> tuple[float, float]:
-    """(distance_m, along_fraction) of a point against a straight segment.
+def _project(point, kx: float, ky: float, a: Node, b: Node) -> tuple[float, float]:
+    """(distance_m, along_fraction) of a point against the straight segment a -> b.
 
-    Uses a local equirectangular projection centred on the point; fine at the
-    sub-kilometre scales where candidates live.  The fraction is clamped to
-    the segment, 0 at its entry node and 1 at its exit node.
+    ``a`` and ``b`` are the segment's entry and exit nodes, and ``(kx, ky)``
+    is ``_metres_per_degree(point.lat)``.  Uses a local equirectangular
+    projection centred on the point; fine at the sub-kilometre scales where
+    candidates live.  The fraction is clamped to the segment, 0 at its entry
+    node and 1 at its exit node.
     """
-    a = net.node(seg.from_node)
-    b = net.node(seg.to_node)
-    kx, ky = _metres_per_degree(point.lat)
     ax = (a.lng - point.lng) * kx
     ay = (a.lat - point.lat) * ky
     bx = (b.lng - point.lng) * kx
@@ -74,12 +73,6 @@ def emission_logprob(distance_m: float, cfg: MatchConfig) -> float:
     return -0.5 * z * z
 
 
-def transition_logprob(route_km: float | None, gc_km: float, cfg: MatchConfig) -> float:
-    if route_km is None:
-        return -math.inf
-    return -abs(route_km - gc_km) / cfg.transition_beta
-
-
 # Grid cells are _CELL_DEG degrees square (about 220 m of latitude), so the
 # default 100 m window overlaps one or two cells per axis; a network wider
 # than _MAX_CELLS cells on an axis gets coarser cells, which bounds the cells
@@ -96,13 +89,15 @@ _GRIDS: WeakKeyDictionary = WeakKeyDictionary()
 class _SegmentGrid:
     """Segments bucketed by the grid cells their bounding boxes overlap.
 
-    ``segments`` is sorted by id, and each cell holds positions into it, so
+    ``segments`` is sorted by id, ``ends`` holds each one's (entry node, exit
+    node) at the same position, and each cell holds positions into them, so
     sorted positions list segments in id order.  Cell (i, j) covers latitudes
     from ``lat0 + i * cell`` and longitudes from ``lng0 + j * cell``; the
     grid spans the nodes' box and nothing wraps at the antimeridian.
     """
 
     segments: tuple[Segment, ...]
+    ends: tuple[tuple[Node, Node], ...]
     cells: dict[tuple[int, int], tuple[int, ...]]
     lat0: float
     lat1: float
@@ -126,14 +121,13 @@ def _segment_grid(net: RoadNetwork) -> _SegmentGrid:
     lat0, lat1, lng0, lng1 = min(lats), max(lats), min(lngs), max(lngs)
     cell = max(_CELL_DEG, (lat1 - lat0) / _MAX_CELLS, (lng1 - lng0) / _MAX_CELLS)
     segments = tuple(sorted(net.segments.values(), key=lambda s: s.id))
+    ends = tuple((net.node(seg.from_node), net.node(seg.to_node)) for seg in segments)
     cells: dict[tuple[int, int], list[int]] = {}
-    for k, seg in enumerate(segments):
-        a = net.node(seg.from_node)
-        b = net.node(seg.to_node)
+    for k, (a, b) in enumerate(ends):
         for i in _cell_range(min(a.lat, b.lat), max(a.lat, b.lat), lat0, lat1, cell):
             for j in _cell_range(min(a.lng, b.lng), max(a.lng, b.lng), lng0, lng1, cell):
                 cells.setdefault((i, j), []).append(k)
-    grid = _SegmentGrid(segments, {key: tuple(ks) for key, ks in cells.items()},
+    grid = _SegmentGrid(segments, ends, {key: tuple(ks) for key, ks in cells.items()},
                         lat0, lat1, lng0, lng1, cell)
     _GRIDS[net] = grid
     return grid
@@ -171,40 +165,36 @@ def candidates_for(net: RoadNetwork, point, radius_m: float) -> list[tuple[Segme
     found = []
     for k in sorted(near):
         seg = grid.segments[k]
-        distance_m, u = _project(net, point, seg)
+        distance_m, u = _project(point, kx, ky, *grid.ends[k])
         if distance_m <= radius_m:
             found.append((seg, distance_m, u * seg.length))
     return found
 
 
+_UNSEEN = object()
+
+
 class RouteDistanceCache:
-    """``routing.route_km`` memoized per ordered pair of candidate segments."""
+    """``routing.route_km`` memoized per ordered pair of candidate segments.
+
+    ``cache`` holds every pair returned so far.  A miss reads the
+    destination's km table, fetched once per destination segment.
+    """
 
     def __init__(self, net: RoadNetwork):
         self.net = net
         self.cache: dict[tuple[str, str], float | None] = {}
+        self._tables: dict[str, dict[str, float]] = {}
 
     def km(self, a: str, b: str) -> float | None:
-        if (a, b) not in self.cache:
-            self.cache[a, b] = route_km(self.net, a, b)
-        return self.cache[a, b]
-
-
-def candidate_route_km(a, b, routes: RouteDistanceCache) -> float | None:
-    """Driving distance between the projections of two ``candidates_for`` entries.
-
-    The segment-to-segment route covers ``a`` in full and stops on entering
-    ``b``; the along-track corrections move both endpoints to the projected
-    GPS positions.  Backward motion along a one-way segment has no forward
-    driving distance, so negatives clamp to zero (and then pay the full
-    great-circle gap in the transition score), which is what disambiguates a
-    segment from its reverse twin.
-    """
-    (seg_a, _, along_a), (seg_b, _, along_b) = a, b
-    if seg_a.id == seg_b.id:
-        return max(0.0, along_b - along_a)
-    base = routes.km(seg_a.id, seg_b.id)
-    return None if base is None else max(0.0, base - along_a + along_b)
+        pair = (a, b)
+        km = self.cache.get(pair, _UNSEEN)
+        if km is _UNSEEN:
+            table = self._tables.get(b)
+            if table is None:
+                table = self._tables[b] = km_table(self.net, b)
+            km = self.cache[pair] = km_via(self.net.segment(a), b, table)
+        return km
 
 
 def _check_points(tr) -> None:
@@ -229,30 +219,50 @@ def viterbi_decode(net: RoadNetwork, tr, cfg: MatchConfig = MatchConfig()) -> li
                              f"{cfg.candidate_radius} m", point_index=i)
         cands.append(found)
 
-    routes = RouteDistanceCache(net)
+    km = RouteDistanceCache(net).km
+    beta = cfg.transition_beta
+    neg_inf = -math.inf
     # score[j] aligns with cands[k]; back[k][j] is the chosen predecessor index
     score = [emission_logprob(distance_m, cfg) for _, distance_m, _ in cands[0]]
     back: list[list[int]] = []
 
     for k in range(1, len(tr)):
         gc = haversine_km(tr[k - 1], tr[k])
+        # predecessors with a finite score, as (index, score, segment id, along_km)
+        live = [(j, s, seg.id, along)
+                for j, ((seg, _, along), s) in enumerate(zip(cands[k - 1], score))
+                if s != neg_inf]
         new_score: list[float] = []
         pointers: list[int] = []
-        for c in cands[k]:
-            emis = emission_logprob(c[1], cfg)
-            best = -math.inf
+        for seg, distance_m, along_b in cands[k]:
+            sid = seg.id
+            best = neg_inf
             best_j = -1
-            for j, prev in enumerate(cands[k - 1]):
-                if score[j] == -math.inf:
-                    continue
-                route = candidate_route_km(prev, c, routes)
-                cand = score[j] + transition_logprob(route, gc, cfg)
+            for j, s, pid, along_a in live:
+                # The driving distance between the two projections: the
+                # segment-to-segment route covers the predecessor in full and
+                # stops on entering this segment, and the along-track
+                # offsets move both ends to the projected GPS positions.
+                if pid == sid:
+                    route = along_b - along_a
+                else:
+                    route = km(pid, sid)
+                    if route is None:
+                        continue  # no route: the transition scores -inf and never wins
+                    route = route - along_a + along_b
+                # max(0.0, route), -0.0 and NaN included: backward motion
+                # along a one-way segment has no forward driving distance, so
+                # it pays the full great-circle gap, which is what tells a
+                # segment from its reverse twin
+                route = route if route > 0.0 else 0.0
+                cand = s + -abs(route - gc) / beta
                 if cand > best:  # strict: first (lowest-id) predecessor wins ties
                     best = cand
                     best_j = j
-            new_score.append(best + emis if best > -math.inf else -math.inf)
+            new_score.append(best + emission_logprob(distance_m, cfg)
+                             if best > neg_inf else neg_inf)
             pointers.append(best_j)
-        if all(s == -math.inf for s in new_score):
+        if all(s == neg_inf for s in new_score):
             raise MatchError(f"no feasible transition into GPS point {k}", point_index=k)
         score = new_score
         back.append(pointers)

@@ -25,7 +25,7 @@ from operator import itemgetter
 from weakref import WeakKeyDictionary
 
 from .errors import InputError, NoRouteError
-from .network import RoadNetwork, minute_of_day, segment_travel_time
+from .network import RoadNetwork, Segment, minute_of_day, segment_travel_time
 
 
 @dataclass(frozen=True)
@@ -198,18 +198,30 @@ def _lower_bounds(net: RoadNetwork, goal: str, edge_cost) -> dict[str, float]:
     return table
 
 
+def km_table(net: RoadNetwork, dest: str) -> dict[str, float]:
+    """Shortest km from each node that reaches segment ``dest`` to entering it.
+
+    This is the static km table behind the planner's A* bound for that goal,
+    built on first use and shared with ``route_plan``.
+    """
+    return _lower_bounds(net, net.segment(dest).from_node, _segment_km)
+
+
+def km_via(origin: Segment, dest: str, table: dict[str, float]) -> float | None:
+    """``route_km`` from the Segment ``origin`` with ``table = km_table(net, dest)``."""
+    if origin.id == dest:
+        return 0.0
+    rest = table.get(origin.to_node)
+    return None if rest is None else origin.length + rest
+
+
 def route_km(net: RoadNetwork, origin: str, dest: str) -> float | None:
     """Shortest km from entering ``origin`` to entering ``dest``, or None if unreachable.
 
     Distance does not depend on the time of day, so this reads the static km
     table behind the planner's A* bound instead of searching.
     """
-    o = net.segment(origin)
-    d = net.segment(dest)
-    if origin == dest:
-        return 0.0
-    rest = _lower_bounds(net, d.from_node, _segment_km).get(o.to_node)
-    return None if rest is None else o.length + rest
+    return km_via(net.segment(origin), dest, km_table(net, dest))
 
 
 def route_plan(

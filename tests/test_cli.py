@@ -502,6 +502,22 @@ def test_bad_config_file_exits_3_on_trip_commands(pipeline_dir, tmp_path, comman
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["eval", "report"])
+@pytest.mark.parametrize("text", ['{"ridge": -1.0}', '{"ridge": NaN}'],
+                         ids=["negative", "nan"])
+def test_bad_ridge_in_config_exits_3_on_commands_that_do_not_train(pipeline_dir, tmp_path,
+                                                                   command, text):
+    # the ridge is checked when the config is built, not only by the fit
+    root, net, data, filt, model = pipeline_dir
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    extra = {"eval": [], "report": ["--schedule", "beijing"]}[command]
+    out = tmp_path / "out"
+    assert run([command, "--config", config, "--network", net, "--model", model,
+                "--trips", filt / "kept.jsonl", *extra, "--out", out]) == 3
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,flags", [
     ("train", ["--ridge", "nan"]),
     ("train", ["--config", '{"ridge": NaN}']),

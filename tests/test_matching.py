@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,20 +11,87 @@ from detourlab.errors import InputError, MatchError
 from detourlab.matching import (
     MatchConfig,
     RouteDistanceCache,
-    candidate_route_km,
     candidates_for,
     emission_logprob,
     match_trajectory,
-    transition_logprob,
     viterbi_decode,
 )
 from detourlab.network import GpsPoint, Node, RoadNetwork, Segment, haversine_km
+from detourlab.routing import route_km
 from detourlab.simulate import SimConfig, generate_network, generate_trips
 from detourlab.trips import trajectory_distance_km
 
 from conftest import KM_PER_DEG, flat
 
 BASE_T = 1543622400.0
+
+
+def candidate_route_km(a, b, routes) -> float | None:
+    """Driving distance between the projections of two ``candidates_for`` entries.
+
+    The segment-to-segment route covers ``a`` in full and stops on entering
+    ``b``; the along-track corrections move both endpoints to the projected
+    GPS positions.  Backward motion along a one-way segment has no forward
+    driving distance, so negatives clamp to zero (and then pay the full
+    great-circle gap in the transition score), which is what disambiguates a
+    segment from its reverse twin.
+    """
+    (seg_a, _, along_a), (seg_b, _, along_b) = a, b
+    if seg_a.id == seg_b.id:
+        return max(0.0, along_b - along_a)
+    base = routes.km(seg_a.id, seg_b.id)
+    return None if base is None else max(0.0, base - along_a + along_b)
+
+
+def transition_logprob(route_km: float | None, gc_km: float, cfg: MatchConfig) -> float:
+    if route_km is None:
+        return -math.inf
+    return -abs(route_km - gc_km) / cfg.transition_beta
+
+
+def reference_viterbi(net, tr, cfg):
+    """The decode one transition at a time through the two helpers above,
+    with every route distance read from ``routing.route_km`` unmemoized."""
+    cands = []
+    for i, p in enumerate(tr):
+        found = candidates_for(net, p, cfg.candidate_radius)
+        if not found:
+            raise MatchError(f"GPS point {i} has no candidate segment within "
+                             f"{cfg.candidate_radius} m", point_index=i)
+        cands.append(found)
+
+    routes = SimpleNamespace(km=lambda a, b: route_km(net, a, b))
+    score = [emission_logprob(distance_m, cfg) for _, distance_m, _ in cands[0]]
+    back = []
+    for k in range(1, len(tr)):
+        gc = haversine_km(tr[k - 1], tr[k])
+        new_score = []
+        pointers = []
+        for c in cands[k]:
+            emis = emission_logprob(c[1], cfg)
+            best = -math.inf
+            best_j = -1
+            for j, prev in enumerate(cands[k - 1]):
+                if score[j] == -math.inf:
+                    continue
+                route = candidate_route_km(prev, c, routes)
+                cand = score[j] + transition_logprob(route, gc, cfg)
+                if cand > best:
+                    best = cand
+                    best_j = j
+            new_score.append(best + emis if best > -math.inf else -math.inf)
+            pointers.append(best_j)
+        if all(s == -math.inf for s in new_score):
+            raise MatchError(f"no feasible transition into GPS point {k}", point_index=k)
+        score = new_score
+        back.append(pointers)
+
+    last = score.index(max(score))
+    states = [last]
+    for pointers in reversed(back):
+        states.append(pointers[states[-1]])
+    states.reverse()
+    return [cands[k][j][0].id for k, j in enumerate(states)]
 
 
 def enumeration_best(net, tr, cfg):
@@ -254,14 +322,155 @@ def test_non_finite_gps_point_rejected(t_junction, field, bad):
 
 
 # ---------------------------------------------------------------------------
+# the decode against the transition-at-a-time reference, and the km memo
+
+
+def _decode_outcome(decode, net, points, cfg):
+    try:
+        return decode(net, points, cfg)
+    except MatchError as exc:
+        return ("MatchError", exc.point_index, str(exc))
+
+
+def noisy_traces(seed, dims, noise_m, n_trips):
+    cfg = SimConfig(seed=seed, grid_dims=dims, n_trips=n_trips, gps_period_s=10.0,
+                    gps_noise_m=noise_m)
+    net = generate_network(cfg)
+    trips, _ = generate_trips(net, cfg)
+    return net, [trip.raw_gps for trip in trips]
+
+
+@pytest.mark.parametrize("seed,dims", [(7, (10, 10)), (20240103, (8, 8))])
+@pytest.mark.parametrize("noise_m", [10.0, 30.0])
+def test_decode_equals_reference_on_noisy_traces(seed, dims, noise_m):
+    cfg = MatchConfig()
+    net, traces = noisy_traces(seed, dims, noise_m, 55)
+    assert len(traces) >= 50  # at least 200 traces over the four cases
+    for points in traces:
+        assert _decode_outcome(viterbi_decode, net, points, cfg) == \
+            _decode_outcome(reference_viterbi, net, points, cfg)
+
+
+@pytest.fixture(scope="module")
+def dead_ends():
+    """One-way road l -> c -> r, with c -> l2 a dead end drawn over l -> c,
+    r2 -> c, which nothing enters, drawn over c -> r, and x -> y, a road of
+    its own 2 km to the north."""
+    deg = 0.6 / KM_PER_DEG
+    north = 2.0 / KM_PER_DEG
+    nodes = [Node("l", 0.0, -deg), Node("c", 0.0, 0.0), Node("r", 0.0, deg),
+             Node("l2", 0.0, -deg), Node("r2", 0.0, deg),
+             Node("x", north, -deg / 2), Node("y", north, deg / 2)]
+    segments = [Segment(sid, a, b, 0.6, flat(40.0))
+                for sid, a, b in (("l>c", "l", "c"), ("c>r", "c", "r"),
+                                  ("c>l2", "c", "l2"), ("r2>c", "r2", "c"),
+                                  ("x>y", "x", "y"))]
+    return RoadNetwork(nodes, segments)
+
+
+def test_decode_skips_transitions_with_no_route(dead_ends, monkeypatch):
+    cfg = MatchConfig()
+    asked = []
+    real_km = RouteDistanceCache.km
+
+    def recording_km(self, a, b):
+        asked.append((a, b))
+        return real_km(self, a, b)
+
+    monkeypatch.setattr(RouteDistanceCache, "km", recording_km)
+    points = [offset_point(0.0, -0.3 / KM_PER_DEG, 5.0, 0.0, BASE_T),
+              offset_point(0.0, 0.2 / KM_PER_DEG, 5.0, 0.0, BASE_T + 20.0),
+              offset_point(0.0, 0.4 / KM_PER_DEG, 5.0, 0.0, BASE_T + 40.0)]
+    assert [[c[0].id for c in candidates_for(dead_ends, p, cfg.candidate_radius)]
+            for p in points] == [["c>l2", "l>c"], ["c>r", "r2>c"], ["c>r", "r2>c"]]
+    # the dead end reaches nothing, and nothing reaches r2 -> c, so r2 -> c
+    # scores -inf at the second point and is no predecessor of the third
+    for a, b in (("c>l2", "c>r"), ("c>l2", "r2>c"), ("l>c", "r2>c"), ("c>r", "r2>c")):
+        assert route_km(dead_ends, a, b) is None
+    decoded = viterbi_decode(dead_ends, points, cfg)
+    assert decoded == ["l>c", "c>r", "c>r"]
+    # a distance is asked for exactly where the segments differ and the
+    # predecessor's score is finite
+    assert asked == [("c>l2", "c>r"), ("l>c", "c>r"), ("c>l2", "r2>c"), ("l>c", "r2>c"),
+                     ("c>r", "r2>c")]
+    assert decoded == reference_viterbi(dead_ends, points, cfg)
+    assert decoded == enumeration_best(dead_ends, points, cfg)
+
+    # from the road onto x -> y every transition has no route
+    points[1] = offset_point(2.0 / KM_PER_DEG, 0.0, 5.0, 0.0, BASE_T + 20.0)
+    assert enumeration_best(dead_ends, points, cfg) is None
+    for decode in (viterbi_decode, reference_viterbi):
+        with pytest.raises(MatchError, match="no feasible transition") as err:
+            decode(dead_ends, points, cfg)
+        assert err.value.point_index == 1
+
+
+def test_decode_clamps_backward_motion_along_one_segment(t_junction):
+    # fixes moving west along the l - c road: on l>c each step goes backward
+    # along the segment, which clamps to no distance and pays the gap
+    cfg = MatchConfig()
+    points = [offset_point(0.0, (-0.6 + east) / KM_PER_DEG, 3.0, 0.0, BASE_T + 15.0 * i)
+              for i, east in enumerate((0.4, 0.3, 0.2))]
+    cands = [{c[0].id: c for c in candidates_for(t_junction, p, cfg.candidate_radius)}
+             for p in points]
+    assert all(sorted(c) == ["c>l", "l>c"] for c in cands)
+    assert cands[1]["l>c"][2] - cands[0]["l>c"][2] < 0.0
+    decoded = viterbi_decode(t_junction, points, cfg)
+    assert decoded == ["c>l", "c>l", "c>l"]
+    assert decoded == reference_viterbi(t_junction, points, cfg)
+    assert decoded == enumeration_best(t_junction, points, cfg)
+
+
+def test_memo_equals_route_km_for_every_pair(index_grid, dead_ends):
+    for net in (index_grid, dead_ends):
+        routes = RouteDistanceCache(net)
+        unreachable = 0
+        for a in net.segments:
+            for b in net.segments:
+                want = route_km(net, a, b)
+                assert routes.km(a, b) == want, (a, b)
+                assert routes.cache[a, b] == want
+                unreachable += want is None
+        assert (unreachable > 0) == (net is dead_ends)
+
+
+def test_decode_fetches_one_km_table_per_destination(monkeypatch):
+    net, traces = noisy_traces(7, (10, 10), 10.0, 5)
+    fetched = []
+    real_km_table = matching.km_table
+
+    def counting_km_table(net, dest):
+        fetched.append(dest)
+        return real_km_table(net, dest)
+
+    monkeypatch.setattr(matching, "km_table", counting_km_table)
+    pairs = set()
+    real_km = RouteDistanceCache.km
+
+    def recording_km(self, a, b):
+        pairs.add((a, b))
+        return real_km(self, a, b)
+
+    monkeypatch.setattr(RouteDistanceCache, "km", recording_km)
+    for points in traces:
+        fetched.clear()
+        pairs.clear()
+        viterbi_decode(net, points, MatchConfig())
+        assert len(fetched) == len(set(fetched)) == len({b for _, b in pairs})
+        assert len(fetched) < len(pairs)
+
+
+# ---------------------------------------------------------------------------
 # the grid index behind candidates_for against a scan over every segment
 
 
 def linear_scan(net, point, radius_m):
     """Every segment within ``radius_m``, found by projecting onto all of them."""
     found = []
+    kx, ky = matching._metres_per_degree(point.lat)
     for seg in net.segments.values():
-        distance_m, u = matching._project(net, point, seg)
+        distance_m, u = matching._project(point, kx, ky, net.node(seg.from_node),
+                                          net.node(seg.to_node))
         if distance_m <= radius_m:
             found.append((seg, distance_m, u * seg.length))
     found.sort(key=lambda c: c[0].id)
@@ -308,7 +517,9 @@ def test_index_keeps_segments_exactly_at_the_radius(index_grid):
         point = GpsPoint(float(rng.uniform(lat0, lat1)), float(rng.uniform(lng0, lng1)), BASE_T)
         cases.append((point, segments[int(rng.integers(len(segments)))]))
     for point, seg in cases:
-        radius_m, _ = matching._project(index_grid, point, seg)
+        radius_m, _ = matching._project(point, *matching._metres_per_degree(point.lat),
+                                        index_grid.node(seg.from_node),
+                                        index_grid.node(seg.to_node))
         got = candidates_for(index_grid, point, radius_m)
         assert got == linear_scan(index_grid, point, radius_m)
         assert seg in [c[0] for c in got]
