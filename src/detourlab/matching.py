@@ -8,8 +8,10 @@ great-circle displacement.  Defaults follow common map-matching practice
 
 Candidates come from a uniform grid over segment bounding boxes (Newson &
 Krumm 2009 bound candidates the same way), built once per network on first
-use.  A point projects only onto the segments whose boxes share a cell with
-its search window.  The window is the radius converted to degrees with the
+use.  Each cell lists the segments whose boxes come within one cell of it,
+so a point whose search window is at most a cell wide reads only the cell
+that holds it, and projects only onto the listed segments whose boxes meet
+the window.  The window is the radius converted to degrees with the
 projection's own scale factors, so any segment within the radius has its
 closest point inside it: the candidates equal a scan over every segment.
 """
@@ -74,11 +76,12 @@ def emission_logprob(distance_m: float, cfg: MatchConfig) -> float:
 
 
 # Grid cells are _CELL_DEG degrees square (about 220 m of latitude), so the
-# default 100 m window overlaps one or two cells per axis; a network wider
-# than _MAX_CELLS cells on an axis gets coarser cells, which bounds the cells
-# one window can cover.  _WINDOW_MARGIN widens the window by a relative 1e-9
-# and an absolute 1e-9 degrees (0.1 mm), far above the rounding of the
-# projection and of the window arithmetic.
+# default 100 m window fits inside one cell per axis below about 63 degrees of
+# latitude; a network wider than _MAX_CELLS cells on an axis gets coarser
+# cells, which bounds the cells one window can cover.  _WINDOW_MARGIN widens
+# the window, and each segment's box in the grid, by a relative 1e-9 and an
+# absolute 1e-9 degrees (0.1 mm), far above the rounding of the projection
+# and of the window arithmetic.
 _CELL_DEG = 0.002
 _MAX_CELLS = 512
 _WINDOW_MARGIN = 1e-9
@@ -87,18 +90,17 @@ _GRIDS: WeakKeyDictionary = WeakKeyDictionary()
 
 @dataclass(frozen=True)
 class _SegmentGrid:
-    """Segments bucketed by the grid cells their bounding boxes overlap.
+    """Segments bucketed by the grid cells near their bounding boxes.
 
-    ``segments`` is sorted by id, ``ends`` holds each one's (entry node, exit
-    node) at the same position, and each cell holds positions into them, so
-    sorted positions list segments in id order.  Cell (i, j) covers latitudes
+    Each cell holds, in segment id order, one entry per segment whose box,
+    widened by one cell (and the window margin) on each side, overlaps it:
+    ``(segment, entry node, exit node, lat_lo, lat_hi, lng_lo, lng_hi)``,
+    the last four being the segment's own box.  Cell (i, j) covers latitudes
     from ``lat0 + i * cell`` and longitudes from ``lng0 + j * cell``; the
     grid spans the nodes' box and nothing wraps at the antimeridian.
     """
 
-    segments: tuple[Segment, ...]
-    ends: tuple[tuple[Node, Node], ...]
-    cells: dict[tuple[int, int], tuple[int, ...]]
+    cells: dict[tuple[int, int], tuple[tuple, ...]]
     lat0: float
     lat1: float
     lng0: float
@@ -118,16 +120,22 @@ def _segment_grid(net: RoadNetwork) -> _SegmentGrid:
         return grid
     lats = [n.lat for n in net.nodes.values()]
     lngs = [n.lng for n in net.nodes.values()]
-    lat0, lat1, lng0, lng1 = min(lats), max(lats), min(lngs), max(lngs)
+    # a network without nodes gets an empty box that no window overlaps
+    lat0, lat1 = min(lats, default=math.inf), max(lats, default=-math.inf)
+    lng0, lng1 = min(lngs, default=math.inf), max(lngs, default=-math.inf)
     cell = max(_CELL_DEG, (lat1 - lat0) / _MAX_CELLS, (lng1 - lng0) / _MAX_CELLS)
-    segments = tuple(sorted(net.segments.values(), key=lambda s: s.id))
-    ends = tuple((net.node(seg.from_node), net.node(seg.to_node)) for seg in segments)
-    cells: dict[tuple[int, int], list[int]] = {}
-    for k, (a, b) in enumerate(ends):
-        for i in _cell_range(min(a.lat, b.lat), max(a.lat, b.lat), lat0, lat1, cell):
-            for j in _cell_range(min(a.lng, b.lng), max(a.lng, b.lng), lng0, lng1, cell):
-                cells.setdefault((i, j), []).append(k)
-    grid = _SegmentGrid(segments, ends, {key: tuple(ks) for key, ks in cells.items()},
+    widen = cell * (1.0 + _WINDOW_MARGIN) + _WINDOW_MARGIN
+    cells: dict[tuple[int, int], list[tuple]] = {}
+    for seg in sorted(net.segments.values(), key=lambda s: s.id):
+        a, b = net.node(seg.from_node), net.node(seg.to_node)
+        lat_lo, lat_hi = min(a.lat, b.lat), max(a.lat, b.lat)
+        lng_lo, lng_hi = min(a.lng, b.lng), max(a.lng, b.lng)
+        entry = (seg, a, b, lat_lo, lat_hi, lng_lo, lng_hi)
+        lng_cells = _cell_range(lng_lo - widen, lng_hi + widen, lng0, lng1, cell)
+        for i in _cell_range(lat_lo - widen, lat_hi + widen, lat0, lat1, cell):
+            for j in lng_cells:
+                cells.setdefault((i, j), []).append(entry)
+    grid = _SegmentGrid({key: tuple(entries) for key, entries in cells.items()},
                         lat0, lat1, lng0, lng1, cell)
     _GRIDS[net] = grid
     return grid
@@ -140,11 +148,16 @@ def candidates_for(net: RoadNetwork, point, radius_m: float) -> list[tuple[Segme
     ``along_km`` the driving distance from the segment's entry node to the
     point's projection.  Sorted by segment id.
 
-    Only segments whose bounding boxes share a grid cell with the point's
-    window are projected.  A segment within ``radius_m`` has its closest
-    point inside the window, which spans ``radius_m`` converted to degrees
-    with ``_project``'s scale factors at the point's latitude, so the result
-    is the same as projecting onto every segment.
+    The point's window spans ``radius_m`` converted to degrees with
+    ``_project``'s scale factors at the point's latitude, so a segment within
+    ``radius_m`` has its closest point inside it, and its box meets the
+    window.  Each grid cell lists every segment whose box comes within one
+    cell of it, so when the window is at most one cell wide on each side the
+    cell that holds the point (clamped to the grid's box) lists every such
+    segment; a wider window reads the cells of the window narrowed by one
+    cell on each side.  Only the listed segments whose boxes meet the window
+    are projected, so the result is the same as projecting onto every
+    segment.
     """
     grid = _segment_grid(net)
     kx, ky = _metres_per_degree(point.lat)
@@ -152,20 +165,35 @@ def candidates_for(net: RoadNetwork, point, radius_m: float) -> list[tuple[Segme
     half_lng = radius_m / abs(kx) * (1.0 + _WINDOW_MARGIN) + _WINDOW_MARGIN
     lat_lo, lat_hi = point.lat - half_lat, point.lat + half_lat
     lng_lo, lng_hi = point.lng - half_lng, point.lng + half_lng
+    lat0, lat1, lng0, lng1, cell = grid.lat0, grid.lat1, grid.lng0, grid.lng1, grid.cell
     # written so that a NaN coordinate or radius, which no segment is within,
     # finds nothing
-    if not (lat_lo <= grid.lat1 and lat_hi >= grid.lat0
-            and lng_lo <= grid.lng1 and lng_hi >= grid.lng0):
+    if not (lat_lo <= lat1 and lat_hi >= lat0 and lng_lo <= lng1 and lng_hi >= lng0):
         return []
-    near: set[int] = set()
-    lng_cells = _cell_range(lng_lo, lng_hi, grid.lng0, grid.lng1, grid.cell)
-    for i in _cell_range(lat_lo, lat_hi, grid.lat0, grid.lat1, grid.cell):
-        for j in lng_cells:
-            near.update(grid.cells.get((i, j), ()))
+    if half_lat <= cell and half_lng <= cell:
+        lat = min(max(point.lat, lat0), lat1)
+        lng = min(max(point.lng, lng0), lng1)
+        entries = grid.cells.get((math.floor((lat - lat0) / cell),
+                                  math.floor((lng - lng0) / cell)), ())
+    else:
+        # the window narrowed by one cell on each side, down to the point on
+        # an axis where it is at most one cell wide, clamped to the grid's box
+        lat_in = max(0.0, half_lat - cell)
+        lng_in = max(0.0, half_lng - cell)
+        near = {}
+        lng_cells = _cell_range(min(point.lng - lng_in, lng1),
+                                max(point.lng + lng_in, lng0), lng0, lng1, cell)
+        for i in _cell_range(min(point.lat - lat_in, lat1),
+                             max(point.lat + lat_in, lat0), lat0, lat1, cell):
+            for j in lng_cells:
+                for entry in grid.cells.get((i, j), ()):
+                    near[entry[0].id] = entry
+        entries = [near[sid] for sid in sorted(near)]
     found = []
-    for k in sorted(near):
-        seg = grid.segments[k]
-        distance_m, u = _project(point, kx, ky, *grid.ends[k])
+    for seg, a, b, s_lat_lo, s_lat_hi, s_lng_lo, s_lng_hi in entries:
+        if s_lat_lo > lat_hi or s_lat_hi < lat_lo or s_lng_lo > lng_hi or s_lng_hi < lng_lo:
+            continue
+        distance_m, u = _project(point, kx, ky, a, b)
         if distance_m <= radius_m:
             found.append((seg, distance_m, u * seg.length))
     return found

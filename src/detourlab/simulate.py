@@ -265,6 +265,8 @@ def generate_trips(
     probs = np.array([cfg.behavior_mix[b] for b in names])
     probs = probs / probs.sum()
     seg_ids = sorted(net.segments.keys())
+    if len(seg_ids) < 2:
+        raise InputError("could not find a routable origin/destination pair")
 
     trips: list[TripRecord] = []
     driver_trips: dict[str, list[str]] = {}

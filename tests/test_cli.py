@@ -449,6 +449,15 @@ def test_missing_input_exits_2(tmp_path):
                 "--out", tmp_path / "out"]) == 2
 
 
+def test_gen_trips_on_a_network_without_segments_exits_3(tmp_path, capsys):
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"nodes": [], "segments": []}))
+    out = tmp_path / "out"
+    assert run(["gen-trips", "--network", empty, "--out", out]) == 3
+    assert "InputError" in capsys.readouterr().err
+    assert not (out / "trips.jsonl").exists()
+
+
 def test_validation_failure_exits_3(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"nodes": [], "segments": []}))

@@ -286,6 +286,16 @@ def test_unmatched_point_error(t_junction):
     assert err.value.point_index == 1
 
 
+def test_empty_network_finds_nothing():
+    net = RoadNetwork([], [])
+    p = offset_point(0.0, 0.0, 0.0, 0.0, BASE_T)
+    q = offset_point(0.0, 0.0, 1.0, 0.0, BASE_T + 10)
+    assert candidates_for(net, p, 100.0) == []
+    with pytest.raises(MatchError) as err:
+        match_trajectory(net, [p, q])
+    assert err.value.point_index == 0
+
+
 def test_too_few_points(t_junction):
     with pytest.raises(InputError):
         match_trajectory(t_junction, [offset_point(0.0, 0.0, 0.0, 0.0, BASE_T)])
@@ -495,7 +505,8 @@ def test_index_equals_linear_scan_on_random_points(index_grid):
     for _ in range(400):
         point = GpsPoint(float(rng.uniform(lat0 - pad, lat1 + pad)),
                          float(rng.uniform(lng0 - pad, lng1 + pad)), BASE_T)
-        for radius_m in (5.0, 25.0, 100.0, 400.0, 2000.0):
+        # at 200 m the window is just over one cell wide in longitude
+        for radius_m in (5.0, 25.0, 100.0, 200.0, 400.0, 2000.0):
             assert candidates_for(index_grid, point, radius_m) == \
                 linear_scan(index_grid, point, radius_m)
 
@@ -566,6 +577,45 @@ def test_index_projects_a_few_segments_per_point(index_grid, monkeypatch):
         point = GpsPoint(float(rng.uniform(lat0, lat1)), float(rng.uniform(lng0, lng1)), BASE_T)
         candidates_for(index_grid, point, 100.0)
     assert calls / n_points < 0.1 * len(index_grid.segments)
+
+
+def test_index_projects_only_segments_whose_box_meets_the_window(index_grid, monkeypatch):
+    # the box test before each projection leaves few projections that find
+    # nothing within the radius
+    rng = np.random.default_rng(10)
+    lat0, lat1, lng0, lng1 = _box(index_grid)
+    calls = 0
+    real_project = matching._project
+
+    def counting_project(*args):
+        nonlocal calls
+        calls += 1
+        return real_project(*args)
+
+    monkeypatch.setattr(matching, "_project", counting_project)
+    found = 0
+    for _ in range(200):
+        point = GpsPoint(float(rng.uniform(lat0, lat1)), float(rng.uniform(lng0, lng1)), BASE_T)
+        found += len(candidates_for(index_grid, point, 100.0))
+    assert found > 0
+    assert calls <= 1.25 * found
+
+
+def test_index_memory_does_not_grow_with_queries(index_grid):
+    rng = np.random.default_rng(11)
+    lat0, lat1, lng0, lng1 = _box(index_grid)
+    pad = 0.01
+    radii = (5.0, 25.0, 100.0, 400.0, 2000.0)
+    grid = cells = None
+    for k in range(1000):
+        point = GpsPoint(float(rng.uniform(lat0 - pad, lat1 + pad)),
+                         float(rng.uniform(lng0 - pad, lng1 + pad)), BASE_T)
+        candidates_for(index_grid, point, radii[k % len(radii)])
+        if grid is None:
+            grid = matching._GRIDS[index_grid]
+            cells = dict(grid.cells)
+    assert matching._GRIDS[index_grid] is grid
+    assert grid.cells == cells
 
 
 def polar_ring(lat):
