@@ -22,13 +22,15 @@ def main() -> int:
     parser.add_argument("--network", required=True)
     parser.add_argument("--model", required=True)
     parser.add_argument("--trips", required=True)
-    parser.add_argument("--limit", type=int, default=None, help="replay at most N trips")
+    parser.add_argument("--limit", type=int, default=None, help="replay at most N trips (N >= 1)")
     args = parser.parse_args()
+    if args.limit is not None and args.limit < 1:
+        parser.error(f"--limit must be at least 1, got {args.limit}")
 
     net = load_network(args.network)
     model = load_model(args.model)
     trips = load_trips(args.trips)
-    if args.limit:
+    if args.limit is not None:
         trips = trips[: args.limit]
 
     buckets = defaultdict(lambda: {"trips": 0, "warned": 0, "active_at_end": 0,

@@ -49,7 +49,6 @@ class TrainReport:
     iterations: int
     converged: bool
     standard_errors: tuple[float, float, float]
-    ridge: float
     diagnostics: str | None = None
 
 
@@ -187,7 +186,6 @@ def train(samples, ridge: float = 0.0) -> TrainReport:
         iterations=iterations,
         converged=converged,
         standard_errors=standard_errors,
-        ridge=ridge,
         diagnostics=diagnostics,
     )
 

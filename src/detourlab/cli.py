@@ -294,11 +294,11 @@ def _write_intervals(path, net, schedule, trips):
     """Write intervals.csv; returns ``pricing.interval_report``'s rows and fit."""
     rows, fit = pricing.interval_report(net, schedule, trips)
     out = []
-    for row in rows:
+    for row, iv in zip(rows, schedule.intervals):  # one row per interval, in order
         st = row.stats
         adj = row.adjustment
         out.append((
-            st.interval, st.label, st.trip_count, st.detour_count, st.detour_ratio,
+            st.interval, iv.label, st.trip_count, st.detour_count, st.detour_ratio,
             st.driver_count, st.total_income, st.mean_excess_km, st.mean_excess_min,
             row.opportunity_cost, row.utility,
             None if adj is None else adj.delta_base_fare,

@@ -3,17 +3,20 @@
 The decoder is a standard Viterbi pass: per-point candidate segments score a
 Gaussian emission in perpendicular point-to-segment distance, transitions an
 exponential penalty in the gap between on-network route distance and
-great-circle displacement.  Defaults follow common map-matching practice
-(sigma 25 m, beta 2.0, candidate radius 100 m); all three are configurable.
+great-circle displacement.  The emission's sigma (25 m) and the transition's
+beta (2 km) are fixed constants, as in Newson & Krumm (2009) and Lou et al.
+(2009), who treat both as properties of the GPS data; only the candidate
+radius (100 m by default) is configurable.
 
 Candidates come from a uniform grid over segment bounding boxes (Newson &
 Krumm 2009 bound candidates the same way), built once per network on first
 use.  Each cell lists the segments whose boxes come within one cell of it,
 so a point whose search window is at most a cell wide reads only the cell
-that holds it, and projects only onto the listed segments whose boxes meet
-the window.  The window is the radius converted to degrees with the
-projection's own scale factors, so any segment within the radius has its
-closest point inside it: the candidates equal a scan over every segment.
+that holds it; a wider window reads every segment.  Either way only the
+segments whose boxes meet the window are projected.  The window is the
+radius converted to degrees with the projection's own scale factors, so any
+segment within the radius has its closest point inside it: the candidates
+equal a scan over every segment.
 """
 
 from __future__ import annotations
@@ -28,16 +31,17 @@ from .network import EARTH_RADIUS_KM, Node, RoadNetwork, Segment, check_gps, hav
 from .routing import RoutingWeights, check_contiguous, km_table, km_via, route_plan
 
 
+EMISSION_SIGMA_M = 25.0  # metres of GPS noise
+TRANSITION_BETA_KM = 2.0  # km scale of the route/great-circle gap
+
+
 @dataclass(frozen=True)
 class MatchConfig:
-    emission_sigma: float = 25.0  # metres of GPS noise
     candidate_radius: float = 100.0  # metres
-    transition_beta: float = 2.0  # km scale of the route/great-circle gap
 
     def __post_init__(self):
-        for value in (self.emission_sigma, self.candidate_radius, self.transition_beta):
-            if not (math.isfinite(value) and value > 0):
-                raise InputError("match parameters must all be finite and positive")
+        if not (math.isfinite(self.candidate_radius) and self.candidate_radius > 0):
+            raise InputError("candidate radius must be finite and positive")
 
 
 def _metres_per_degree(lat: float) -> tuple[float, float]:
@@ -68,10 +72,10 @@ def _project(point, kx: float, ky: float, a: Node, b: Node) -> tuple[float, floa
     return math.hypot(ax + u * dx, ay + u * dy), u
 
 
-def emission_logprob(distance_m: float, cfg: MatchConfig) -> float:
+def emission_logprob(distance_m: float) -> float:
     # Gaussian in perpendicular distance; the normalizing constant is shared
     # by every candidate and dropped.
-    z = distance_m / cfg.emission_sigma
+    z = distance_m / EMISSION_SIGMA_M
     return -0.5 * z * z
 
 
@@ -92,14 +96,17 @@ _GRIDS: WeakKeyDictionary = WeakKeyDictionary()
 class _SegmentGrid:
     """Segments bucketed by the grid cells near their bounding boxes.
 
-    Each cell holds, in segment id order, one entry per segment whose box,
-    widened by one cell (and the window margin) on each side, overlaps it:
+    ``entries`` holds one entry per segment, in segment id order:
     ``(segment, entry node, exit node, lat_lo, lat_hi, lng_lo, lng_hi)``,
-    the last four being the segment's own box.  Cell (i, j) covers latitudes
-    from ``lat0 + i * cell`` and longitudes from ``lng0 + j * cell``; the
-    grid spans the nodes' box and nothing wraps at the antimeridian.
+    the last four being the segment's own box.  Each cell holds, in the same
+    order, the entries of the segments whose boxes, widened by one cell (and
+    the window margin) on each side, overlap it.  Cell (i, j) covers
+    latitudes from ``lat0 + i * cell`` and longitudes from
+    ``lng0 + j * cell``; the grid spans the nodes' box and nothing wraps at
+    the antimeridian.
     """
 
+    entries: tuple[tuple, ...]
     cells: dict[tuple[int, int], tuple[tuple, ...]]
     lat0: float
     lat1: float
@@ -125,17 +132,19 @@ def _segment_grid(net: RoadNetwork) -> _SegmentGrid:
     lng0, lng1 = min(lngs, default=math.inf), max(lngs, default=-math.inf)
     cell = max(_CELL_DEG, (lat1 - lat0) / _MAX_CELLS, (lng1 - lng0) / _MAX_CELLS)
     widen = cell * (1.0 + _WINDOW_MARGIN) + _WINDOW_MARGIN
+    entries = []
     cells: dict[tuple[int, int], list[tuple]] = {}
     for seg in sorted(net.segments.values(), key=lambda s: s.id):
         a, b = net.node(seg.from_node), net.node(seg.to_node)
         lat_lo, lat_hi = min(a.lat, b.lat), max(a.lat, b.lat)
         lng_lo, lng_hi = min(a.lng, b.lng), max(a.lng, b.lng)
         entry = (seg, a, b, lat_lo, lat_hi, lng_lo, lng_hi)
+        entries.append(entry)
         lng_cells = _cell_range(lng_lo - widen, lng_hi + widen, lng0, lng1, cell)
         for i in _cell_range(lat_lo - widen, lat_hi + widen, lat0, lat1, cell):
             for j in lng_cells:
                 cells.setdefault((i, j), []).append(entry)
-    grid = _SegmentGrid({key: tuple(entries) for key, entries in cells.items()},
+    grid = _SegmentGrid(tuple(entries), {key: tuple(near) for key, near in cells.items()},
                         lat0, lat1, lng0, lng1, cell)
     _GRIDS[net] = grid
     return grid
@@ -154,10 +163,9 @@ def candidates_for(net: RoadNetwork, point, radius_m: float) -> list[tuple[Segme
     window.  Each grid cell lists every segment whose box comes within one
     cell of it, so when the window is at most one cell wide on each side the
     cell that holds the point (clamped to the grid's box) lists every such
-    segment; a wider window reads the cells of the window narrowed by one
-    cell on each side.  Only the listed segments whose boxes meet the window
-    are projected, so the result is the same as projecting onto every
-    segment.
+    segment; a wider window reads every segment.  Only the listed segments
+    whose boxes meet the window are projected, so the result is the same as
+    projecting onto every segment.
     """
     grid = _segment_grid(net)
     kx, ky = _metres_per_degree(point.lat)
@@ -176,19 +184,7 @@ def candidates_for(net: RoadNetwork, point, radius_m: float) -> list[tuple[Segme
         entries = grid.cells.get((math.floor((lat - lat0) / cell),
                                   math.floor((lng - lng0) / cell)), ())
     else:
-        # the window narrowed by one cell on each side, down to the point on
-        # an axis where it is at most one cell wide, clamped to the grid's box
-        lat_in = max(0.0, half_lat - cell)
-        lng_in = max(0.0, half_lng - cell)
-        near = {}
-        lng_cells = _cell_range(min(point.lng - lng_in, lng1),
-                                max(point.lng + lng_in, lng0), lng0, lng1, cell)
-        for i in _cell_range(min(point.lat - lat_in, lat1),
-                             max(point.lat + lat_in, lat0), lat0, lat1, cell):
-            for j in lng_cells:
-                for entry in grid.cells.get((i, j), ()):
-                    near[entry[0].id] = entry
-        entries = [near[sid] for sid in sorted(near)]
+        entries = grid.entries
     found = []
     for seg, a, b, s_lat_lo, s_lat_hi, s_lng_lo, s_lng_hi in entries:
         if s_lat_lo > lat_hi or s_lat_hi < lat_lo or s_lng_lo > lng_hi or s_lng_hi < lng_lo:
@@ -225,12 +221,6 @@ class RouteDistanceCache:
         return km
 
 
-def _check_points(tr) -> None:
-    if len(tr) < 2:
-        raise InputError("map matching needs at least 2 GPS points")
-    check_gps(tr, "map matching")
-
-
 def viterbi_decode(net: RoadNetwork, tr, cfg: MatchConfig = MatchConfig()) -> list[str]:
     """Most likely candidate segment per GPS point.
 
@@ -238,7 +228,9 @@ def viterbi_decode(net: RoadNetwork, tr, cfg: MatchConfig = MatchConfig()) -> li
     equal to exhaustive enumeration of candidate sequences under the ordering
     (score desc, reversed id sequence asc).
     """
-    _check_points(tr)
+    if len(tr) < 2:
+        raise InputError("map matching needs at least 2 GPS points")
+    check_gps(tr, "map matching")
     cands: list[list[tuple[Segment, float, float]]] = []
     for i, p in enumerate(tr):
         found = candidates_for(net, p, cfg.candidate_radius)
@@ -248,10 +240,10 @@ def viterbi_decode(net: RoadNetwork, tr, cfg: MatchConfig = MatchConfig()) -> li
         cands.append(found)
 
     km = RouteDistanceCache(net).km
-    beta = cfg.transition_beta
+    beta = TRANSITION_BETA_KM
     neg_inf = -math.inf
     # score[j] aligns with cands[k]; back[k][j] is the chosen predecessor index
-    score = [emission_logprob(distance_m, cfg) for _, distance_m, _ in cands[0]]
+    score = [emission_logprob(distance_m) for _, distance_m, _ in cands[0]]
     back: list[list[int]] = []
 
     for k in range(1, len(tr)):
@@ -287,7 +279,7 @@ def viterbi_decode(net: RoadNetwork, tr, cfg: MatchConfig = MatchConfig()) -> li
                 if cand > best:  # strict: first (lowest-id) predecessor wins ties
                     best = cand
                     best_j = j
-            new_score.append(best + emission_logprob(distance_m, cfg)
+            new_score.append(best + emission_logprob(distance_m)
                              if best > neg_inf else neg_inf)
             pointers.append(best_j)
         if all(s == neg_inf for s in new_score):

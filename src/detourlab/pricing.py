@@ -187,7 +187,6 @@ def solve_price_adjustment(
 @dataclass(frozen=True)
 class IntervalStats:
     interval: int
-    label: str
     trip_count: int
     detour_count: int
     driver_count: int
@@ -224,7 +223,6 @@ def interval_stats(net, schedule: FareSchedule, trips) -> list[IntervalStats]:
     return [
         IntervalStats(
             interval=i,
-            label=schedule.intervals[i].label,
             trip_count=counts[i],
             detour_count=detours[i],
             driver_count=len(drivers[i]),

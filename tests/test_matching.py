@@ -9,6 +9,7 @@ import pytest
 from detourlab import matching
 from detourlab.errors import InputError, MatchError
 from detourlab.matching import (
+    TRANSITION_BETA_KM,
     MatchConfig,
     RouteDistanceCache,
     candidates_for,
@@ -43,10 +44,10 @@ def candidate_route_km(a, b, routes) -> float | None:
     return None if base is None else max(0.0, base - along_a + along_b)
 
 
-def transition_logprob(route_km: float | None, gc_km: float, cfg: MatchConfig) -> float:
+def transition_logprob(route_km: float | None, gc_km: float) -> float:
     if route_km is None:
         return -math.inf
-    return -abs(route_km - gc_km) / cfg.transition_beta
+    return -abs(route_km - gc_km) / TRANSITION_BETA_KM
 
 
 def reference_viterbi(net, tr, cfg):
@@ -61,21 +62,21 @@ def reference_viterbi(net, tr, cfg):
         cands.append(found)
 
     routes = SimpleNamespace(km=lambda a, b: route_km(net, a, b))
-    score = [emission_logprob(distance_m, cfg) for _, distance_m, _ in cands[0]]
+    score = [emission_logprob(distance_m) for _, distance_m, _ in cands[0]]
     back = []
     for k in range(1, len(tr)):
         gc = haversine_km(tr[k - 1], tr[k])
         new_score = []
         pointers = []
         for c in cands[k]:
-            emis = emission_logprob(c[1], cfg)
+            emis = emission_logprob(c[1])
             best = -math.inf
             best_j = -1
             for j, prev in enumerate(cands[k - 1]):
                 if score[j] == -math.inf:
                     continue
                 route = candidate_route_km(prev, c, routes)
-                cand = score[j] + transition_logprob(route, gc, cfg)
+                cand = score[j] + transition_logprob(route, gc)
                 if cand > best:
                     best = cand
                     best_j = j
@@ -106,17 +107,17 @@ def enumeration_best(net, tr, cfg):
     best_key = None
     best_seq = None
     for combo in itertools.product(*cands):
-        score = emission_logprob(combo[0][1], cfg)
+        score = emission_logprob(combo[0][1])
         feasible = True
         for k in range(1, len(tr)):
             a, b = combo[k - 1], combo[k]
             route = candidate_route_km(a, b, routes)
-            lp = transition_logprob(route, haversine_km(tr[k - 1], tr[k]), cfg)
+            lp = transition_logprob(route, haversine_km(tr[k - 1], tr[k]))
             if lp == -math.inf:
                 feasible = False
                 break
             score = score + lp
-            score = score + emission_logprob(b[1], cfg)
+            score = score + emission_logprob(b[1])
         if not feasible:
             continue
         key = (-score, tuple(seg.id for seg, _, _ in reversed(combo)))
@@ -186,7 +187,7 @@ def test_two_point_fixture_equals_enumeration(t_junction):
 
 
 def test_perturbed_point_still_matches_connected_path(t_junction):
-    cfg = MatchConfig(emission_sigma=25.0)
+    cfg = MatchConfig()
     # second point sits 20 m east of the southbound branch
     points = [
         offset_point(0.0, -0.3 / KM_PER_DEG, 2.0, 0.0, BASE_T),
@@ -310,10 +311,10 @@ def test_non_increasing_timestamps(t_junction):
 
 def test_bad_config_rejected():
     with pytest.raises(InputError):
-        MatchConfig(emission_sigma=0.0)
+        MatchConfig(candidate_radius=0.0)
 
 
-@pytest.mark.parametrize("field", ["emission_sigma", "candidate_radius", "transition_beta"])
+@pytest.mark.parametrize("field", ["candidate_radius"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
 def test_non_finite_config_rejected(field, bad):
     with pytest.raises(InputError):
@@ -550,6 +551,42 @@ def test_index_equals_linear_scan_on_cell_boundaries(index_grid):
                 linear_scan(index_grid, point, radius_m)
 
 
+def two_clusters(gap_deg):
+    """Two 3x3 two-way grids at 40° latitude, ``gap_deg`` of longitude apart."""
+    nodes = [Node(f"{k}_{i}_{j}", 40.0 + 0.004 * i, k * gap_deg + 0.005 * j)
+             for k in range(2) for i in range(3) for j in range(3)]
+    by_id = {n.id: n for n in nodes}
+    segments = []
+    for k in range(2):
+        for i in range(3):
+            for j in range(3):
+                for di, dj in ((0, 1), (1, 0)):
+                    if i + di < 3 and j + dj < 3:
+                        a, b = by_id[f"{k}_{i}_{j}"], by_id[f"{k}_{i + di}_{j + dj}"]
+                        length = haversine_km(a, b)
+                        segments.append(Segment(f"{a.id}>{b.id}", a.id, b.id, length, flat(40.0)))
+                        segments.append(Segment(f"{b.id}>{a.id}", b.id, a.id, length, flat(40.0)))
+    return RoadNetwork(nodes, segments)
+
+
+def test_index_equals_linear_scan_on_coarse_cells():
+    # 2.1° of longitude is more than _MAX_CELLS default cells, so the grid's
+    # cells widen to 1/512 of the network's width
+    net = two_clusters(2.1)
+    grid = matching._segment_grid(net)
+    assert grid.cell == pytest.approx(2.11 / matching._MAX_CELLS)
+    assert grid.cell > matching._CELL_DEG
+    rng = np.random.default_rng(12)
+    pad = 0.01
+    for k in range(2):
+        for _ in range(300):
+            point = GpsPoint(float(rng.uniform(40.0 - pad, 40.008 + pad)),
+                             float(rng.uniform(k * 2.1 - pad, k * 2.1 + 0.01 + pad)), BASE_T)
+            # a 250 m window is wider than a default cell but within a coarse one
+            for radius_m in (5.0, 25.0, 100.0, 250.0, 400.0, 2000.0):
+                assert candidates_for(net, point, radius_m) == linear_scan(net, point, radius_m)
+
+
 def test_index_is_built_on_first_use_only():
     net = generate_network(SimConfig(seed=5, grid_dims=(3, 3)))
     assert net not in matching._GRIDS
@@ -630,8 +667,8 @@ def polar_ring(lat):
 
 @pytest.mark.parametrize("lat", [89.9999, -89.9999])
 def test_index_near_the_poles_is_exact_and_bounded(index_grid, lat):
-    # at this latitude a 100 m window spans hundreds of degrees of longitude;
-    # it is clamped to the index's extent, so each lookup stays small
+    # at this latitude a 100 m window spans hundreds of degrees of longitude,
+    # so each lookup tests every segment's box, which stays small
     ring = polar_ring(math.copysign(89.9995, lat))
     found = 0
     start = time.perf_counter()

@@ -167,6 +167,21 @@ def test_route_km_none_exactly_where_no_route():
     assert unreachable > 0
 
 
+def test_distance_only_plan_leaves_a_zero_length_cycle():
+    # a>b and b>a add nothing to a km sum near 1, and a>g is 1 + 1e-17 km,
+    # which rounds to 1: every one of them is tight against the km table.
+    # Following the smallest tight id would bounce between a and b forever.
+    net = RoadNetwork(
+        [Node("s", 0.0, 0.0), Node("a", 0.0, 0.01), Node("b", 0.0, 0.01),
+         Node("g", 0.0, 0.02)],
+        [Segment(sid, frm, to, km, flat(40.0)) for sid, frm, to, km in (
+            ("o", "s", "a", 1.0), ("a>b", "a", "b", 1e-18), ("b>a", "b", "a", 1e-18),
+            ("b>g", "b", "g", 1.0), ("a>g", "a", "g", 1.0 + 1e-17), ("d", "g", "s", 1.0))],
+    )
+    plan = route_plan(net, "o", "d", BASE_T, RoutingWeights(1.0, 0.0))
+    assert plan.path == ("o", "a>b", "b>g")
+
+
 @pytest.mark.parametrize("depart", [math.nan, math.inf, -math.inf])
 def test_non_finite_departure_rejected(small_grid, depart):
     seg_ids = sorted(small_grid.segments)

@@ -30,16 +30,37 @@ def test_module_imports_on_its_own(module):
     assert done.returncode == 0, done.stderr
 
 
-def test_pipeline_then_replay(tmp_path):
-    out = tmp_path / "out"
+@pytest.fixture(scope="module")
+def pipeline_out(tmp_path_factory):
+    out = tmp_path_factory.mktemp("pipeline") / "out"
     done = run_script("run_pipeline.py", "--rows", 4, "--cols", 4, "--n-trips", 60, "--out", out)
     assert done.returncode == 0, done.stderr
-    kept = out / "filtered" / "kept.jsonl"
+    return out
+
+
+def replay(out, *args):
+    return run_script("replay_warnings.py", "--network", out / "network.json",
+                      "--model", out / "model.json",
+                      "--trips", out / "filtered" / "kept.jsonl", *args)
+
+
+def test_pipeline_then_replay(pipeline_out):
+    kept = pipeline_out / "filtered" / "kept.jsonl"
     behaviors = {json.loads(line)["behavior"] for line in kept.read_text().splitlines()}
 
-    done = run_script("replay_warnings.py", "--network", out / "network.json",
-                      "--model", out / "model.json", "--trips", kept)
+    done = replay(pipeline_out)
     assert done.returncode == 0, done.stderr
     header, *rows = done.stdout.splitlines()
     assert header.split() == ["behavior", "trips", "warned", "at", "end", "first", "warn"]
     assert sorted(row.split()[0] for row in rows) == sorted(behaviors)
+
+
+def test_replay_limit(pipeline_out):
+    done = replay(pipeline_out, "--limit", 3)
+    assert done.returncode == 0, done.stderr
+    assert sum(int(row.split()[1]) for row in done.stdout.splitlines()[1:]) == 3
+    # 0 is not "no limit", and a negative count does not slice from the end
+    for bad in ("0", "-5"):
+        done = replay(pipeline_out, "--limit", bad)
+        assert done.returncode == 2, (bad, done.stdout)
+        assert "--limit" in done.stderr
