@@ -12,12 +12,14 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import FitError, InputError, read_json_file, read_number
 from .routing import RoutePlanStep
 from .trips import TripRecord, trajectory_distance_km, trajectory_minutes
+
+if TYPE_CHECKING:  # numpy is imported by the fit's functions that use it, not at start-up
+    import numpy as np
 
 _GRAD_TOL = 1e-8  # Newton stops once the gradient infinity-norm is below this
 _MAX_STEPS = 100
@@ -70,6 +72,8 @@ def offline_features(net, trip: TripRecord) -> FeatureVector:
 
 
 def _design(samples) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     X = np.array(
         [[1.0, fv.extra_distance_ratio, fv.extra_time_ratio] for fv, _ in samples]
     )
@@ -78,10 +82,14 @@ def _design(samples) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
@@ -92,6 +100,8 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 def log_likelihood(beta: np.ndarray, X: np.ndarray, y: np.ndarray, ridge: float = 0.0) -> float:
     """Bernoulli log-likelihood of the logistic model, optionally ridged."""
+    import numpy as np
+
     theta = X @ beta
     ll = float(np.sum(y * theta - _softplus(theta)))
     if ridge:
@@ -108,6 +118,8 @@ def log_likelihood_gradient(beta, X, y, ridge: float = 0.0) -> np.ndarray:
 
 def _information(beta: np.ndarray, X: np.ndarray, ridge: float) -> np.ndarray:
     """Information matrix (negative Hessian) of the ridged log-likelihood."""
+    import numpy as np
+
     probs = _sigmoid(X @ beta)
     return X.T @ (X * (probs * (1.0 - probs))[:, None]) + ridge * np.eye(X.shape[1])
 
@@ -130,6 +142,8 @@ def train(samples, ridge: float = 0.0) -> TrainReport:
     separable data with no ridge has no finite maximizer; that case is
     reported with ``converged=False`` and a diagnostic instead of an error.
     """
+    import numpy as np
+
     check_ridge(ridge)
     X, y = _design(samples)
     positives = int(np.sum(y))

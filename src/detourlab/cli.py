@@ -33,8 +33,6 @@ def _from_json(cls, data, where: str):
     Each value is read by ``_json_value`` against the field's default;
     anything else is an InputError.
     """
-    if not isinstance(data, dict):
-        raise InputError(f"{where} must be a JSON object")
     names = {f.name for f in fields(cls)}
     defaults = cls()
     values = {}
@@ -49,16 +47,16 @@ def _json_value(value, default, where: str):
     """``value`` converted to the type of ``default``, or an InputError.
 
     The value must have the JSON type of the default; a bool never counts as
-    a number.  A nested dataclass is read by ``_from_json``, a tuple must
-    match the default's length and element types, and every value of a dict
-    must have the type of the default's values.
+    a number.  A nested dataclass is read by ``_from_json`` from a dict, a
+    tuple must match the default's length and element types, and every value
+    of a dict must have the type of the default's values.
     """
-    if is_dataclass(default):
-        return _from_json(type(default), value, where)
-    want = type(default)
+    want = dict if is_dataclass(default) else type(default)
     if isinstance(value, bool) != (want is bool) or not isinstance(value, _JSON_TYPES[want]):
         kinds = " or ".join(t.__name__ for t in _JSON_TYPES[want])
         raise InputError(f"{where} must be {kinds}, got {value!r}")
+    if is_dataclass(default):
+        return _from_json(type(default), value, where)
     if want is tuple:
         if len(value) != len(default):
             raise InputError(f"{where} must have {len(default)} elements, got {value!r}")

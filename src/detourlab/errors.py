@@ -43,34 +43,53 @@ class DataFormatError(DetourlabError):
 # nested too deep to parse, and a missing key, wrong type or failed check
 _BAD_INPUT = (KeyError, TypeError, ValueError, RecursionError, InputError)
 
+# JSON's names for the parsed value types, so that a message names what the file holds
+_JSON_KINDS = {list: "an array", str: "a string", bool: "a boolean", int: "a number",
+               float: "a number", type(None): "null"}
+
+
+def _parse_object(data: bytes, parse):
+    """``parse`` applied to the JSON object in the UTF-8 bytes ``data``."""
+    value = json.loads(data.decode("utf-8"))
+    if not isinstance(value, dict):
+        raise InputError(f"expected a JSON object, got {_JSON_KINDS[type(value)]}")
+    return parse(value)
+
+
+def _reason(exc: Exception) -> str:
+    """What went wrong, in the input's terms: a KeyError's text is only the key."""
+    return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+
 
 def read_json_file(path, what: str, parse):
-    """``parse`` applied to the JSON value in the UTF-8 file at ``path``.
+    """``parse`` applied to the JSON object in the UTF-8 file at ``path``.
 
     A missing path or a directory raises the OSError that opening it raises
-    (command-line exit code 2); any other failure raises InputError naming
-    ``what`` and the path (exit code 3).
+    (command-line exit code 2); any other failure, a value that is not an
+    object included, raises InputError naming ``what`` and the path (exit
+    code 3).
     """
     data = Path(path).read_bytes()
     try:
-        return parse(json.loads(data.decode("utf-8")))
+        return _parse_object(data, parse)
     except _BAD_INPUT as exc:
-        raise InputError(f"bad {what} file {path}: {exc}") from exc
+        raise InputError(f"bad {what} file {path}: {_reason(exc)}") from exc
 
 
 def read_jsonl(lines, what: str, parse):
     """``(line number, parse(value))`` for each non-blank line of ``lines``.
 
     ``lines`` yields bytes (a binary file, or ``sys.stdin.buffer``), read one
-    UTF-8 JSON line at a time.  Any failure raises DataFormatError naming the line.
+    UTF-8 JSON object per line.  Any failure raises DataFormatError naming the line.
     """
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
-            value = parse(json.loads(line.decode("utf-8")))
+            value = _parse_object(line, parse)
         except _BAD_INPUT as exc:
-            raise DataFormatError(f"{what}, line {lineno}: {exc}", line=lineno) from exc
+            raise DataFormatError(f"{what}, line {lineno}: {_reason(exc)}",
+                                  line=lineno) from exc
         yield lineno, value
 
 

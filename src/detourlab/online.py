@@ -183,8 +183,10 @@ def stage_auc(net: RoadNetwork, model: LogitModel, trips,
     Each trip is scored at the last step inside the first k/``STAGES`` of its
     steps (ceiling); the per-stage AUC ranks those scores against the labels.
     A trip counts as warned at stage k if any warning was active at or
-    before that step.
+    before that step.  Unlabeled trips are left out, as in the offline
+    evaluation.
     """
+    trips = [t for t in trips if t.label != "unlabeled"]
     labels = [1 if t.label == "detour" else 0 for t in trips]
     if sum(labels) in (0, len(labels)):
         raise FitError("stage AUC is undefined without both classes")

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InputError, NoRouteError
 from .network import (
@@ -24,6 +23,9 @@ from .network import (
 )
 from .routing import RoutingWeights, entry_times, route_plan
 from .trips import AbstractTrajectory, DriverRecord, TrajStep, TripRecord
+
+if TYPE_CHECKING:  # numpy is imported by the generators that use it, not at start-up
+    import numpy as np
 
 BEHAVIORS = ("normal", "detour", "avoid_congestion", "shortcut")
 
@@ -78,12 +80,16 @@ class SimConfig:
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
+    import numpy as np
+
     return np.random.default_rng(np.random.SeedSequence([seed, stream]))
 
 
 def _demand_weights() -> np.ndarray:
     """Per-minute trip demand over the day: morning and evening peaks over a
     base level, with the small hours quiet."""
+    import numpy as np
+
     hours = (np.arange(1440) + 0.5) / 60.0
     w = (
         0.30
@@ -91,9 +97,6 @@ def _demand_weights() -> np.ndarray:
         + 0.9 * np.exp(-0.5 * ((hours - 18.0) / 1.8) ** 2)
     )
     return w / w.sum()
-
-
-_DEMAND = _demand_weights()
 
 
 def generate_network(cfg: SimConfig) -> RoadNetwork:
@@ -258,8 +261,11 @@ def generate_trips(
     and opportunity-cost numbers their shape.  Returns the trips and, per
     driver, the ids of the trips they drove.
     """
+    import numpy as np
+
     rng = _rng(cfg.seed, 2)
     gps_rng = _rng(cfg.seed, 3)
+    demand = _demand_weights()
 
     names = [b for b in BEHAVIORS if cfg.behavior_mix.get(b, 0.0) > 0.0]
     probs = np.array([cfg.behavior_mix[b] for b in names])
@@ -273,7 +279,7 @@ def generate_trips(
 
     for j in range(cfg.n_trips):
         driver = f"d{int(rng.integers(cfg.n_drivers))}"
-        minute = float(rng.choice(1440, p=_DEMAND)) + float(rng.uniform(0.0, 1.0))
+        minute = float(rng.choice(1440, p=demand)) + float(rng.uniform(0.0, 1.0))
         t_start = BASE_EPOCH + 60.0 * minute
         p = probs
         if cfg.night_detour_boost > 0 and "detour" in names and minute < 360.0:

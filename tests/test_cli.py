@@ -431,17 +431,88 @@ def test_jsonl_input_that_is_not_utf8_exits_3_naming_the_line(pipeline_dir, tmp_
     assert "line 2" in capsys.readouterr().err
 
 
-def test_events_on_stdin_that_are_not_utf8_exit_3(pipeline_dir):
-    # stdin is read as bytes, so the outcome does not depend on the locale
+@pytest.mark.parametrize("flag", ["--trips", "--events"])
+def test_jsonl_line_that_is_not_an_object_exits_3_saying_so(pipeline_dir, tmp_path, capsys,
+                                                            flag):
     root, net, data, filt, model = pipeline_dir
+    bad = tmp_path / "input.jsonl"
+    bad.write_bytes(b"\n[1, 2]\n")
+    command = ["eval", "--trips"] if flag == "--trips" else ["detect", "--events"]
+    assert run([*command, bad, "--network", net, "--model", model,
+                "--out", tmp_path / "out"]) == 3
+    assert "line 2: expected a JSON object, got an array" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("[1, 2]", "expected a JSON object, got an array"),
+    ('{"id": 1}', "missing key 'nodes'"),
+], ids=["not_an_object", "missing_key"])
+def test_bad_network_file_says_what_is_wrong(tmp_path, capsys, text, reason):
+    bad = tmp_path / "badnet.json"
+    bad.write_text(text)
+    assert run(["gen-trips", "--network", bad, "--out", tmp_path / "out"]) == 3
+    assert capsys.readouterr().err.strip().endswith(f"bad network file {bad}: {reason}")
+
+
+def _python(args, **kwargs) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports the package from this checkout's ``src``."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-m", "detourlab.cli", "detect", "--network", str(net),
-                           "--model", str(model), "--events", "-"],
-                          input=b"\xff\n", env=env, capture_output=True, timeout=300)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=300,
+                          **kwargs)
+
+
+def test_events_on_stdin_that_are_not_utf8_exit_3(pipeline_dir):
+    # stdin is read as bytes, so the outcome does not depend on the locale
+    root, net, data, filt, model = pipeline_dir
+    done = _python(["-m", "detourlab.cli", "detect", "--network", str(net),
+                    "--model", str(model), "--events", "-"], input=b"\xff\n")
     assert done.returncode == 3, done.stderr
     assert b"line 1" in done.stderr
+
+
+# prints whether numpy is loaded after the statements before it
+_NUMPY_PROBE = "\nimport sys\nprint('numpy' in sys.modules)"
+
+
+def test_importing_the_package_does_not_load_numpy():
+    modules = ("cli", "matching", "online", "pricing", "trips", "network", "routing", "charts",
+               "errors")
+    done = _python(["-c", "".join(f"import detourlab.{m}\n" for m in modules) + _NUMPY_PROBE],
+                   text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
+
+
+@pytest.mark.parametrize("command, loads_numpy", [
+    ("filter", False), ("eval", False), ("detect", False), ("stage-report", False),
+    ("pricing", False), ("report", False), ("gen-network", True),
+])
+def test_only_the_simulator_and_the_fit_load_numpy(pipeline_dir, tmp_path, command, loads_numpy):
+    # gen-network does load it, which shows that the probe can see numpy
+    root, net, data, filt, model = pipeline_dir
+    trip = json.loads((filt / "kept.jsonl").read_text().splitlines()[0])
+    events = tmp_path / "events.jsonl"
+    events.write_text("".join(
+        json.dumps({"trip_id": trip["trip_id"], "segment": st["segment"], "t": st["t"],
+                    **({"dest": trip["atr"][-1]["segment"]} if i == 0 else {})}) + "\n"
+        for i, st in enumerate(trip["atr"])))
+    args = {
+        "filter": ["--network", net, "--trips", data / "trips.jsonl"],
+        "eval": ["--network", net, "--model", model, "--trips", filt / "kept.jsonl"],
+        "detect": ["--network", net, "--model", model, "--events", events],
+        "stage-report": ["--network", net, "--model", model, "--trips", filt / "kept.jsonl"],
+        "pricing": ["--network", net, "--trips", filt / "kept.jsonl", "--schedule", "beijing"],
+        "report": ["--network", net, "--model", model, "--trips", filt / "kept.jsonl",
+                   "--schedule", "beijing"],
+        "gen-network": ["--seed", 5, "--rows", 3, "--cols", 3],
+    }[command]
+    argv = [command, *map(str, args), "--out", str(tmp_path / "out")]
+    code = f"from detourlab.cli import main\nassert main({argv!r}) == 0" + _NUMPY_PROBE
+    done = _python(["-c", code], text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[-1] == str(loads_numpy)
 
 
 def test_missing_input_exits_2(tmp_path):
@@ -470,6 +541,7 @@ def test_validation_failure_exits_3(tmp_path):
 @pytest.mark.parametrize("text", [
     "{not json",
     "[]",
+    '{"sim": 5}',
     '{"sim": {"bogus": 1}}',
     '{"sim": {"n_trips": "40"}}',
     '{"sim": {"grid_dims": ["a", "b"]}}',
@@ -487,11 +559,11 @@ def test_validation_failure_exits_3(tmp_path):
     '{"sim": {"gps_noise_m": NaN}}',
     '{"sim": {"gps_period_s": Infinity}}',
     '{"sim": {"night_detour_boost": NaN}}',
-], ids=["invalid_json", "not_an_object", "unknown_key", "wrong_type", "tuple_element_type",
-        "tuple_length", "tuple_float_for_int", "dict_value_type", "dict_value_null",
-        "removed_match_key", "removed_full_plans_key", "removed_duty_minutes_key",
-        "nan_weight", "nan_filter_rule", "nan_behavior_mix", "nan_detour_inflation",
-        "nan_gps_noise", "inf_gps_period", "nan_night_boost"])
+], ids=["invalid_json", "not_an_object", "section_not_an_object", "unknown_key", "wrong_type",
+        "tuple_element_type", "tuple_length", "tuple_float_for_int", "dict_value_type",
+        "dict_value_null", "removed_match_key", "removed_full_plans_key",
+        "removed_duty_minutes_key", "nan_weight", "nan_filter_rule", "nan_behavior_mix",
+        "nan_detour_inflation", "nan_gps_noise", "inf_gps_period", "nan_night_boost"])
 def test_bad_config_file_exits_3(tmp_path, text):
     config = tmp_path / "config.json"
     config.write_text(text)

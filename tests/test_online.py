@@ -169,6 +169,15 @@ def test_stage_auc_final_stage_matches_offline(sim_dataset):
     assert all(a.warned_trips <= b.warned_trips for a, b in zip(stages, stages[1:]))
 
 
+def test_stage_auc_leaves_unlabeled_trips_out(sim_dataset):
+    net, trips, _ = sim_dataset
+    mixed = [dataclasses.replace(t, label="unlabeled") if i % 3 == 0 else t
+             for i, t in enumerate(trips[:120])]
+    labeled = [t for t in mixed if t.label != "unlabeled"]
+    assert {t.label for t in labeled} == {"detour", "normal"}
+    assert stage_auc(net, BEIJING, mixed) == stage_auc(net, BEIJING, labeled)
+
+
 def test_stage_auc_perfect_from_step_two(loop_net):
     normals = [
         as_trip(loop_net, [f"e{i}" for i in range(8)], T0 + 60.0 * j, f"n{j}", "normal")
