@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import FitError, InputError, read_json_file, read_number
+from .errors import FitError, InputError, check_ridge, read_json_file, read_number
 from .routing import RoutePlanStep
 from .trips import TripRecord, trajectory_distance_km, trajectory_minutes
 
@@ -122,12 +122,6 @@ def _information(beta: np.ndarray, X: np.ndarray, ridge: float) -> np.ndarray:
 
     probs = _sigmoid(X @ beta)
     return X.T @ (X * (probs * (1.0 - probs))[:, None]) + ridge * np.eye(X.shape[1])
-
-
-def check_ridge(ridge: float) -> None:
-    """InputError unless the ridge penalty is finite and non-negative."""
-    if not (math.isfinite(ridge) and ridge >= 0.0):
-        raise InputError(f"ridge must be finite and non-negative, got {ridge}")
 
 
 def train(samples, ridge: float = 0.0) -> TrainReport:

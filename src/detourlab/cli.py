@@ -4,6 +4,10 @@ Every command is a pure function of (inputs, config, seed): re-running with
 the same arguments overwrites outputs byte-identically.  Exit codes: 0 ok,
 2 missing input file (or a directory given as one), 3 validation failure,
 4 internal invariant breach.
+
+Each command imports the modules it runs when it runs: the classifier, the
+live detector, the pricing analysis and the charts load only for the
+commands that use them.
 """
 
 from __future__ import annotations
@@ -15,16 +19,19 @@ from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
-from . import charts, classifier, online, pricing, trips as trips_mod
-from .errors import (DataFormatError, DetourlabError, FitError, InputError, read_json_file,
-                     read_jsonl, read_number, read_string)
+from . import trips as trips_mod
+from .errors import (DataFormatError, DetourlabError, FitError, InputError, check_ridge,
+                     read_json_file, read_jsonl, read_number, read_string)
 from .network import load_network, save_network
 from .routing import RoutingWeights
 from .simulate import SimConfig, generate_network, generate_trips
 
 
-# JSON value types a config key may hold, by the type of the key's default
-_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), tuple: (list,), dict: (dict,)}
+# the parsed JSON types a config key may hold, and their name in JSON, by the
+# type of the key's default
+_JSON_TYPES = {bool: ((bool,), "a boolean"), int: ((int,), "an integer"),
+               float: ((int, float), "a number"), tuple: ((list,), "an array"),
+               dict: ((dict,), "an object")}
 
 
 def _from_json(cls, data, where: str):
@@ -52,14 +59,14 @@ def _json_value(value, default, where: str):
     of a dict must have the type of the default's values.
     """
     want = dict if is_dataclass(default) else type(default)
-    if isinstance(value, bool) != (want is bool) or not isinstance(value, _JSON_TYPES[want]):
-        kinds = " or ".join(t.__name__ for t in _JSON_TYPES[want])
-        raise InputError(f"{where} must be {kinds}, got {value!r}")
+    types, kind = _JSON_TYPES[want]
+    if isinstance(value, bool) != (want is bool) or not isinstance(value, types):
+        raise InputError(f"{where} must be {kind}, got {json.dumps(value)}")
     if is_dataclass(default):
         return _from_json(type(default), value, where)
     if want is tuple:
         if len(value) != len(default):
-            raise InputError(f"{where} must have {len(default)} elements, got {value!r}")
+            raise InputError(f"{where} must have {len(default)} elements, got {json.dumps(value)}")
         return tuple(_json_value(v, d, f"{where}[{i}]")
                      for i, (v, d) in enumerate(zip(value, default)))
     if want is dict:
@@ -78,7 +85,7 @@ class RunConfig:
     ridge: float = 0.0
 
     def __post_init__(self):
-        classifier.check_ridge(self.ridge)
+        check_ridge(self.ridge)
 
     @staticmethod
     def from_dict(data: dict) -> "RunConfig":
@@ -111,6 +118,8 @@ def _write_csv(path, header, rows) -> None:
 
 
 def _labeled_samples(net, trips):
+    from . import classifier
+
     samples = []
     for trip in trips:
         if trip.label == "unlabeled":
@@ -120,7 +129,9 @@ def _labeled_samples(net, trips):
     return samples
 
 
-def _schedule_arg(name_or_path: str) -> pricing.FareSchedule:
+def _schedule_arg(name_or_path: str):
+    from . import pricing
+
     if name_or_path in pricing.DEFAULT_SCHEDULES:
         return pricing.DEFAULT_SCHEDULES[name_or_path]
     return pricing.load_schedule(name_or_path)
@@ -177,6 +188,8 @@ def cmd_filter(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from . import classifier
+
     config = _config_for(args)
     ridge = args.ridge if args.ridge is not None else config.ridge
     net = load_network(args.network)
@@ -196,6 +209,8 @@ def cmd_train(args) -> int:
 
 def _write_roc(path, net, model, trips) -> tuple[float, int]:
     """Write roc.csv; returns the AUC and the number of labeled trips."""
+    from . import classifier
+
     samples = _labeled_samples(net, trips)
     auc, roc = classifier.evaluate_roc_auc(model, samples)
     _write_csv(path, ("fpr", "tpr"), roc)
@@ -203,6 +218,8 @@ def _write_roc(path, net, model, trips) -> tuple[float, int]:
 
 
 def cmd_eval(args) -> int:
+    from . import classifier
+
     _config_for(args)  # eval reads no config value, but a bad config file still fails
     net = load_network(args.network)
     model = classifier.load_model(args.model)
@@ -221,6 +238,8 @@ def _read_event(event: dict) -> tuple:
 
 
 def cmd_detect(args) -> int:
+    from . import classifier, online
+
     config = _config_for(args)
     net = load_network(args.network)
     model = classifier.load_model(args.model)
@@ -265,6 +284,8 @@ def cmd_detect(args) -> int:
 
 def _write_stage_auc(path, net, model, trips, weights) -> list[tuple]:
     """Write stage_auc.csv; returns its (stage, auc, warned_count) rows."""
+    from . import online
+
     rows = [(r.stage, r.auc, r.warned_trips)
             for r in online.stage_auc(net, model, trips, weights)]
     _write_csv(path, ("stage", "auc", "warned_count"), rows)
@@ -272,6 +293,8 @@ def _write_stage_auc(path, net, model, trips, weights) -> list[tuple]:
 
 
 def cmd_stage_report(args) -> int:
+    from . import classifier
+
     config = _config_for(args)
     net = load_network(args.network)
     model = classifier.load_model(args.model)
@@ -290,6 +313,8 @@ _INTERVAL_HEADER = (
 
 def _write_intervals(path, net, schedule, trips):
     """Write intervals.csv; returns ``pricing.interval_report``'s rows and fit."""
+    from . import pricing
+
     rows, fit = pricing.interval_report(net, schedule, trips)
     out = []
     for row, iv in zip(rows, schedule.intervals):  # one row per interval, in order
@@ -321,6 +346,8 @@ def cmd_pricing(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from . import charts, classifier
+
     config = _config_for(args)
     net = load_network(args.network)
     model = classifier.load_model(args.model)

@@ -1,6 +1,7 @@
 """Exception types shared across the package, the one reader for each kind of
-input, a JSON file (``read_json_file``) or a JSONL stream (``read_jsonl``), and
-the strict number and string readers every parser uses on the parsed JSON."""
+input, a JSON file (``read_json_file``) or a JSONL stream (``read_jsonl``), the
+strict number and string readers every parser uses on the parsed JSON, and the
+ridge rule that both the fit and the run config check."""
 
 import json
 import math
@@ -100,15 +101,27 @@ def read_number(value, what: str) -> float:
     string is not parsed, so ``true`` or ``"60"`` in a file fails instead of
     loading as 1.0 or 60.0.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InputError(f"{what} must be a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer too large for a float
-        number = math.inf
+    number = value
+    if type(value) is not float:  # JSON's 1.5 is an exact float and needs only the finite test
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise InputError(f"{what} must be a number, got {value!r}")
+        try:
+            number = float(value)
+        except OverflowError:  # an integer too large for a float
+            number = math.inf
     if not math.isfinite(number):
         raise InputError(f"{what} must be finite, got {value!r}")
     return number
+
+
+def check_ridge(ridge: float) -> None:
+    """InputError unless the ridge penalty is finite and non-negative.
+
+    The one ridge rule: the fit checks its argument and a run config its
+    field, and the config is built without importing the fit.
+    """
+    if not (math.isfinite(ridge) and ridge >= 0.0):
+        raise InputError(f"ridge must be finite and non-negative, got {ridge}")
 
 
 def read_string(value, what: str) -> str:

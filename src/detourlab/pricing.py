@@ -186,8 +186,12 @@ def solve_price_adjustment(
 
 @dataclass(frozen=True)
 class IntervalStats:
+    """One interval's aggregates.  Every trip counts toward the trip, driver,
+    income and excess figures; only labeled trips count toward the detour ratio."""
+
     interval: int
     trip_count: int
+    labeled_count: int
     detour_count: int
     driver_count: int
     total_income: float
@@ -196,13 +200,15 @@ class IntervalStats:
 
     @property
     def detour_ratio(self) -> float:
-        return self.detour_count / self.trip_count if self.trip_count else 0.0
+        """Detours among the interval's labeled trips; 0.0 when none is labeled."""
+        return self.detour_count / self.labeled_count if self.labeled_count else 0.0
 
 
 def interval_stats(net, schedule: FareSchedule, trips) -> list[IntervalStats]:
     """Per-interval traffic, detour, income, and excess-usage aggregates."""
     n = len(schedule.intervals)
     counts = [0] * n
+    labeled = [0] * n
     detours = [0] * n
     drivers: list[set] = [set() for _ in range(n)]
     income = [0.0] * n
@@ -212,8 +218,9 @@ def interval_stats(net, schedule: FareSchedule, trips) -> list[IntervalStats]:
         start_minute = minute_of_day(trip.atr.steps[0].t)
         i = schedule.interval_index(start_minute)
         counts[i] += 1
-        if trip.label == "detour":
-            detours[i] += 1
+        if trip.label != "unlabeled":
+            labeled[i] += 1
+            detours[i] += trip.label == "detour"
         drivers[i].add(trip.driver_id)
         dist = trajectory_distance_km(net, trip.atr)
         minutes = trajectory_minutes(trip.atr)
@@ -224,6 +231,7 @@ def interval_stats(net, schedule: FareSchedule, trips) -> list[IntervalStats]:
         IntervalStats(
             interval=i,
             trip_count=counts[i],
+            labeled_count=labeled[i],
             detour_count=detours[i],
             driver_count=len(drivers[i]),
             total_income=income[i],
@@ -248,8 +256,9 @@ def interval_report(
     """Full long-term analysis: stats, utilities, fit, and adjustments.
 
     The target utility ``u0`` comes from regressing this dataset's
-    per-interval detour ratio on its utility.  Intervals without traffic, and
-    datasets where the fit is degenerate, leave the dependent columns
+    per-interval detour ratio on its utility; an interval without a labeled
+    trip has no ratio and stays out of the fit.  Intervals without traffic,
+    and datasets where the fit is degenerate, leave the dependent columns
     unavailable rather than failing.
     """
     stats = interval_stats(net, schedule, trips)
@@ -264,7 +273,8 @@ def interval_report(
         costs.append(a4)
         utilities.append(detour_utility(schedule, st.interval, a4))
 
-    points = [(u, st.detour_ratio) for st, u in zip(stats, utilities) if u is not None]
+    points = [(u, st.detour_ratio) for st, u in zip(stats, utilities)
+              if u is not None and st.labeled_count]
     try:
         fit = fit_ratio_utility(points)
         u0 = fit.u0

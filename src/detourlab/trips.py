@@ -279,10 +279,11 @@ def trip_from_dict(d: dict) -> TripRecord:
         recorded_destination=_lat_lng(d["recorded_destination"], "recorded_destination"),
         actual_destination=_lat_lng(d["actual_destination"], "actual_destination"),
         label=read_string(d["label"], "label"),
-        raw_gps=None if raw is None else tuple(
-            GpsPoint(*(read_number(p[k], f"raw_gps {k}") for k in ("lat", "lng", "t")))
+        raw_gps=None if raw is None else tuple([
+            GpsPoint(read_number(p["lat"], "raw_gps lat"), read_number(p["lng"], "raw_gps lng"),
+                     read_number(p["t"], "raw_gps t"))
             for p in raw
-        ),
+        ]),
         behavior=(None if d.get("behavior") is None
                   else read_string(d["behavior"], "behavior")),
     )

@@ -443,6 +443,23 @@ def test_jsonl_line_that_is_not_an_object_exits_3_saying_so(pipeline_dir, tmp_pa
     assert "line 2: expected a JSON object, got an array" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad, reason", [
+    ("true", "must be a number, got True"), ('"1"', "must be a number, got '1'"),
+    ("NaN", "must be finite, got nan"),
+], ids=["boolean", "string", "nan"])
+def test_trip_file_with_a_bad_gps_number_exits_3_naming_the_line(pipeline_dir, tmp_path,
+                                                                 capsys, bad, reason):
+    root, net, data, filt, model = pipeline_dir
+    lines = (data / "trips.jsonl").read_text().splitlines()[:3]
+    d = json.loads(lines[2])
+    d["raw_gps"][1]["lng"] = "BAD"
+    lines[2] = json.dumps(d).replace('"BAD"', bad)
+    trips = tmp_path / "trips.jsonl"
+    trips.write_text("\n".join(lines) + "\n")
+    assert run(["filter", "--network", net, "--trips", trips, "--out", tmp_path / "out"]) == 3
+    assert f"line 3: raw_gps lng {reason}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text, reason", [
     ("[1, 2]", "expected a JSON object, got an array"),
     ('{"id": 1}', "missing key 'nodes'"),
@@ -474,6 +491,9 @@ def test_events_on_stdin_that_are_not_utf8_exit_3(pipeline_dir):
 
 # prints whether numpy is loaded after the statements before it
 _NUMPY_PROBE = "\nimport sys\nprint('numpy' in sys.modules)"
+# prints the package's loaded modules after the statements before it
+_MODULES_PROBE = ("\nimport sys\n"
+                  "print(*sorted(m for m in sys.modules if m.startswith('detourlab.')))")
 
 
 def test_importing_the_package_does_not_load_numpy():
@@ -485,34 +505,66 @@ def test_importing_the_package_does_not_load_numpy():
     assert done.stdout.split() == ["False"]
 
 
+def _after_command(pipeline_dir, tmp_path, command, probe) -> str:
+    """The last output line of ``probe`` run after ``command`` in a fresh interpreter.
+
+    ``command`` runs through ``main`` on the shared pipeline's files and must
+    succeed; None runs no command, only ``import detourlab.cli``.
+    """
+    if command is None:
+        code = "import detourlab.cli"
+    else:
+        root, net, data, filt, model = pipeline_dir
+        trip = json.loads((filt / "kept.jsonl").read_text().splitlines()[0])
+        events = tmp_path / "events.jsonl"
+        events.write_text("".join(
+            json.dumps({"trip_id": trip["trip_id"], "segment": st["segment"], "t": st["t"],
+                        **({"dest": trip["atr"][-1]["segment"]} if i == 0 else {})}) + "\n"
+            for i, st in enumerate(trip["atr"])))
+        args = {
+            "gen-network": ["--seed", 5, "--rows", 3, "--cols", 3],
+            "gen-trips": ["--network", net, "--seed", 5, "--n-trips", 5],
+            "filter": ["--network", net, "--trips", data / "trips.jsonl"],
+            "train": ["--network", net, "--trips", filt / "kept.jsonl", "--ridge", "1e-6"],
+            "eval": ["--network", net, "--model", model, "--trips", filt / "kept.jsonl"],
+            "detect": ["--network", net, "--model", model, "--events", events],
+            "stage-report": ["--network", net, "--model", model, "--trips", filt / "kept.jsonl"],
+            "pricing": ["--network", net, "--trips", filt / "kept.jsonl",
+                        "--schedule", "beijing"],
+            "report": ["--network", net, "--model", model, "--trips", filt / "kept.jsonl",
+                       "--schedule", "beijing"],
+        }[command]
+        argv = [command, *map(str, args), "--out", str(tmp_path / "out")]
+        code = f"from detourlab.cli import main\nassert main({argv!r}) == 0"
+    done = _python(["-c", code + probe], text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
+
+
 @pytest.mark.parametrize("command, loads_numpy", [
     ("filter", False), ("eval", False), ("detect", False), ("stage-report", False),
     ("pricing", False), ("report", False), ("gen-network", True),
 ])
 def test_only_the_simulator_and_the_fit_load_numpy(pipeline_dir, tmp_path, command, loads_numpy):
     # gen-network does load it, which shows that the probe can see numpy
-    root, net, data, filt, model = pipeline_dir
-    trip = json.loads((filt / "kept.jsonl").read_text().splitlines()[0])
-    events = tmp_path / "events.jsonl"
-    events.write_text("".join(
-        json.dumps({"trip_id": trip["trip_id"], "segment": st["segment"], "t": st["t"],
-                    **({"dest": trip["atr"][-1]["segment"]} if i == 0 else {})}) + "\n"
-        for i, st in enumerate(trip["atr"])))
-    args = {
-        "filter": ["--network", net, "--trips", data / "trips.jsonl"],
-        "eval": ["--network", net, "--model", model, "--trips", filt / "kept.jsonl"],
-        "detect": ["--network", net, "--model", model, "--events", events],
-        "stage-report": ["--network", net, "--model", model, "--trips", filt / "kept.jsonl"],
-        "pricing": ["--network", net, "--trips", filt / "kept.jsonl", "--schedule", "beijing"],
-        "report": ["--network", net, "--model", model, "--trips", filt / "kept.jsonl",
-                   "--schedule", "beijing"],
-        "gen-network": ["--seed", 5, "--rows", 3, "--cols", 3],
-    }[command]
-    argv = [command, *map(str, args), "--out", str(tmp_path / "out")]
-    code = f"from detourlab.cli import main\nassert main({argv!r}) == 0" + _NUMPY_PROBE
-    done = _python(["-c", code], text=True)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split()[-1] == str(loads_numpy)
+    assert _after_command(pipeline_dir, tmp_path, command, _NUMPY_PROBE) == str(loads_numpy)
+
+
+# what every command loads: the config, the network, the planner, the simulator
+# and the trip files
+_CORE = ("cli", "errors", "network", "routing", "simulate", "trips")
+
+
+@pytest.mark.parametrize("command, more", [
+    (None, ()), ("gen-network", ()), ("gen-trips", ()), ("filter", ()),
+    ("train", ("classifier",)), ("eval", ("classifier",)),
+    ("detect", ("classifier", "online")), ("stage-report", ("classifier", "online")),
+    ("pricing", ("pricing",)), ("report", ("charts", "classifier", "online", "pricing")),
+], ids=["import", "gen-network", "gen-trips", "filter", "train", "eval", "detect",
+        "stage-report", "pricing", "report"])
+def test_each_command_loads_only_the_modules_it_runs(pipeline_dir, tmp_path, command, more):
+    loaded = _after_command(pipeline_dir, tmp_path, command, _MODULES_PROBE).split()
+    assert loaded == sorted(f"detourlab.{m}" for m in (*_CORE, *more))
 
 
 def test_missing_input_exits_2(tmp_path):
@@ -568,6 +620,25 @@ def test_bad_config_file_exits_3(tmp_path, text):
     config = tmp_path / "config.json"
     config.write_text(text)
     assert run(["gen-network", "--config", config, "--out", tmp_path / "net.json"]) == 3
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"sim": 5}', "config.sim must be an object, got 5"),
+    ('{"sim": {"n_trips": "40"}}', 'config.sim.n_trips must be an integer, got "40"'),
+    ('{"sim": {"n_trips": 40.0}}', "config.sim.n_trips must be an integer, got 40.0"),
+    ('{"ridge": true}', "config.ridge must be a number, got true"),
+    ('{"sim": {"grid_dims": 3}}', "config.sim.grid_dims must be an array, got 3"),
+    ('{"sim": {"grid_dims": [3]}}', "config.sim.grid_dims must have 2 elements, got [3]"),
+    ('{"sim": {"behavior_mix": {"normal": null}}}',
+     "config.sim.behavior_mix.normal must be a number, got null"),
+    ('{"weights": {"w1": [1]}}', "config.weights.w1 must be a number, got [1]"),
+], ids=["object", "integer", "float_for_integer", "number", "array", "array_length", "null",
+        "array_for_number"])
+def test_config_type_errors_name_json_types(tmp_path, capsys, text, message):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    assert run(["gen-network", "--config", config, "--out", tmp_path / "net.json"]) == 3
+    assert capsys.readouterr().err.strip().endswith(f"bad config file {config}: {message}")
 
 
 @pytest.mark.parametrize("command", ["eval", "pricing", "stage-report"])

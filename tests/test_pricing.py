@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from detourlab.errors import FitError, InputError
+from detourlab.network import minute_of_day
 from detourlab.pricing import (
     DEFAULT_SCHEDULES,
     FareSchedule,
@@ -172,6 +173,45 @@ def test_interval_stats_cover_all_trips(priced_dataset):
     for s in stats:
         assert s.detour_count <= s.trip_count
         assert s.mean_excess_km >= 0 and s.mean_excess_min >= 0
+
+
+def _unlabel(trips, keep):
+    """``trips`` with the label of each trip for which ``keep`` is false set to unlabeled."""
+    import dataclasses
+
+    return [t if keep(i, t) else dataclasses.replace(t, label="unlabeled")
+            for i, t in enumerate(trips)]
+
+
+def test_detour_ratio_counts_only_labeled_trips(priced_dataset):
+    net, trips, _ = priced_dataset
+    # every other normal trip loses its label; detours keep theirs
+    partly = _unlabel(trips, lambda i, t: t.label == "detour" or i % 2)
+    full = interval_stats(net, BEIJING, trips)
+    stats = interval_stats(net, BEIJING, partly)
+    for st, before in zip(stats, full):
+        members = [t for t in partly
+                   if BEIJING.interval_index(minute_of_day(t.atr.steps[0].t)) == st.interval]
+        labeled = [t for t in members if t.label != "unlabeled"]
+        assert 0 < len(labeled) < len(members)
+        assert st.labeled_count == len(labeled)
+        assert st.detour_ratio == sum(t.label == "detour" for t in labeled) / len(labeled)
+        # the solver's inputs keep every trip
+        assert (st.trip_count, st.detour_count, st.driver_count, st.total_income,
+                st.mean_excess_km) == (before.trip_count, before.detour_count,
+                                       before.driver_count, before.total_income,
+                                       before.mean_excess_km)
+
+
+def test_interval_without_labeled_trips_stays_out_of_the_fit(priced_dataset):
+    net, trips, _ = priced_dataset
+    # the 00:00-06:00 interval keeps its trips but loses every label
+    night = _unlabel(trips, lambda i, t: minute_of_day(t.atr.steps[0].t) >= 360.0)
+    rows, fit = interval_report(net, BEIJING, night)
+    assert rows[0].stats.trip_count > 0 and rows[0].stats.labeled_count == 0
+    assert rows[0].utility is not None
+    assert fit == fit_ratio_utility([(r.utility, r.stats.detour_ratio) for r in rows[1:]])
+    assert rows[0].adjustment is not None  # its utility still meets the fitted target
 
 
 def test_interval_report_rows_and_residuals(priced_dataset):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from detourlab.classifier import LogitModel
-from detourlab.errors import DataFormatError, InputError
+from detourlab.errors import DataFormatError, InputError, read_number
 from detourlab.network import LatLng
 from detourlab.online import run_trip
 from detourlab.routing import RoutingWeights
@@ -355,6 +355,25 @@ def test_load_rejects_strings_and_booleans_as_numbers(tmp_path, where, bad):
     path.write_text(json.dumps(d, sort_keys=True) + "\n", encoding="utf-8")
     with pytest.raises(DataFormatError):
         load_trips(path)
+
+
+@pytest.mark.parametrize("value, expect", [
+    (1.5, 1.5), (2, 2.0),
+    (True, "must be a number"), ("60", "must be a number"), (None, "must be a number"),
+    ([], "must be a number"),
+    (10 ** 400, "must be finite"), (math.nan, "must be finite"), (math.inf, "must be finite"),
+    (-math.inf, "must be finite"),
+], ids=["float", "int", "true", "string", "null", "array", "huge_int", "nan", "inf",
+        "minus_inf"])
+def test_read_number_contract(value, expect):
+    if isinstance(expect, float):
+        number = read_number(value, "x")
+        assert type(number) is float and number == expect
+        if type(value) is float:
+            assert number is value  # a parsed float comes back as it is
+    else:
+        with pytest.raises(InputError, match=f"^x {expect}, got "):
+            read_number(value, "x")
 
 
 @pytest.mark.parametrize("where,bad", [
