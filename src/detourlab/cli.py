@@ -111,10 +111,21 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _output(path) -> Path:
+    """``path`` with its parent directory made, for a command about to write it.
+
+    Commands call it only once their input files are read or open, so a
+    missing input leaves no output.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def _write_csv(path, header, rows) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _output(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _labeled_samples(net, trips):
@@ -152,7 +163,7 @@ def cmd_gen_network(args) -> int:
     cfg = _with_flags(cfg, seed=args.seed, grid_dims=(rows if args.rows is None else args.rows,
                                                       cols if args.cols is None else args.cols))
     net = generate_network(cfg)
-    save_network(net, args.out)
+    save_network(net, _output(args.out))
     print(f"network nodes={len(net.nodes)} segments={len(net.segments)} -> {args.out}")
     return 0
 
@@ -199,7 +210,7 @@ def cmd_train(args) -> int:
     if not report.converged:  # diverged coefficients must not reach a model file
         raise FitError(f"the fit did not converge in {report.iterations} iterations"
                        + (f": {report.diagnostics}" if report.diagnostics else ""))
-    classifier.save_model(report.model, args.out, trained_on=len(samples), ridge=ridge)
+    classifier.save_model(report.model, _output(args.out), trained_on=len(samples), ridge=ridge)
     print(
         f"trained on={len(samples)} iterations={report.iterations} "
         f"converged={report.converged} loglik={report.final_log_likelihood:.6f}"
@@ -252,7 +263,7 @@ def cmd_detect(args) -> int:
             lines = sys.stdin.buffer
         else:  # opened before --out, so a missing input truncates nothing
             lines = stack.enter_context(Path(args.events).open("rb"))
-        out = (stack.enter_context(Path(args.out).open("w", encoding="utf-8"))
+        out = (stack.enter_context(_output(args.out).open("w", encoding="utf-8"))
                if args.out else sys.stdout)
         for lineno, (trip_id, segment, t, dest) in read_jsonl(lines, f"--events {args.events}",
                                                               _read_event):

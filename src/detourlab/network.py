@@ -164,6 +164,31 @@ def segment_travel_time(seg: Segment, entry_minute: float) -> float:
     return spent + km / speed * 60.0
 
 
+def full_traversals(seg: Segment) -> tuple[tuple[float, float, float], ...]:
+    """Per speed bucket of ``seg``, in profile order: ``(start, full, change)``.
+
+    ``full`` is ``length / kmh * 60.0``, the minutes of a traversal driven
+    wholly at the bucket's speed.  ``change`` is the next minute after the
+    bucket's start at which the segment's speed really changes: a later
+    bucket's start, that start plus 1440 once the profile wraps, or inf when
+    the profile has one speed.  For an entry minute ``m`` in the bucket with
+    ``m + full <= change``, ``segment_travel_time(seg, m)`` is ``full``: it
+    makes the same comparison and returns the same float.
+    """
+    prof = seg.speed_profile
+    n = len(prof)
+    out = []
+    for i, (start, kmh) in enumerate(prof):
+        change = math.inf
+        for j in range(i + 1, i + n):
+            later, speed = prof[j % n]
+            if speed != kmh:
+                change = later + DAY_MINUTES if j >= n else later
+                break
+        out.append((start, seg.length / kmh * 60.0, change))
+    return tuple(out)
+
+
 class RoadNetwork:
     """Immutable directed graph of nodes and segments.
 

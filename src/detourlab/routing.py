@@ -11,7 +11,8 @@ Travel times are FIFO (``network.segment_travel_time``): entering a segment
 later never means leaving it earlier.  So a route that reaches a node with
 no more km and no later than another continues at least as well, the
 planner keeps one small Pareto set of (km, arrival) labels per node, and a
-recommended route never passes through a node twice.
+recommended route never passes through a node twice.  When no route that
+can still be optimal reaches a speed change, one label per node is enough.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from operator import itemgetter
 from weakref import WeakKeyDictionary
 
 from .errors import InputError, NoRouteError
-from .network import RoadNetwork, Segment, minute_of_day, segment_travel_time
+from .network import (DAY_MINUTES, RoadNetwork, Segment, full_traversals, minute_of_day,
+                      segment_travel_time)
 
 
 @dataclass(frozen=True)
@@ -116,19 +118,80 @@ def path_est_time(net: RoadNetwork, path, depart: float) -> float:
 _HEURISTICS: WeakKeyDictionary = WeakKeyDictionary()
 _MAX_TABLES = 512
 _FIRST = itemgetter(0)
+# How far the lower bound on a route that reaches the next speed change must
+# clear the cost of a known route before labels compare by weighted cost
+# alone; it is far above the rounding of either side.
+_SCALAR_MARGIN = 1e-9
 
 
 class _NetworkTables(OrderedDict):
-    """One network's LRU of per-goal tables.
+    """One network's LRU of per-goal tables, and what is compiled once per network.
 
-    ``reverse`` holds the network's compiled reverse graph per edge cost.
-    It is O(segments), kept for the network's lifetime, and neither counts
-    toward ``_MAX_TABLES`` nor is ever evicted.
+    ``reverse`` holds the compiled reverse graph per edge cost.  ``forward``
+    holds per node id its outgoing segments, in ``net.outgoing`` order, as
+    ``(to_node, length, id, segment, starts, fulls, changes)``: the columns
+    of ``network.full_traversals``.  ``changes`` is the sorted minutes of the
+    day at which some segment's speed changes, and ``pace`` the minutes-per-km
+    bound per speed regime (``_regime``).  Each is at most O(segments), kept
+    for the network's lifetime, and none counts toward ``_MAX_TABLES`` or is
+    ever evicted.  ``forward`` and ``changes`` are built by the first
+    ``route_plan``, so a caller that reads only km tables never builds them.
     """
 
     def __init__(self):
         super().__init__()
         self.reverse = {}
+        self.forward = None
+        self.changes = None
+        self.pace = {}
+
+
+def _tables(net: RoadNetwork) -> _NetworkTables:
+    tables = _HEURISTICS.get(net)
+    if tables is None:
+        tables = _HEURISTICS[net] = _NetworkTables()
+    return tables
+
+
+def _compile_forward(net: RoadNetwork, tables: _NetworkTables) -> None:
+    """Fill ``tables.forward`` and ``tables.changes`` from ``net``."""
+    forward = {}
+    for nid in net.nodes:
+        rows = []
+        for seg in net.outgoing(nid):
+            starts, fulls, changes = zip(*full_traversals(seg))
+            rows.append((seg.to_node, seg.length, seg.id, seg, starts, fulls, changes))
+        forward[nid] = tuple(rows)
+    changes = set()
+    for seg in net.segments.values():
+        prof = seg.speed_profile
+        changes.update(start for i, (start, kmh) in enumerate(prof) if kmh != prof[i - 1][1])
+    tables.forward = forward
+    tables.changes = tuple(sorted(changes))
+
+
+def _regime(net: RoadNetwork, tables: _NetworkTables, minute: float) -> tuple[float, float]:
+    """``(b, c)`` for a departure at ``minute`` of the day.
+
+    ``b`` is the first minute after ``minute`` at which some segment's speed
+    changes: past 1440 when that is tomorrow, inf when no speed ever
+    changes.  ``c`` is the least minutes per km, ``60 / kmh``, over every
+    segment at the speed it keeps from ``minute`` up to ``b``, rounded down
+    by ``_SCALAR_MARGIN``; it is cached per regime.
+    """
+    changes = tables.changes
+    k = bisect_right(changes, minute)
+    if k < len(changes):
+        b = changes[k]
+    else:
+        b = changes[0] + DAY_MINUTES if changes else math.inf
+    key = k % len(changes) if changes else 0
+    c = tables.pace.get(key)
+    if c is None:
+        c = tables.pace[key] = (1.0 - _SCALAR_MARGIN) * min(
+            60.0 / seg.speed_profile[bisect_right(seg.speed_profile, minute, key=_FIRST) - 1][1]
+            for seg in net.segments.values())
+    return b, c
 
 
 def _segment_km(seg) -> float:
@@ -157,16 +220,15 @@ def _lower_bounds(net: RoadNetwork, goal: str, edge_cost) -> dict[str, float]:
     ``_fastest_minutes`` it is the remaining minutes at each segment's
     fastest bucket.  Both are admissible and consistent for the
     time-dependent search whatever the departure time.  Each table is built
-    on first use, so a caller that reads only km never builds minutes.  The
-    table maps every node that reaches ``goal`` to its bound.
+    on first use, so a caller that reads only km, or a ``route_plan`` query
+    under the one-label rule, never builds minutes.  The table maps every
+    node that reaches ``goal`` to its bound.
 
     The build is a reverse Dijkstra over the network's compiled reverse
     graph.  Node indices follow sorted id order, so ``(cost, index)`` heap
     entries break ties exactly as ``(cost, node_id)`` would.
     """
-    tables = _HEURISTICS.get(net)
-    if tables is None:
-        tables = _HEURISTICS[net] = _NetworkTables()
+    tables = _tables(net)
     key = (goal, edge_cost)
     if key in tables:
         tables.move_to_end(key)
@@ -224,6 +286,38 @@ def route_km(net: RoadNetwork, origin: str, dest: str) -> float | None:
     return km_via(net.segment(origin), dest, km_table(net, dest))
 
 
+def _scalar_pace(net, tables, h_km, o: Segment, goal: str, depart: float, t0: float,
+                 w1: float, w2: float) -> float | None:
+    """The regime's minutes-per-km bound ``c`` when labels may compare by
+    weighted cost alone (see ``route_plan``), else None.
+
+    U is the cost of the km-shortest route, found by walking the km table
+    from the origin's exit node along segments tight against it (smallest id
+    first) and summing km and entry times forward exactly as the search does.
+    The walk never enters a node twice, so it ends; where it is stuck, the
+    rule declines.
+    """
+    minute = minute_of_day(depart)
+    b, c = _regime(net, tables, minute)
+    node, km, t = o.to_node, o.length, t0
+    seen = {node}
+    while node != goal:
+        rest = h_km[node]
+        for seg in net.outgoing(node):
+            nxt = seg.to_node
+            if nxt not in seen and seg.length + h_km.get(nxt, math.inf) == rest:
+                break
+        else:
+            return None
+        seen.add(nxt)
+        km += seg.length
+        t += 60.0 * segment_travel_time(seg, minute_of_day(t))
+        node = nxt
+    upper = w1 * km + w2 * ((t - depart) / 60.0)
+    lower = w1 * (o.length + h_km[o.to_node]) + w2 * (b - minute)
+    return c if lower > upper * (1.0 + _SCALAR_MARGIN) else None
+
+
 def route_plan(
     net: RoadNetwork,
     origin: str,
@@ -239,10 +333,41 @@ def route_plan(
     each node keeps a Pareto set of (km, arrival) labels, and a label that
     another one there matches or beats on every weighted criterion is
     dropped.  A loop only adds km and time, so the result is loop-free by
-    construction.  Static reverse shortest paths (km, and minutes at
-    per-segment top speed) give a consistent A* bound that confines the
-    search to the near-optimal corridor.  Equal-cost ties resolve toward the
-    lexicographically smallest segment-id sequence.
+    construction.  Equal-cost ties resolve toward the lexicographically
+    smallest segment-id sequence.
+
+    One label per node when no useful route can reach a speed change.  Let b
+    be the first time after the departure at which some segment's speed
+    changes, K0 the origin's length plus the least km from its exit node to
+    the goal, and U the cost of one real route (``_scalar_pace``).  Every
+    route has at least K0 km, so a route that reaches the goal at or after b
+    costs at least L = w1 * K0 + w2 * (minutes from the departure to b).
+    When L exceeds U by ``_SCALAR_MARGIN``, no route that reaches b is
+    optimal, and labels at a node compare by weighted cost g alone, ties by
+    path.  Proof: let X and Y be labels at node v with g(X) <= g(Y), and S a
+    continuation from v to the goal.  If X arrives at or after b, g(Y) >=
+    g(X) >= w1 * km(X) + w2 * (minutes to b), and Y+S adds at least the least
+    km from v, so Y+S costs at least L and is not optimal.  If Y arrives at
+    or after b, the same sum holds for Y.  Otherwise both arrive before b.
+    Until b every segment keeps one speed, so S driven before b adds fixed
+    km(S) and fixed minutes m(S).  Suppose Y+S is optimal: it ends before b
+    and costs g(Y) + w1 * km(S) + w2 * m(S) <= U.  Drive S from X, which may
+    arrive later with fewer km, at the speeds in force before b: that costs
+    g(X) + w1 * km(S) + w2 * m(S) <= U < L, so the drive ends before b (one
+    that reaches b costs at least L), the real X+S is that drive, and it is
+    at least as good as Y+S.  So Y can go.
+
+    The A* bound adds to g the static remaining km to the goal, weighted by
+    w1, and a lower bound on the remaining minutes, weighted by w2.  Under
+    the one-label rule that bound is the remaining km times the least
+    minutes per km of any segment at the speeds in force before b: it holds
+    on every route that can still be optimal, as those end before b, and no
+    per-goal minutes table is built.  Otherwise it is a static table of the
+    remaining minutes at each segment's fastest bucket.  Segment minutes come
+    from an adjacency compiled once per network that holds each bucket's
+    full-traversal minutes and the next minute the segment's speed changes;
+    only a traversal that reaches that change calls ``segment_travel_time``,
+    and both give the same float.
     """
     if not math.isfinite(depart):
         raise InputError(f"departure time {depart!r} is not a finite number")
@@ -253,42 +378,73 @@ def route_plan(
 
     goal = d.from_node
     h_km = _lower_bounds(net, goal, _segment_km)
-    h_min = _lower_bounds(net, goal, _fastest_minutes)
-    w1, w2 = weights.w1, weights.w2
-
-    def priority(dist_km: float, t_abs: float, node: str) -> float:
-        g = w1 * dist_km + w2 * ((t_abs - depart) / 60.0)
-        return g + w1 * h_km[node] + w2 * h_min[node]
-
     t0 = depart + 60.0 * segment_travel_time(o, minute_of_day(depart))
     if o.to_node not in h_km:
         raise NoRouteError(f"no route from segment {origin!r} to segment {dest!r}")
+    tables = _tables(net)
+    if tables.forward is None:
+        _compile_forward(net, tables)
+    forward = tables.forward
+    w1, w2 = weights.w1, weights.w2
+    pace = _scalar_pace(net, tables, h_km, o, goal, depart, t0, w1, w2)
+    h_min = None if pace is not None else _lower_bounds(net, goal, _fastest_minutes)
 
-    # Each node keeps a Pareto front of labels [a, b, path, alive]: a is the
-    # km and b the arrival, each held at 0.0 when its weight is 0.  Raw
-    # values are compared, never weighted sums, which rounding can tie.  The
-    # front is sorted by a, so b strictly falls along it.  A new label is
-    # dropped if a label there has no more a and no more b, and the smaller
-    # path on a tie in both; the labels it beats leave the front and are
-    # skipped when popped.
-    start = [o.length if w1 else 0.0, t0 if w2 else 0.0, (origin,), True]
-    fronts: dict[str, list[list]] = {o.to_node: [start]}
-    heap = [(priority(o.length, t0, o.to_node), start[2], o.to_node, o.length, t0, start)]
+    # A label is a list whose last item stays True until a better label at
+    # its node replaces it; a replaced label is skipped when popped.  Under
+    # the one-label rule, best[node] is [g, path, alive], and a new label is
+    # dropped unless its (g, path) is smaller.  Otherwise each node keeps a
+    # Pareto front of labels [a, b, path, alive]: a is the km and b the
+    # arrival, each held at 0.0 when its weight is 0.  Raw values are
+    # compared, never weighted sums, which rounding can tie.  The front is
+    # sorted by a, so b strictly falls along it.  A new label is dropped if a
+    # label there has no more a and no more b, and the smaller path on a tie
+    # in both; the labels it beats leave the front.
+    g0 = w1 * o.length + w2 * ((t0 - depart) / 60.0)
+    hk = h_km[o.to_node]
+    if pace is None:
+        start = [o.length if w1 else 0.0, t0 if w2 else 0.0, (origin,), True]
+        f0 = g0 + w1 * hk + w2 * h_min[o.to_node]
+        fronts: dict[str, list[list]] = {o.to_node: [start]}
+    else:
+        scale = w1 + w2 * pace
+        start = [g0, (origin,), True]
+        f0 = g0 + hk * scale
+        best: dict[str, list] = {o.to_node: start}
+    heap = [(f0, (origin,), o.to_node, o.length, t0, start)]
 
     while heap:
         f, path, node, dist_km, t_abs, label = heapq.heappop(heap)
-        if not label[3]:
+        if not label[-1]:
             continue  # beaten after it was pushed
         if node == goal:
             return RoutePlanStep(path, depart, dist_km, (t_abs - depart) / 60.0, weights)
-        for seg in net.outgoing(node):
-            if seg.to_node not in h_km:
+        minute = minute_of_day(t_abs)
+        for to, km, sid, seg, starts, fulls, changes in forward[node]:
+            hk = h_km.get(to)
+            if hk is None:
                 continue  # cannot reach the goal through this segment
-            nt = t_abs + 60.0 * segment_travel_time(seg, minute_of_day(t_abs))
-            nd = dist_km + seg.length
-            npath = path + (seg.id,)
+            i = bisect_right(starts, minute) - 1
+            mins = fulls[i]
+            if minute + mins > changes[i]:
+                mins = segment_travel_time(seg, minute)
+            nt = t_abs + 60.0 * mins
+            nd = dist_km + km
+            g = w1 * nd + w2 * ((nt - depart) / 60.0)
+            if pace is not None:
+                old = best.get(to)
+                if old is not None and old[0] < g:
+                    continue
+                npath = path + (sid,)
+                if old is not None:
+                    if old[0] == g and old[1] <= npath:
+                        continue
+                    old[2] = False
+                new = best[to] = [g, npath, True]
+                heapq.heappush(heap, (g + hk * scale, npath, to, nd, nt, new))
+                continue
+            npath = path + (sid,)
             a, b = (nd if w1 else 0.0), (nt if w2 else 0.0)
-            front = fronts.setdefault(seg.to_node, [])
+            front = fronts.setdefault(to, [])
             i = bisect_right(front, a, key=_FIRST)
             if i:
                 pa, pb, ppath, _ = front[i - 1]  # the least b among a <= this a
@@ -300,6 +456,6 @@ def route_plan(
                 k += 1
             new = [a, b, npath, True]
             front[j:k] = [new]
-            heapq.heappush(heap, (priority(nd, nt, seg.to_node), npath, seg.to_node, nd, nt, new))
+            heapq.heappush(heap, (g + w1 * hk + w2 * h_min[to], npath, to, nd, nt, new))
 
     raise NoRouteError(f"no route from segment {origin!r} to segment {dest!r}")

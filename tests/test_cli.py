@@ -419,6 +419,31 @@ def test_directory_as_input_exits_2(pipeline_dir, tmp_path, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["gen-network", "train", "eval", "detect", "stage-report",
+                                     "pricing"])
+def test_output_file_in_a_missing_directory_is_made(pipeline_dir, tmp_path, command):
+    # a missing output directory is not a missing input: the command makes it
+    root, net, data, filt, model = pipeline_dir
+    trip = json.loads((filt / "kept.jsonl").read_text().splitlines()[0])
+    events = tmp_path / "events.jsonl"
+    events.write_text("".join(
+        json.dumps({"trip_id": trip["trip_id"], "segment": st["segment"], "t": st["t"],
+                    **({"dest": trip["atr"][-1]["segment"]} if i == 0 else {})}) + "\n"
+        for i, st in enumerate(trip["atr"])))
+    kept = filt / "kept.jsonl"
+    args = {
+        "gen-network": ["--seed", 5, "--rows", 3, "--cols", 3],
+        "train": ["--network", net, "--trips", kept, "--ridge", "1e-6"],
+        "eval": ["--network", net, "--model", model, "--trips", kept],
+        "detect": ["--network", net, "--model", model, "--events", events],
+        "stage-report": ["--network", net, "--model", model, "--trips", kept],
+        "pricing": ["--network", net, "--trips", kept, "--schedule", "beijing"],
+    }[command]
+    out = tmp_path / "new" / "deeper" / "output"
+    assert run([command, *args, "--out", out]) == 0
+    assert out.is_file() and out.stat().st_size > 0
+
+
 @pytest.mark.parametrize("flag", ["--trips", "--events"])
 def test_jsonl_input_that_is_not_utf8_exits_3_naming_the_line(pipeline_dir, tmp_path, capsys,
                                                               flag):

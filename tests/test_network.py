@@ -9,6 +9,7 @@ from detourlab.network import (
     Node,
     RoadNetwork,
     Segment,
+    full_traversals,
     haversine_km,
     load_network,
     minute_of_day,
@@ -85,6 +86,62 @@ def test_boundary_without_speed_change_does_not_split():
     seg = Segment("s", "a", "b", 1.3, ((0.0, 47.0), (360.0, 47.0), (1320.0, 47.0)))
     for minute in (0.0, 359.99, 1319.5, 1439.9):
         assert segment_travel_time(seg, minute) == 1.3 / 47.0 * 60.0
+
+
+def fast_minutes(seg, minute):
+    """What ``full_traversals`` says a traversal entered at ``minute`` takes,
+    or None where it defers to ``segment_travel_time``."""
+    start, full, change = [row for row in full_traversals(seg) if row[0] <= minute][-1]
+    return full if minute + full <= change else None
+
+
+def entry_minutes_around(seg):
+    """Entry minutes on, just before and just after each bucket start, each
+    minute of real speed change, and each latest entry that still finishes a
+    bucket at its own speed; plus the day's first and last minutes."""
+    marks = {0.0, math.nextafter(1440.0, 0.0)}
+    for start, full, change in full_traversals(seg):
+        marks.add(start)
+        if change != math.inf:
+            marks.update((change % 1440.0, (change - full) % 1440.0))
+    around = {m2 for m in marks for m2 in (math.nextafter(m, -1.0), m, math.nextafter(m, 2e3))}
+    return sorted(m for m in around if 0.0 <= m < 1440.0)
+
+
+@pytest.mark.parametrize("profile, length, want", [
+    (flat(40.0), 2.0, ((0.0, 3.0, math.inf),)),
+    (((0.0, 30.0), (360.0, 30.0), (720.0, 60.0)), 1.5,
+     ((0.0, 3.0, 720.0), (360.0, 3.0, 720.0), (720.0, 1.5, 1440.0))),
+    (((0.0, 50.0), (360.0, 20.0), (1320.0, 50.0)), 1.0,
+     ((0.0, 1.2, 360.0), (360.0, 3.0, 1320.0), (1320.0, 1.2, 1800.0))),
+], ids=["one_bucket", "equal_speed_neighbours", "wraps_at_midnight"])
+def test_full_traversals_of_hand_built_profiles(profile, length, want):
+    seg = Segment("s", "a", "b", length, profile)
+    got = full_traversals(seg)
+    assert [(start, change) for start, _, change in got] == [(s, c) for s, _, c in want]
+    assert [full for _, full, _ in got] == [length / kmh * 60.0 for _, kmh in profile]
+    assert [full for _, full, _ in got] == pytest.approx([full for _, full, _ in want])
+    fast = 0
+    for minute in entry_minutes_around(seg):
+        got_minutes = fast_minutes(seg, minute)
+        if got_minutes is not None:
+            assert got_minutes == segment_travel_time(seg, minute), minute
+            fast += 1
+    assert fast > 0
+
+
+def test_full_traversals_equal_the_formula_on_every_generated_segment():
+    net = generate_network(SimConfig(seed=7, grid_dims=(10, 10)))
+    fast = slow = 0
+    for seg in net.segments.values():
+        for minute in entry_minutes_around(seg):
+            got = fast_minutes(seg, minute)
+            if got is None:
+                slow += 1
+            else:
+                assert got == segment_travel_time(seg, minute), (seg.id, minute)
+                fast += 1
+    assert fast > 0 and slow > 0
 
 
 _SPEEDS = st.floats(1.0, 200.0)

@@ -1,4 +1,5 @@
 import heapq
+import json
 import math
 import types
 
@@ -7,7 +8,8 @@ import pytest
 
 from detourlab import routing
 from detourlab.errors import InputError, NoRouteError
-from detourlab.network import Node, RoadNetwork, Segment, minute_of_day, segment_travel_time
+from detourlab.network import (Node, RoadNetwork, Segment, load_network, minute_of_day,
+                               network_to_dict, segment_travel_time)
 from detourlab.routing import (
     RoutingWeights,
     path_distance,
@@ -167,17 +169,21 @@ def test_route_km_none_exactly_where_no_route():
     assert unreachable > 0
 
 
-def test_distance_only_plan_leaves_a_zero_length_cycle():
+def zero_length_cycle_net():
     # a>b and b>a add nothing to a km sum near 1, and a>g is 1 + 1e-17 km,
     # which rounds to 1: every one of them is tight against the km table.
     # Following the smallest tight id would bounce between a and b forever.
-    net = RoadNetwork(
+    return RoadNetwork(
         [Node("s", 0.0, 0.0), Node("a", 0.0, 0.01), Node("b", 0.0, 0.01),
          Node("g", 0.0, 0.02)],
         [Segment(sid, frm, to, km, flat(40.0)) for sid, frm, to, km in (
             ("o", "s", "a", 1.0), ("a>b", "a", "b", 1e-18), ("b>a", "b", "a", 1e-18),
             ("b>g", "b", "g", 1.0), ("a>g", "a", "g", 1.0 + 1e-17), ("d", "g", "s", 1.0))],
     )
+
+
+def test_distance_only_plan_leaves_a_zero_length_cycle():
+    net = zero_length_cycle_net()
     plan = route_plan(net, "o", "d", BASE_T, RoutingWeights(1.0, 0.0))
     assert plan.path == ("o", "a>b", "b>g")
 
@@ -313,18 +319,20 @@ def test_loop_before_a_speed_rise_never_pays():
     assert (weights.w1 * plan.distance + weights.w2 * plan.est_time, plan.path) == expected
 
 
-def state_search_plan(net, origin, dest, depart, weights):
+def state_search_plan(net, origin, dest, depart, weights, h_min=None):
     """A* label-setting over exact (node, entry-time) states.
 
     The planner's search before per-node dominance, kept as an oracle: it
-    assumes nothing about FIFO, so it also finds a route that loops.
+    assumes nothing about FIFO, so it also finds a route that loops.  The
+    minutes bound is each segment's fastest bucket unless ``h_min`` is given.
     """
     if origin == dest:
         return (), 0.0, 0.0
     o = net.segment(origin)
     goal = net.segment(dest).from_node
     h_km = routing._lower_bounds(net, goal, routing._segment_km)
-    h_min = routing._lower_bounds(net, goal, routing._fastest_minutes)
+    if h_min is None:
+        h_min = routing._lower_bounds(net, goal, routing._fastest_minutes)
     w1, w2 = weights.w1, weights.w2
 
     def cost(dist_km, t_abs):
@@ -355,19 +363,148 @@ def state_search_plan(net, origin, dest, depart, weights):
     return None
 
 
-@pytest.mark.parametrize("seed", [3, 4])
-def test_matches_state_search_across_speed_changes(seed):
-    net = generate_network(SimConfig(seed=seed, grid_dims=(8, 8)))
+def window_minutes(net, goal, depart, horizon):
+    """Remaining minutes to ``goal`` at each segment's fastest speed in force
+    at some time between ``depart`` and ``horizon`` minutes later.
+
+    A bound for ``state_search_plan`` that holds on every route arriving
+    within the horizon, so on every optimal route when the horizon is the
+    cost of any route divided by w2.
+    """
+    first = minute_of_day(depart)
+
+    def fastest_minutes(seg):
+        prof = seg.speed_profile
+        if horizon >= 1440.0:
+            speeds = [kmh for _, kmh in prof]
+        else:
+            speeds = [[kmh for start, kmh in prof if start <= first][-1]]
+            speeds += [kmh for start, kmh in prof
+                       if first < start <= first + horizon
+                       or first < start + 1440.0 <= first + horizon]
+        return seg.length / max(speeds) * 60.0
+
+    return reference_lower_bounds(net, goal, fastest_minutes)
+
+
+def rule_outcomes(monkeypatch):
+    """[accepted, declined] counts of the one-label rule, updated as it runs."""
+    counts = [0, 0]
+    real = routing._scalar_pace
+
+    def counted(*args):
+        pace = real(*args)
+        counts[pace is None] += 1
+        return pace
+
+    monkeypatch.setattr(routing, "_scalar_pace", counted)
+    return counts
+
+
+def own_breakpoints_net(tmp_path, seed):
+    """An 8x8 grid whose every segment has its own speed breakpoints, written
+    out and loaded back: the next speed change after a departure is one
+    segment's."""
+    rng = np.random.default_rng(seed)
+    data = network_to_dict(generate_network(SimConfig(seed=seed, grid_dims=(8, 8))))
+    for seg in data["segments"]:
+        starts = sorted({round(float(m), 3) for m in rng.uniform(1.0, 1439.0, 3)})
+        seg["speed_profile"] = [{"start_min": m, "speed_kmh": float(rng.uniform(8.0, 80.0))}
+                                for m in [0.0] + starts]
+    path = tmp_path / "own_breakpoints.json"
+    path.write_text(json.dumps(data))
+    return load_network(path)
+
+
+# The state search keeps every distinct arrival time per node, so a query
+# that crosses a speed change on a 20x20 grid can take it a minute; the
+# 20x20 case stops before the first such query of its seed (the 60th).
+@pytest.mark.parametrize("seed, dims, departures, queries", [
+    (3, (8, 8), "before_changes", 200),
+    (4, (8, 8), "before_changes", 200),
+    (7, (10, 10), "whole_day", 150),
+    (11, (20, 20), "whole_day", 40),
+    (5, None, "before_own_changes", 200),
+], ids=["3", "4", "grid10_whole_day", "grid20_whole_day", "own_breakpoints"])
+def test_matches_state_search_across_speed_changes(monkeypatch, tmp_path, seed, dims,
+                                                   departures, queries):
+    if dims is None:
+        net = own_breakpoints_net(tmp_path, seed)
+    else:
+        net = generate_network(SimConfig(seed=seed, grid_dims=dims))
+    outcomes = rule_outcomes(monkeypatch)
     seg_ids = sorted(net.segments)
     rng = np.random.default_rng(seed)
-    for _ in range(200):
+    for _ in range(queries):
         origin, dest = (seg_ids[int(i)] for i in rng.integers(len(seg_ids), size=2))
-        change = (360.0, 1320.0, 1440.0)[int(rng.integers(3))]  # 06:00, 22:00, midnight
-        depart = BASE_T + (change - float(rng.uniform(0.0, 40.0))) * 60.0
+        if departures == "before_changes":
+            change = (360.0, 1320.0, 1440.0)[int(rng.integers(3))]  # 06:00, 22:00, midnight
+            depart = BASE_T + (change - float(rng.uniform(0.0, 40.0))) * 60.0
+        elif departures == "before_own_changes":
+            # within 20 minutes before one segment's own breakpoint
+            prof = net.segment(seg_ids[int(rng.integers(len(seg_ids)))]).speed_profile
+            change = prof[int(rng.integers(1, len(prof)))][0]
+            depart = BASE_T + (change - float(rng.uniform(0.0, 20.0))) * 60.0
+        else:
+            depart = BASE_T + float(rng.uniform(0.0, 1440.0)) * 60.0
         weights = WEIGHT_CHOICES[int(rng.integers(len(WEIGHT_CHOICES)))]
         plan = route_plan(net, origin, dest, depart, weights)
+        h_min = None
+        if departures != "before_changes" and weights.w2 > 0.0:
+            cost = (weights.w1 * path_distance(net, plan.path)
+                    + weights.w2 * path_est_time(net, plan.path, depart))
+            h_min = window_minutes(net, net.segment(dest).from_node, depart,
+                                   cost / weights.w2 * (1.0 + 1e-9))
         assert (plan.path, plan.distance, plan.est_time) == state_search_plan(
-            net, origin, dest, depart, weights), (origin, dest, depart, weights)
+            net, origin, dest, depart, weights, h_min), (origin, dest, depart, weights)
+    accepted, declined = outcomes
+    assert accepted > 0 and declined > 0
+
+
+@pytest.mark.parametrize("change", [360.0, 607.3], ids=["06:00", "own_10:07"])
+def test_one_label_rule_declines_where_it_would_change_the_answer(monkeypatch, tmp_path,
+                                                                  change):
+    # From o, "fast" reaches v with more km and sooner, "slow" with fewer km
+    # and later, and costs less there.  The last road slows to 2 km/h at
+    # ``change``: the early arrival crosses before it, the late one does not.
+    data = network_to_dict(RoadNetwork(
+        [Node(n, 0.0, 0.01 * i) for i, n in enumerate(("s", "o", "v", "g", "x"))],
+        [Segment("in", "s", "o", 0.1, flat(60.0)),
+         Segment("fast", "o", "v", 4.0, flat(240.0)),
+         Segment("slow", "o", "v", 1.0, flat(20.0)),
+         Segment("last", "v", "g", 2.0, ((0.0, 60.0), (change, 2.0))),
+         Segment("out", "g", "x", 1.0, flat(60.0))],
+    ))
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(data))
+    net = load_network(path)
+    outcomes = rule_outcomes(monkeypatch)
+    weights = RoutingWeights(0.5, 0.5)
+    depart = BASE_T + (change - 5.0) * 60.0
+    plan = route_plan(net, "in", "out", depart, weights)
+    assert outcomes == [0, 1]
+    assert plan.path == ("in", "fast", "last")
+    assert (plan.path, plan.distance, plan.est_time) == state_search_plan(
+        net, "in", "out", depart, weights)
+
+    def cost(path):
+        return (weights.w1 * path_distance(net, path)
+                + weights.w2 * path_est_time(net, path, depart))
+
+    # one label per node would keep "slow" at v and miss the answer
+    assert cost(("in", "slow")) < cost(("in", "fast"))
+    assert cost(("in", "slow", "last")) > cost(plan.path)
+
+
+def test_km_walk_ends_on_a_zero_length_cycle(monkeypatch):
+    # the network of test_distance_only_plan_leaves_a_zero_length_cycle, with
+    # the default weights, so the one-label rule walks the km table there
+    net = zero_length_cycle_net()
+    outcomes = rule_outcomes(monkeypatch)
+    plan = route_plan(net, "o", "d", BASE_T)
+    assert sum(outcomes) == 1
+    assert (plan.path, plan.distance, plan.est_time) == state_search_plan(
+        net, "o", "d", BASE_T, RoutingWeights())
 
 
 @pytest.mark.parametrize("dims", [(20, 20), (30, 30)])
