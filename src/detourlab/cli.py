@@ -13,6 +13,7 @@ commands that use them.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from contextlib import ExitStack
@@ -399,7 +400,10 @@ def cmd_report(args) -> int:
 # parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built by the first ``main`` call in a process
+    and reused by every later one: parsing reads it and never changes it."""
     parser = argparse.ArgumentParser(
         prog="detourlab",
         description="Detour detection and pricing experiments on synthetic taxi trips.",
@@ -480,8 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (FileNotFoundError, IsADirectoryError) as exc:

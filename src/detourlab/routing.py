@@ -48,8 +48,9 @@ class RoutingWeights:
 class RoutePlanStep:
     """One route recommendation issued at ``planned_at``.
 
-    ``distance`` and ``est_time`` always equal ``path_distance(path)`` and
-    ``path_est_time(path, planned_at)`` for the carried path.  ``weights``
+    ``distance`` always equals ``path_distance(path)`` for the carried path,
+    and ``est_time`` the minutes from ``planned_at`` to the last time that
+    ``entry_times(path, planned_at)`` sums forward.  ``weights``
     are the objective weights ``route_plan`` searched with, so a replay can
     tell whether a stored plan is the planner's answer under its own
     weights; a plan made by hand, or read from a file written before plans
@@ -102,12 +103,6 @@ def entry_times(net: RoadNetwork, path, depart: float) -> list[float]:
         t = times[-1]
         times.append(t + 60.0 * segment_travel_time(net.segment(sid), minute_of_day(t)))
     return times
-
-
-def path_est_time(net: RoadNetwork, path, depart: float) -> float:
-    """Estimated minutes to traverse ``path`` departing at ``depart``."""
-    check_contiguous(net, path)
-    return (entry_times(net, path, depart)[-1] - depart) / 60.0
 
 
 # Per-network cache of the static per-goal tables, keyed by (goal node, edge
@@ -221,8 +216,8 @@ def _lower_bounds(net: RoadNetwork, goal: str, edge_cost) -> dict[str, float]:
     fastest bucket.  Both are admissible and consistent for the
     time-dependent search whatever the departure time.  Each table is built
     on first use, so a caller that reads only km, or a ``route_plan`` query
-    under the one-label rule, never builds minutes.  The table maps every
-    node that reaches ``goal`` to its bound.
+    under the one-label rule or with w2 = 0, never builds minutes.  The
+    table maps every node that reaches ``goal`` to its bound.
 
     The build is a reverse Dijkstra over the network's compiled reverse
     graph.  Node indices follow sorted id order, so ``(cost, index)`` heap
@@ -363,11 +358,12 @@ def route_plan(
     minutes per km of any segment at the speeds in force before b: it holds
     on every route that can still be optimal, as those end before b, and no
     per-goal minutes table is built.  Otherwise it is a static table of the
-    remaining minutes at each segment's fastest bucket.  Segment minutes come
-    from an adjacency compiled once per network that holds each bucket's
-    full-traversal minutes and the next minute the segment's speed changes;
-    only a traversal that reaches that change calls ``segment_travel_time``,
-    and both give the same float.
+    remaining minutes at each segment's fastest bucket, except that a
+    distance-only query (w2 = 0), whose minutes bound is weighted by 0,
+    builds none.  Segment minutes come from an adjacency compiled once per
+    network that holds each bucket's full-traversal minutes and the next
+    minute the segment's speed changes; only a traversal that reaches that
+    change calls ``segment_travel_time``, and both give the same float.
     """
     if not math.isfinite(depart):
         raise InputError(f"departure time {depart!r} is not a finite number")
@@ -387,7 +383,15 @@ def route_plan(
     forward = tables.forward
     w1, w2 = weights.w1, weights.w2
     pace = _scalar_pace(net, tables, h_km, o, goal, depart, t0, w1, w2)
-    h_min = None if pace is not None else _lower_bounds(net, goal, _fastest_minutes)
+    if pace is not None:
+        h_min = None
+    elif w2 == 0.0:
+        # w2 times any finite bound is 0.0, and h_km has the minutes table's
+        # keys (the same reverse graph, positive costs), so every priority
+        # is the same float without building that table
+        h_min = h_km
+    else:
+        h_min = _lower_bounds(net, goal, _fastest_minutes)
 
     # A label is a list whose last item stays True until a better label at
     # its node replaces it; a replaced label is skipped when popped.  Under

@@ -8,6 +8,7 @@ from independent deterministic substreams of the one seed.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -99,6 +100,16 @@ def _demand_weights() -> np.ndarray:
     return w / w.sum()
 
 
+def _cdf(weights) -> list[float]:
+    """The cumulative weights ``Generator.choice(n, p=weights)`` draws from,
+    built the way it builds them: ``bisect_right(cdf, rng.random())`` is the
+    index that ``choice`` returns from the same stream."""
+    import numpy as np
+
+    c = np.cumsum(weights)
+    return (c / c[-1]).tolist()
+
+
 def generate_network(cfg: SimConfig) -> RoadNetwork:
     """Grid road network with bidirectional segment pairs.
 
@@ -107,12 +118,16 @@ def generate_network(cfg: SimConfig) -> RoadNetwork:
     drawn per directed segment (three buckets: night until 06:00, day until
     22:00, night again).  A fraction of segments is congested during the
     day, which is what makes longer-but-faster routes exist at all.
+
+    Each draw is what ``Generator.uniform(lo, hi)`` computes, written out:
+    ``lo + (hi - lo) * rng.random()``, the same double from the same stream,
+    and a Python float, so node coordinates are plain floats.
     """
     rows, cols = cfg.grid_dims
     rng = _rng(cfg.seed, 1)
 
-    dy = rng.uniform(0.25, 1.45, size=rows - 1)
-    dx = rng.uniform(0.25, 1.45, size=cols - 1)
+    dy = [0.25 + (1.45 - 0.25) * rng.random() for _ in range(rows - 1)]
+    dx = [0.25 + (1.45 - 0.25) * rng.random() for _ in range(cols - 1)]
     lat = [_BASE_LAT]
     for g in dy:
         lat.append(lat[-1] + g / _KM_PER_DEG_LAT)
@@ -139,9 +154,10 @@ def generate_network(cfg: SimConfig) -> RoadNetwork:
     for a, b in pairs:
         length = haversine_km(node_by_id[a], node_by_id[b])
         for frm, to in ((a, b), (b, a)):
-            congested = rng.uniform() < 0.15
-            day = rng.uniform(8.0, 18.0) if congested else rng.uniform(25.0, 55.0)
-            night = rng.uniform(40.0, 80.0)
+            congested = rng.random() < 0.15
+            day = (8.0 + (18.0 - 8.0) * rng.random() if congested
+                   else 25.0 + (55.0 - 25.0) * rng.random())
+            night = 40.0 + (80.0 - 40.0) * rng.random()
             segments.append(
                 Segment(
                     f"{frm}>{to}",
@@ -260,16 +276,26 @@ def generate_trips(
     peaked daily demand curve, which is what gives the per-interval income
     and opportunity-cost numbers their shape.  Returns the trips and, per
     driver, the ids of the trips they drove.
+
+    The start minute and the behavior are ``Generator.choice(..., p=...)``
+    draws and the second within the minute a ``Generator.uniform(0, 1)``
+    draw, each computed directly from the stream's doubles (``_cdf``), so
+    the trips are the same as with those calls.
     """
     import numpy as np
 
     rng = _rng(cfg.seed, 2)
     gps_rng = _rng(cfg.seed, 3)
-    demand = _demand_weights()
+    demand = _cdf(_demand_weights())
 
     names = [b for b in BEHAVIORS if cfg.behavior_mix.get(b, 0.0) > 0.0]
     probs = np.array([cfg.behavior_mix[b] for b in names])
     probs = probs / probs.sum()
+    day_mix = night_mix = _cdf(probs)
+    if cfg.night_detour_boost > 0 and "detour" in names:
+        p = probs.copy()
+        p[names.index("detour")] *= 1.0 + cfg.night_detour_boost
+        night_mix = _cdf(p / p.sum())
     seg_ids = sorted(net.segments.keys())
     if len(seg_ids) < 2:
         raise InputError("could not find a routable origin/destination pair")
@@ -279,14 +305,10 @@ def generate_trips(
 
     for j in range(cfg.n_trips):
         driver = f"d{int(rng.integers(cfg.n_drivers))}"
-        minute = float(rng.choice(1440, p=demand)) + float(rng.uniform(0.0, 1.0))
+        minute = float(bisect_right(demand, rng.random())) + rng.random()
         t_start = BASE_EPOCH + 60.0 * minute
-        p = probs
-        if cfg.night_detour_boost > 0 and "detour" in names and minute < 360.0:
-            p = probs.copy()
-            p[names.index("detour")] *= 1.0 + cfg.night_detour_boost
-            p = p / p.sum()
-        requested = str(rng.choice(names, p=p))
+        mix = night_mix if minute < 360.0 else day_mix
+        requested = names[bisect_right(mix, rng.random())]
 
         plan = None
         origin = dest = ""

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from detourlab.network import EARTH_RADIUS_KM, LatLng, Node, RoadNetwork, Segment
-from detourlab.routing import RoutePlanStep
+from detourlab.routing import RoutePlanStep, check_contiguous, entry_times
 from detourlab.simulate import SimConfig, generate_network, generate_trips
 from detourlab.trips import AbstractTrajectory, TrajStep, TripRecord
 
@@ -12,6 +12,13 @@ KM_PER_DEG = EARTH_RADIUS_KM * math.pi / 180.0
 
 def flat(speed_kmh: float) -> tuple[tuple[float, float], ...]:
     return ((0.0, speed_kmh),)
+
+
+def path_est_time(net, path, depart: float) -> float:
+    """Estimated minutes to traverse ``path`` departing at ``depart``: the
+    forward sum of ``entry_times``, as ``route_plan`` makes it."""
+    check_contiguous(net, path)
+    return (entry_times(net, path, depart)[-1] - depart) / 60.0
 
 
 def line_network(lengths, speed: float = 60.0) -> RoadNetwork:

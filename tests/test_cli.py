@@ -8,9 +8,9 @@ import pytest
 
 from detourlab.classifier import load_model
 from detourlab.cli import RunConfig, main
-from detourlab.network import load_network
+from detourlab.network import load_network, save_network
 from detourlab.online import run_trip
-from detourlab.simulate import SimConfig
+from detourlab.simulate import SimConfig, generate_network
 from detourlab.trips import load_trips
 
 
@@ -83,6 +83,36 @@ def test_gen_network_deterministic(tmp_path):
     assert run(["gen-network", "--seed", 7, "--rows", 4, "--cols", 5, "--out", a]) == 0
     assert run(["gen-network", "--seed", 7, "--rows", 4, "--cols", 5, "--out", b]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_calls_in_one_process_share_no_parsed_values(tmp_path):
+    # main parses every call with one parser; a flag given to one call, or
+    # a call that fails to parse, must leave no value for the next call
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"sim": {"seed": 5, "grid_dims": [3, 4]}}))
+    seeded, bad, plain = (tmp_path / f"{name}.json" for name in ("seeded", "bad", "plain"))
+    assert run(["gen-network", "--config", config, "--seed", 3, "--rows", 6,
+                "--out", seeded]) == 0
+    with pytest.raises(SystemExit) as err:
+        run(["gen-network", "--config", config, "--seed", 9, "--cols", 2, "--rows", "x",
+             "--out", bad])
+    assert err.value.code == 2
+    assert run(["gen-network", "--config", config, "--out", plain]) == 0
+    want = tmp_path / "want.json"
+    save_network(generate_network(SimConfig(seed=5, grid_dims=(3, 4))), want)
+    assert plain.read_bytes() == want.read_bytes()  # the config's seed and grid
+    assert grid_shape(seeded) == (6, 4) and not bad.exists()
+
+
+def test_help_lists_every_command_on_every_call(tmp_path, capsys):
+    assert run(["gen-network", "--seed", 1, "--rows", 2, "--cols", 2,
+                "--out", tmp_path / "net.json"]) == 0
+    for _ in range(2):
+        with pytest.raises(SystemExit) as err:
+            main(["--help"])
+        assert err.value.code == 0
+        assert ("{gen-network,gen-trips,filter,train,eval,detect,stage-report,pricing,report}"
+                in capsys.readouterr().out)
 
 
 def grid_shape(path):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -239,6 +240,38 @@ def test_save_load_idempotent(tmp_path, small_grid):
     save_network(reloaded, p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert set(reloaded.segments) == set(small_grid.segments)
+
+
+def _hand_built_networks():
+    odd = [Node("北京", 39.9, 116.4), Node("café", 1, 2), Node('q"\\\t\u2028', -0.0, 0.5),
+           Node("alone", 0.0, 0.0)]
+    segments = [
+        Segment("北京>café", "北京", "café", 0.5, flat(40.0)),
+        Segment("café>北京", "café", "北京", 2, ((0, 30), (360, 45.5))),
+        Segment('café>q"', "café", 'q"\\\t\u2028', 1e-18, flat(1e20)),
+    ]
+    return {"hand_built": RoadNetwork(odd, segments),
+            "no_segments": RoadNetwork(odd, []),
+            "empty": RoadNetwork([], [])}
+
+
+@pytest.mark.parametrize("name,dims,seeds", [
+    ("grid3x4", (3, 4), (0, 1, 2, 7)), ("grid10x10", (10, 10), (0, 7, 11)),
+    ("grid20x20", (20, 20), (3, 20240103)),
+    ("hand_built", None, ()), ("no_segments", None, ()), ("empty", None, ()),
+])
+def test_saved_network_is_the_indented_sorted_json_form(tmp_path, name, dims, seeds):
+    """``save_network`` writes its own formatter's text; it must be exactly
+    what ``json.dumps`` writes with these settings."""
+    if dims is None:
+        nets = [_hand_built_networks()[name]]
+    else:
+        nets = [generate_network(SimConfig(seed=seed, grid_dims=dims)) for seed in seeds]
+    for net in nets:
+        path = tmp_path / "net.json"
+        save_network(net, path)
+        want = json.dumps(network_to_dict(net), indent=2, sort_keys=True) + "\n"
+        assert path.read_bytes() == want.encode("utf-8")
 
 
 def test_load_missing_file(tmp_path):

@@ -13,13 +13,12 @@ from detourlab.network import (Node, RoadNetwork, Segment, load_network, minute_
 from detourlab.routing import (
     RoutingWeights,
     path_distance,
-    path_est_time,
     route_km,
     route_plan,
 )
 from detourlab.simulate import SimConfig, generate_network
 
-from conftest import flat
+from conftest import flat, path_est_time
 
 BASE_T = 1543622400.0
 
@@ -625,6 +624,26 @@ def test_lower_bounds_equal_the_dict_build(monkeypatch, net, connected):
             assert counts == want_work, (goal, edge_cost)
             unreachable += len(net.nodes) - len(want)
     assert (unreachable == 0) == connected
+
+
+def test_distance_only_query_builds_no_minutes_table():
+    # with w2 = 0 the minutes bound is weighted by 0, so route_plan reads the
+    # km table in its place: the two tables have the same keys
+    net = generate_network(SimConfig(seed=7, grid_dims=(10, 10)))
+    ids = sorted(net.segments)
+    rng = np.random.default_rng(21)
+    minutes = rng.uniform(0.0, 2880.0, size=300)
+    for (a, b), m in zip(rng.integers(len(ids), size=(300, 2)), minutes):
+        plan = route_plan(net, ids[a], ids[b], BASE_T + m * 60.0, RoutingWeights(1.0, 0.0))
+        assert plan.est_time == path_est_time(net, plan.path, plan.planned_at)
+    tables = routing._tables(net)
+    assert len(tables) > 50
+    assert all(cost is routing._segment_km for _, cost in tables)
+    assert routing._fastest_minutes not in tables.reverse
+    for graph in (net, dead_end_net()):
+        for goal in graph.nodes:
+            assert (routing._lower_bounds(graph, goal, routing._segment_km).keys()
+                    == routing._lower_bounds(graph, goal, routing._fastest_minutes).keys())
 
 
 def test_static_edge_costs_are_computed_once_per_segment():

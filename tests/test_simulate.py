@@ -1,14 +1,19 @@
 import dataclasses
+from bisect import bisect_right
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from detourlab.classifier import offline_features
 from detourlab.errors import InputError
 from detourlab.network import network_to_dict
-from detourlab.routing import RoutingWeights, path_distance, path_est_time, route_plan
-from detourlab.simulate import BEHAVIORS, SimConfig, generate_network, generate_trips
+from detourlab.routing import RoutingWeights, path_distance, route_plan
+from detourlab.simulate import (BEHAVIORS, SimConfig, _cdf, _demand_weights, _rng,
+                                generate_network, generate_trips)
 from detourlab.trips import trajectory_distance_km, trajectory_minutes, trip_to_dict
+
+from conftest import path_est_time
 
 
 def test_network_deterministic():
@@ -17,6 +22,46 @@ def test_network_deterministic():
     assert network_to_dict(a) == network_to_dict(b)
     c = generate_network(SimConfig(seed=5, grid_dims=(4, 6)))
     assert network_to_dict(a) != network_to_dict(c)
+
+
+def _night_boosted(mix, boost):
+    p = np.array(list(mix.values()))
+    p = p / p.sum()
+    p[list(mix).index("detour")] *= 1.0 + boost
+    return p / p.sum()
+
+
+_MIX = SimConfig().behavior_mix
+
+
+@pytest.mark.parametrize("p", [
+    _demand_weights(), np.array(list(_MIX.values())) / sum(_MIX.values()),
+    _night_boosted(_MIX, 3.0), np.array([0.5, 0.0, 0.25, 0.25]),
+], ids=["demand", "behavior_mix", "night_boosted", "zero_weight"])
+def test_direct_draws_equal_choice(p):
+    """The simulator's categorical draw is ``Generator.choice(len(p), p=p)``,
+    computed from the stream's double by ``_cdf``: the same index, draw by draw."""
+    cdf = _cdf(p)
+    by_choice, direct = _rng(7, 2), _rng(7, 2)
+    for _ in range(3000):
+        assert bisect_right(cdf, direct.random()) == int(by_choice.choice(len(p), p=p))
+
+
+@pytest.mark.parametrize("lo,hi", [(0.0, 1.0), (0.25, 1.45), (8.0, 18.0), (25.0, 55.0),
+                                   (40.0, 80.0)])
+def test_direct_draws_equal_uniform(lo, hi):
+    """``lo + (hi - lo) * rng.random()`` is ``Generator.uniform(lo, hi)``, bit for bit."""
+    by_uniform, direct = _rng(7, 1), _rng(7, 1)
+    for _ in range(3000):
+        assert lo + (hi - lo) * direct.random() == by_uniform.uniform(lo, hi)
+
+
+def test_generated_numbers_are_python_floats():
+    net = generate_network(SimConfig(seed=2, grid_dims=(4, 5)))
+    numbers = [x for n in net.nodes.values() for x in (n.lat, n.lng)]
+    numbers += [x for s in net.segments.values()
+                for x in (s.length, *(v for bucket in s.speed_profile for v in bucket))]
+    assert {type(x) for x in numbers} == {float}
 
 
 def test_grid_counts_3x3():
