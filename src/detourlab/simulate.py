@@ -59,6 +59,8 @@ class SimConfig:
     night_detour_boost: float = 0.0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise InputError(f"seed must be non-negative, got {self.seed}")
         rows, cols = self.grid_dims
         if rows < 2 or cols < 2:
             raise InputError("grid_dims must be at least (2, 2)")
@@ -84,6 +86,89 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
     import numpy as np
 
     return np.random.default_rng(np.random.SeedSequence([seed, stream]))
+
+
+_M32 = (1 << 32) - 1
+_M53 = (1 << 53) - 1
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+class _Stream:
+    """The doubles of ``_rng(seed, stream).random()``, in pure Python.
+
+    A port of numpy's ``SeedSequence([seed, stream])`` feeding a PCG64
+    generator (O'Neill 2014, "PCG: a family of simple fast space-efficient
+    statistically good algorithms"):
+
+    1. the seed and the stream are split into 32-bit words, least
+       significant first (0 is one zero word), and hashed into a pool of four
+       words: each pool word starts as ``hashmix`` of an entropy word (or of
+       0), every pool word is then mixed into every other, and entropy words
+       beyond the fourth are mixed into each;
+    2. ``generate_state(4, uint64)`` hashes the pool, cycled, into eight
+       words, and joins them in little-endian pairs into u0..u3;
+    3. PCG64 seeding: ``inc = (u2 << 64 | u3) << 1 | 1``, then from state 0
+       one step, ``state += u0 << 64 | u1``, one more step;
+    4. a draw steps the 128-bit LCG (``state * mult + inc``), takes the XSL-RR
+       output of the new state (high xor low 64 bits, rotated right by the top
+       six bits) and returns ``(x >> 11) * 2**-53``.
+
+    The tests pin it to numpy's ``Generator.random()``, double for double,
+    and the seeded state to ``np.random.PCG64``'s.  ``seed`` and ``stream``
+    must be non-negative; ``SimConfig`` checks the seed.
+    """
+
+    __slots__ = ("state", "inc")
+
+    def __init__(self, seed: int, stream: int):
+        words = []
+        for n in (seed, stream):
+            words.append(n & _M32)
+            while n > _M32:
+                n >>= 32
+                words.append(n & _M32)
+        h = 0x43B0D7E5
+
+        def hashmix(value: int) -> int:
+            nonlocal h
+            value ^= h
+            h = h * 0x931E8875 & _M32
+            value = value * h & _M32
+            return value ^ value >> 16
+
+        def mix(x: int, y: int) -> int:
+            r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+            return r ^ r >> 16
+
+        pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for w in words[4:]:
+            for dst in range(4):
+                pool[dst] = mix(pool[dst], hashmix(w))
+
+        h = 0x8B51F9DD
+        state = []
+        for i in range(8):
+            value = pool[i % 4] ^ h
+            h = h * 0x58F38DED & _M32
+            value = value * h & _M32
+            state.append(value ^ value >> 16)
+        u = [state[i] | state[i + 1] << 32 for i in range(0, 8, 2)]
+
+        self.inc = ((u[2] << 64 | u[3]) << 1 | 1) & _M128
+        self.state = ((self.inc + (u[0] << 64 | u[1])) * _PCG64_MULT + self.inc) & _M128
+
+    def random(self) -> float:
+        state = self.state = (self.state * _PCG64_MULT + self.inc) & _M128
+        x = ((state >> 64) ^ state) & _M64
+        # the low 64 bits of (x | x << 64) >> rot are x rotated right by rot;
+        # 11 more keep their top 53
+        return ((x | x << 64) >> ((state >> 122) + 11) & _M53) * (1.0 / 9007199254740992.0)
 
 
 def _demand_weights() -> np.ndarray:
@@ -119,12 +204,15 @@ def generate_network(cfg: SimConfig) -> RoadNetwork:
     22:00, night again).  A fraction of segments is congested during the
     day, which is what makes longer-but-faster routes exist at all.
 
-    Each draw is what ``Generator.uniform(lo, hi)`` computes, written out:
+    The doubles come from ``_Stream(cfg.seed, 1)``, a pure-Python port of
+    ``np.random.default_rng(np.random.SeedSequence([cfg.seed, 1])).random()``,
+    so building a network does not load numpy.  Each draw is what
+    ``Generator.uniform(lo, hi)`` computes, written out:
     ``lo + (hi - lo) * rng.random()``, the same double from the same stream,
     and a Python float, so node coordinates are plain floats.
     """
     rows, cols = cfg.grid_dims
-    rng = _rng(cfg.seed, 1)
+    rng = _Stream(cfg.seed, 1)
 
     dy = [0.25 + (1.45 - 0.25) * rng.random() for _ in range(rows - 1)]
     dx = [0.25 + (1.45 - 0.25) * rng.random() for _ in range(cols - 1)]

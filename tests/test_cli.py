@@ -134,6 +134,19 @@ def test_gen_network_rows_0_exits_3(tmp_path):
     assert not net.exists()
 
 
+def test_negative_seed_exits_3(tmp_path, capsys):
+    net = tmp_path / "net.json"
+    assert run(["gen-network", "--seed", -1, "--rows", 3, "--cols", 3, "--out", net]) == 3
+    assert "seed must be non-negative, got -1" in capsys.readouterr().err
+    assert not net.exists()
+    assert run(["gen-network", "--seed", 1, "--rows", 3, "--cols", 3, "--out", net]) == 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"sim": {"seed": -1}}))
+    assert run(["gen-trips", "--config", config, "--network", net,
+                "--out", tmp_path / "out"]) == 3
+    assert "seed must be non-negative, got -1" in capsys.readouterr().err
+
+
 def test_eval_prints_auc_line(pipeline_dir, capsys):
     root, net, data, filt, model = pipeline_dir
     roc = root / "roc.csv"
@@ -597,11 +610,12 @@ def _after_command(pipeline_dir, tmp_path, command, probe) -> str:
 
 
 @pytest.mark.parametrize("command, loads_numpy", [
-    ("filter", False), ("eval", False), ("detect", False), ("stage-report", False),
-    ("pricing", False), ("report", False), ("gen-network", True),
+    ("gen-network", False), ("filter", False), ("eval", False), ("detect", False),
+    ("stage-report", False), ("pricing", False), ("report", False), ("gen-trips", True),
+    ("train", True),
 ])
 def test_only_the_simulator_and_the_fit_load_numpy(pipeline_dir, tmp_path, command, loads_numpy):
-    # gen-network does load it, which shows that the probe can see numpy
+    # gen-trips and train do load it, which shows that the probe can see numpy
     assert _after_command(pipeline_dir, tmp_path, command, _NUMPY_PROBE) == str(loads_numpy)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 from bisect import bisect_right
 from collections import Counter
 
@@ -7,9 +8,9 @@ import pytest
 
 from detourlab.classifier import offline_features
 from detourlab.errors import InputError
-from detourlab.network import network_to_dict
+from detourlab.network import network_to_dict, save_network
 from detourlab.routing import RoutingWeights, path_distance, route_plan
-from detourlab.simulate import (BEHAVIORS, SimConfig, _cdf, _demand_weights, _rng,
+from detourlab.simulate import (BEHAVIORS, SimConfig, _cdf, _demand_weights, _rng, _Stream,
                                 generate_network, generate_trips)
 from detourlab.trips import trajectory_distance_km, trajectory_minutes, trip_to_dict
 
@@ -56,6 +57,35 @@ def test_direct_draws_equal_uniform(lo, hi):
         assert lo + (hi - lo) * direct.random() == by_uniform.uniform(lo, hi)
 
 
+# 2**32 - 1 and up check how an integer is split into 32-bit words; with the
+# stream, 2**64 + 3 and 2**70 + 1 give four words and 2**96 + 5 five, one more
+# than the pool holds
+_PORT_SEEDS = [0, 1, 7, 2**32 - 1, 2**32, 2**64 + 3, 2**70 + 1, 2**96 + 5, 20240103]
+
+
+@pytest.mark.parametrize("stream", [1, 2, 3])
+@pytest.mark.parametrize("seed", _PORT_SEEDS)
+def test_stream_port_equals_numpy(seed, stream):
+    """``_Stream`` seeds PCG64 as numpy does and draws its doubles."""
+    port = _Stream(seed, stream)
+    state = np.random.PCG64(np.random.SeedSequence([seed, stream])).state["state"]
+    assert (port.state, port.inc) == (state["state"], state["inc"])
+    rng = _rng(seed, stream)
+    assert [port.random() for _ in range(2000)] == [rng.random() for _ in range(2000)]
+
+
+@pytest.mark.parametrize("seed, dims, digest", [
+    (7, (10, 10), "0731d85f19b79bce3f6de38c42a33fa8f1e15e3f69698ee30c32ef4be00da85d"),
+    (0, (8, 8), "a38368be2f024b8c054016ced972c895db75983f5178e8a8e2f26139877e3152"),
+    (20240103, (40, 40), "505ee7a9a55e2af36edbb68d4222974e2aab8deca3125a4a130488a508dd0030"),
+])
+def test_network_file_digest_is_pinned(tmp_path, seed, dims, digest):
+    # measured when the network was drawn from numpy's own Generator
+    path = tmp_path / "net.json"
+    save_network(generate_network(SimConfig(seed=seed, grid_dims=dims)), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 def test_generated_numbers_are_python_floats():
     net = generate_network(SimConfig(seed=2, grid_dims=(4, 5)))
     numbers = [x for n in net.nodes.values() for x in (n.lat, n.lng)]
@@ -84,6 +114,8 @@ def test_degenerate_grid_rejected():
 def test_config_is_checked_when_built_and_frozen():
     with pytest.raises(InputError):
         SimConfig(grid_dims=(1, 5))
+    with pytest.raises(InputError, match="seed"):
+        SimConfig(seed=-1)
     cfg = SimConfig()
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.n_trips = 0
