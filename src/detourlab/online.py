@@ -44,13 +44,12 @@ class TripProgress:
     the arrival (``routing.entry_times``), and the index of the next planned
     entry.  When a step enters ``plan_path[plan_index]`` exactly at
     ``plan_times[plan_index]``, the fresh plan from there is the held path's
-    suffix: travel times are FIFO and the planner keeps every Pareto-optimal
-    (km, arrival) label per node, so the suffix of an optimal route is
-    optimal from where it starts.  The suffix search and the full search sum
-    their costs from different departure times, so this holds up to routes
-    whose costs tie within rounding; a differential test against fresh
-    planning guards it.  The step that enters the destination segment takes
-    the empty plan without a search.
+    suffix: a route's cost adds up along it from fixed entry times, so the
+    suffix of an optimal route is optimal from where it starts.  The suffix
+    search and the full search sum their costs from different departure
+    times, so this holds up to routes whose costs tie within rounding; a
+    differential test against fresh planning guards it.  The step that
+    enters the destination segment takes the empty plan without a search.
     """
 
     trip_id: str

@@ -9,10 +9,11 @@ the offline features on the final step with no special cases.
 
 Travel times are FIFO (``network.segment_travel_time``): entering a segment
 later never means leaving it earlier.  So a route that reaches a node with
-no more km and no later than another continues at least as well, the
-planner keeps one small Pareto set of (km, arrival) labels per node, and a
-recommended route never passes through a node twice.  When no route that
-can still be optimal reaches a speed change, one label per node is enough.
+no more km and no later than another continues at least as well, the label
+search keeps one small Pareto set of (km, arrival) labels per node (one
+label when no route that can still be optimal reaches a speed change), and
+a recommended route never passes through a node twice.  A distance-only
+query needs no search: it walks the km table.
 """
 
 from __future__ import annotations
@@ -130,7 +131,8 @@ class _NetworkTables(OrderedDict):
     bound per speed regime (``_regime``).  Each is at most O(segments), kept
     for the network's lifetime, and none counts toward ``_MAX_TABLES`` or is
     ever evicted.  ``forward`` and ``changes`` are built by the first
-    ``route_plan``, so a caller that reads only km tables never builds them.
+    time-weighted (w2 > 0) ``route_plan``, so a caller that reads only km
+    tables or plans by distance alone never builds them.
     """
 
     def __init__(self):
@@ -215,9 +217,9 @@ def _lower_bounds(net: RoadNetwork, goal: str, edge_cost) -> dict[str, float]:
     ``_fastest_minutes`` it is the remaining minutes at each segment's
     fastest bucket.  Both are admissible and consistent for the
     time-dependent search whatever the departure time.  Each table is built
-    on first use, so a caller that reads only km, or a ``route_plan`` query
-    under the one-label rule or with w2 = 0, never builds minutes.  The
-    table maps every node that reaches ``goal`` to its bound.
+    on first use, so a caller that reads only km, a distance-only
+    ``route_plan`` query or one under the one-label rule never builds
+    minutes.  The table maps every node that reaches ``goal`` to its bound.
 
     The build is a reverse Dijkstra over the network's compiled reverse
     graph.  Node indices follow sorted id order, so ``(cost, index)`` heap
@@ -281,34 +283,45 @@ def route_km(net: RoadNetwork, origin: str, dest: str) -> float | None:
     return km_via(net.segment(origin), dest, km_table(net, dest))
 
 
-def _scalar_pace(net, tables, h_km, o: Segment, goal: str, depart: float, t0: float,
+def _km_path(net, h_km, o: Segment, goal: str) -> tuple[str, ...]:
+    """The km-shortest plan path from ``o`` to ``goal``, which reaches it.
+
+    A depth-first walk along segments tight against the km table
+    (``seg.length + h_km[to] == h_km[node]``), smallest id first.  It never
+    enters a node twice and backs up where a zero-length cycle leaves no
+    tight exit, so it takes O(segments) steps and, as the table's own
+    shortest-path tree is tight, reaches the goal.
+    """
+    node = o.to_node
+    path, exits, seen = [o.id], [iter(net.outgoing(node))], {node}
+    while node != goal:
+        rest = h_km[node]
+        for seg in exits[-1]:
+            nxt = seg.to_node
+            if nxt not in seen and seg.length + h_km.get(nxt, math.inf) == rest:
+                seen.add(nxt)
+                path.append(seg.id)
+                exits.append(iter(net.outgoing(nxt)))
+                node = nxt
+                break
+        else:
+            exits.pop()
+            node = net.segment(path.pop()).from_node
+    return tuple(path)
+
+
+def _scalar_pace(net, tables, h_km, o: Segment, goal: str, depart: float,
                  w1: float, w2: float) -> float | None:
     """The regime's minutes-per-km bound ``c`` when labels may compare by
     weighted cost alone (see ``route_plan``), else None.
 
-    U is the cost of the km-shortest route, found by walking the km table
-    from the origin's exit node along segments tight against it (smallest id
-    first) and summing km and entry times forward exactly as the search does.
-    The walk never enters a node twice, so it ends; where it is stuck, the
-    rule declines.
+    U is the cost of the km-shortest route ``_km_path``, its km and entry
+    times summed forward exactly as the search does.
     """
     minute = minute_of_day(depart)
     b, c = _regime(net, tables, minute)
-    node, km, t = o.to_node, o.length, t0
-    seen = {node}
-    while node != goal:
-        rest = h_km[node]
-        for seg in net.outgoing(node):
-            nxt = seg.to_node
-            if nxt not in seen and seg.length + h_km.get(nxt, math.inf) == rest:
-                break
-        else:
-            return None
-        seen.add(nxt)
-        km += seg.length
-        t += 60.0 * segment_travel_time(seg, minute_of_day(t))
-        node = nxt
-    upper = w1 * km + w2 * ((t - depart) / 60.0)
+    path = _km_path(net, h_km, o, goal)
+    upper = w1 * path_km(net, path) + w2 * ((entry_times(net, path, depart)[-1] - depart) / 60.0)
     lower = w1 * (o.length + h_km[o.to_node]) + w2 * (b - minute)
     return c if lower > upper * (1.0 + _SCALAR_MARGIN) else None
 
@@ -323,13 +336,16 @@ def route_plan(
     """Best remaining route from ``origin`` (entered at ``depart``) to ``dest``.
 
     Minimizes ``w1 * distance + w2 * est_time`` with segment entry times
-    evolving along the path.  Travel times are FIFO (``segment_travel_time``),
-    so arriving at a node earlier and with fewer km never hurts what follows:
-    each node keeps a Pareto set of (km, arrival) labels, and a label that
-    another one there matches or beats on every weighted criterion is
-    dropped.  A loop only adds km and time, so the result is loop-free by
-    construction.  Equal-cost ties resolve toward the lexicographically
-    smallest segment-id sequence.
+    evolving along the path.  A distance-only query (w2 = 0) depends on
+    neither w1 nor the time: its path is the km-table walk ``_km_path``, so
+    its ties break by the walk's rule, and its km and minutes are summed
+    forward along it.  Every other query is a label search.  Travel times
+    are FIFO (``segment_travel_time``), so arriving at a node earlier and
+    with fewer km never hurts what follows: each node keeps a Pareto set of
+    (km, arrival) labels, and a label that another one there matches or
+    beats on every weighted criterion is dropped.  A loop only adds km and
+    time, so the result is loop-free by construction.  Equal-cost ties
+    resolve toward the lexicographically smallest segment-id sequence.
 
     One label per node when no useful route can reach a speed change.  Let b
     be the first time after the departure at which some segment's speed
@@ -358,12 +374,11 @@ def route_plan(
     minutes per km of any segment at the speeds in force before b: it holds
     on every route that can still be optimal, as those end before b, and no
     per-goal minutes table is built.  Otherwise it is a static table of the
-    remaining minutes at each segment's fastest bucket, except that a
-    distance-only query (w2 = 0), whose minutes bound is weighted by 0,
-    builds none.  Segment minutes come from an adjacency compiled once per
-    network that holds each bucket's full-traversal minutes and the next
-    minute the segment's speed changes; only a traversal that reaches that
-    change calls ``segment_travel_time``, and both give the same float.
+    remaining minutes at each segment's fastest bucket.  Segment minutes
+    come from an adjacency compiled once per network that holds each
+    bucket's full-traversal minutes and the next minute the segment's speed
+    changes; only a traversal that reaches that change calls
+    ``segment_travel_time``, and both give the same float.
     """
     if not math.isfinite(depart):
         raise InputError(f"departure time {depart!r} is not a finite number")
@@ -374,39 +389,35 @@ def route_plan(
 
     goal = d.from_node
     h_km = _lower_bounds(net, goal, _segment_km)
-    t0 = depart + 60.0 * segment_travel_time(o, minute_of_day(depart))
     if o.to_node not in h_km:
         raise NoRouteError(f"no route from segment {origin!r} to segment {dest!r}")
+    w1, w2 = weights.w1, weights.w2
+    if w2 == 0.0:
+        path = _km_path(net, h_km, o, goal)
+        est = (entry_times(net, path, depart)[-1] - depart) / 60.0
+        return RoutePlanStep(path, depart, path_km(net, path), est, weights)
     tables = _tables(net)
     if tables.forward is None:
         _compile_forward(net, tables)
     forward = tables.forward
-    w1, w2 = weights.w1, weights.w2
-    pace = _scalar_pace(net, tables, h_km, o, goal, depart, t0, w1, w2)
-    if pace is not None:
-        h_min = None
-    elif w2 == 0.0:
-        # w2 times any finite bound is 0.0, and h_km has the minutes table's
-        # keys (the same reverse graph, positive costs), so every priority
-        # is the same float without building that table
-        h_min = h_km
-    else:
-        h_min = _lower_bounds(net, goal, _fastest_minutes)
+    t0 = depart + 60.0 * segment_travel_time(o, minute_of_day(depart))
+    pace = _scalar_pace(net, tables, h_km, o, goal, depart, w1, w2)
+    h_min = None if pace is not None else _lower_bounds(net, goal, _fastest_minutes)
 
     # A label is a list whose last item stays True until a better label at
     # its node replaces it; a replaced label is skipped when popped.  Under
     # the one-label rule, best[node] is [g, path, alive], and a new label is
     # dropped unless its (g, path) is smaller.  Otherwise each node keeps a
-    # Pareto front of labels [a, b, path, alive]: a is the km and b the
-    # arrival, each held at 0.0 when its weight is 0.  Raw values are
-    # compared, never weighted sums, which rounding can tie.  The front is
-    # sorted by a, so b strictly falls along it.  A new label is dropped if a
+    # Pareto front of labels [a, b, path, alive]: a is the km, held at 0.0
+    # when w1 is 0, and b the arrival.  Raw values are compared, never
+    # weighted sums, which rounding can tie.  The front is sorted by a, so
+    # b strictly falls along it.  A new label is dropped if a
     # label there has no more a and no more b, and the smaller path on a tie
     # in both; the labels it beats leave the front.
     g0 = w1 * o.length + w2 * ((t0 - depart) / 60.0)
     hk = h_km[o.to_node]
     if pace is None:
-        start = [o.length if w1 else 0.0, t0 if w2 else 0.0, (origin,), True]
+        start = [o.length if w1 else 0.0, t0, (origin,), True]
         f0 = g0 + w1 * hk + w2 * h_min[o.to_node]
         fronts: dict[str, list[list]] = {o.to_node: [start]}
     else:
@@ -447,7 +458,7 @@ def route_plan(
                 heapq.heappush(heap, (g + hk * scale, npath, to, nd, nt, new))
                 continue
             npath = path + (sid,)
-            a, b = (nd if w1 else 0.0), (nt if w2 else 0.0)
+            a, b = (nd if w1 else 0.0), nt
             front = fronts.setdefault(to, [])
             i = bisect_right(front, a, key=_FIRST)
             if i:

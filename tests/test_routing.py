@@ -2,6 +2,7 @@ import heapq
 import json
 import math
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from detourlab import routing
 from detourlab.errors import InputError, NoRouteError
 from detourlab.network import (Node, RoadNetwork, Segment, load_network, minute_of_day,
-                               network_to_dict, segment_travel_time)
+                               network_from_dict, network_to_dict, segment_travel_time)
 from detourlab.routing import (
     RoutingWeights,
     path_distance,
@@ -330,6 +331,8 @@ def state_search_plan(net, origin, dest, depart, weights, h_min=None):
     o = net.segment(origin)
     goal = net.segment(dest).from_node
     h_km = routing._lower_bounds(net, goal, routing._segment_km)
+    if o.to_node not in h_km:
+        return None
     if h_min is None:
         h_min = routing._lower_bounds(net, goal, routing._fastest_minutes)
     w1, w2 = weights.w1, weights.w2
@@ -506,6 +509,66 @@ def test_km_walk_ends_on_a_zero_length_cycle(monkeypatch):
         net, "o", "d", BASE_T, RoutingWeights())
 
 
+def test_km_walk_backs_up_where_a_zero_length_cycle_leaves_no_tight_exit(monkeypatch,
+                                                                           tmp_path):
+    # b is 1e-18 km from a and 1 km from g through a, so a>b and b>a are
+    # tight; from b the walk finds only a, already entered, and b>x is not
+    # tight.  It must back up to a and take a>g.
+    data = network_to_dict(RoadNetwork(
+        [Node(n, 0.0, 0.01 * i) for i, n in enumerate("sabxg")],
+        [Segment(sid, frm, to, km, flat(40.0)) for sid, frm, to, km in (
+            ("o", "s", "a", 1.0), ("a>b", "a", "b", 1e-18), ("b>a", "b", "a", 1e-18),
+            ("a>g", "a", "g", 1.0), ("b>x", "b", "x", 5.0), ("x>g", "x", "g", 1.0),
+            ("d", "g", "s", 1.0))],
+    ))
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(data))
+    net = load_network(path)
+    outcomes = rule_outcomes(monkeypatch)
+    plan = route_plan(net, "o", "d", BASE_T)
+    assert outcomes == [1, 0]
+    assert (plan.path, plan.distance, plan.est_time) == state_search_plan(
+        net, "o", "d", BASE_T, RoutingWeights())
+    plan = route_plan(net, "o", "d", BASE_T, RoutingWeights(1.0, 0.0))
+    assert (plan.path, plan.distance, plan.est_time) == (("o", "a>g"), 2.0, 3.0)
+
+
+def dropped_segments_net(net, seed, share):
+    """``net`` without a random ``share`` of its segments."""
+    rng = np.random.default_rng(seed)
+    data = network_to_dict(net)
+    data["segments"] = [s for s in data["segments"] if rng.uniform() >= share]
+    return network_from_dict(data)
+
+
+def test_distance_only_plans_equal_the_state_search_on_every_pair():
+    grid = generate_network(SimConfig(seed=3, grid_dims=(6, 6)))
+    nets = [grid, generate_network(SimConfig(seed=11, grid_dims=(5, 7))),
+            dropped_segments_net(grid, 3, 0.3)]
+    shortest, scaled = RoutingWeights(1.0, 0.0), RoutingWeights(0.3, 0.0)
+    rng = np.random.default_rng(23)
+    unreachable = 0
+    for net in nets:
+        for origin in net.segments:
+            for dest in net.segments:
+                depart = BASE_T + float(rng.uniform(0.0, 2880.0)) * 60.0
+                h_km = routing._lower_bounds(net, net.segment(dest).from_node,
+                                             routing._segment_km)
+                want = state_search_plan(net, origin, dest, depart, shortest, h_min=h_km)
+                if want is None:
+                    unreachable += 1
+                    for weights in (shortest, scaled):
+                        with pytest.raises(NoRouteError):
+                            route_plan(net, origin, dest, depart, weights)
+                    continue
+                plan = route_plan(net, origin, dest, depart, shortest)
+                assert (plan.path, plan.distance, plan.est_time) == want, (origin, dest)
+                # a distance-only plan does not depend on w1
+                assert replace(route_plan(net, origin, dest, depart, scaled),
+                               weights=shortest) == plan
+    assert unreachable > 0
+
+
 @pytest.mark.parametrize("dims", [(20, 20), (30, 30)])
 def test_search_work_is_bounded(monkeypatch, dims):
     net = generate_network(SimConfig(seed=20240103, grid_dims=dims))
@@ -627,8 +690,9 @@ def test_lower_bounds_equal_the_dict_build(monkeypatch, net, connected):
 
 
 def test_distance_only_query_builds_no_minutes_table():
-    # with w2 = 0 the minutes bound is weighted by 0, so route_plan reads the
-    # km table in its place: the two tables have the same keys
+    # a query with w2 = 0 walks the km table, so it builds neither a minutes
+    # table nor the adjacency the label search reads; the search reads the
+    # minutes table at every node of the km table, so their keys agree
     net = generate_network(SimConfig(seed=7, grid_dims=(10, 10)))
     ids = sorted(net.segments)
     rng = np.random.default_rng(21)
@@ -640,6 +704,7 @@ def test_distance_only_query_builds_no_minutes_table():
     assert len(tables) > 50
     assert all(cost is routing._segment_km for _, cost in tables)
     assert routing._fastest_minutes not in tables.reverse
+    assert tables.forward is None
     for graph in (net, dead_end_net()):
         for goal in graph.nodes:
             assert (routing._lower_bounds(graph, goal, routing._segment_km).keys()
