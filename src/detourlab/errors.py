@@ -1,10 +1,12 @@
 """Exception types shared across the package, the one reader for each kind of
 input, a JSON file (``read_json_file``) or a JSONL stream (``read_jsonl``), the
+per-process cache of network and trip file parses (``read_file_once``), the
 strict number and string readers every parser uses on the parsed JSON, and the
 ridge rule that both the fit and the run config check."""
 
 import json
 import math
+from collections import OrderedDict
 from pathlib import Path
 
 
@@ -70,11 +72,44 @@ def read_json_file(path, what: str, parse):
     object included, raises InputError naming ``what`` and the path (exit
     code 3).
     """
-    data = Path(path).read_bytes()
+    return parse_json_bytes(Path(path).read_bytes(), path, what, parse)
+
+
+def parse_json_bytes(data: bytes, path, what: str, parse):
+    """``read_json_file`` on the bytes ``data`` already read from ``path``."""
     try:
         return _parse_object(data, parse)
     except _BAD_INPUT as exc:
         raise InputError(f"bad {what} file {path}: {_reason(exc)}") from exc
+
+
+# Successful parses of network and trip files, keyed by (parser, file bytes),
+# least recently used first.  Config, model and schedule files are not cached:
+# a run config holds a mutable dict.
+_PARSES: OrderedDict = OrderedDict()
+_MAX_PARSES = 4
+
+
+def read_file_once(path, parse):
+    """``parse(data, path)`` for the bytes ``data`` of the file at ``path``.
+
+    The file is read on every call.  ``parse`` runs only if it has not
+    already parsed identical bytes in this process; otherwise its earlier
+    result is returned, so that result must be one no caller can change.  A
+    failed parse is not kept, so the same bytes fail the same way every
+    time.  At most ``_MAX_PARSES`` parses are kept, the least recently used
+    evicted first.
+    """
+    data = Path(path).read_bytes()
+    key = (parse, data)
+    value = _PARSES.get(key)
+    if value is None:
+        value = _PARSES[key] = parse(data, path)
+        if len(_PARSES) > _MAX_PARSES:
+            _PARSES.popitem(last=False)
+    else:
+        _PARSES.move_to_end(key)
+    return value
 
 
 def read_jsonl(lines, what: str, parse):

@@ -19,7 +19,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import MappingProxyType
 
-from .errors import InputError, read_json_file, read_number, read_string
+from .errors import InputError, parse_json_bytes, read_file_once, read_number, read_string
 
 EARTH_RADIUS_KM = 6371.0
 DAY_MINUTES = 1440.0
@@ -353,5 +353,15 @@ def save_network(net: RoadNetwork, path) -> None:
     Path(path).write_text(_network_json(network_to_dict(net)), encoding="utf-8")
 
 
+def _parse_network(data: bytes, path) -> RoadNetwork:
+    return parse_json_bytes(data, path, "network", network_from_dict)
+
+
 def load_network(path) -> RoadNetwork:
-    return read_json_file(path, "network", network_from_dict)
+    """The network in the JSON file at ``path``.
+
+    Identical bytes loaded again in one process give the same immutable
+    network (``errors.read_file_once``), so the planner tables built on it
+    carry over from one command to the next.
+    """
+    return read_file_once(path, _parse_network)

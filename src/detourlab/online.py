@@ -191,15 +191,17 @@ def stage_auc(net: RoadNetwork, model: LogitModel, trips,
         raise FitError("stage AUC is undefined without both classes")
 
     thetas = [[d.theta for d in run_trip(net, model, trip, weights)] for trip in trips]
+    # per trip, the index of its first warning, or its length when none is raised
+    first_warning = [next((i for i, v in enumerate(trip_thetas) if v > 0.0), len(trip_thetas))
+                     for trip_thetas in thetas]
     results = []
     for stage in range(1, STAGES + 1):
         scores = []
         warned = 0
-        for trip_thetas in thetas:
+        for trip_thetas, first in zip(thetas, first_warning):
             idx = math.ceil(len(trip_thetas) * stage / STAGES)
             scores.append(trip_thetas[idx - 1])
-            if any(v > 0.0 for v in trip_thetas[:idx]):
-                warned += 1
+            warned += first < idx
         auc, _ = rank_auc(scores, labels)
         results.append(StageResult(stage, auc, warned))
     return results

@@ -310,18 +310,30 @@ def _km_path(net, h_km, o: Segment, goal: str) -> tuple[str, ...]:
     return tuple(path)
 
 
+def _km_and_arrival(net, path, depart: float) -> tuple[float, float]:
+    """``path``'s km and its arrival when entered at ``depart``, summed
+    forward in one pass and in the order ``path_km`` and ``entry_times`` add
+    them, so each is the float those give."""
+    km, t = 0.0, depart
+    for sid in path:
+        seg = net.segment(sid)
+        km += seg.length
+        t += 60.0 * segment_travel_time(seg, minute_of_day(t))
+    return km, t
+
+
 def _scalar_pace(net, tables, h_km, o: Segment, goal: str, depart: float,
                  w1: float, w2: float) -> float | None:
     """The regime's minutes-per-km bound ``c`` when labels may compare by
     weighted cost alone (see ``route_plan``), else None.
 
-    U is the cost of the km-shortest route ``_km_path``, its km and entry
-    times summed forward exactly as the search does.
+    U is the cost of the km-shortest route ``_km_path``, its km and arrival
+    summed forward exactly as the search does (``_km_and_arrival``).
     """
     minute = minute_of_day(depart)
     b, c = _regime(net, tables, minute)
-    path = _km_path(net, h_km, o, goal)
-    upper = w1 * path_km(net, path) + w2 * ((entry_times(net, path, depart)[-1] - depart) / 60.0)
+    km, arrival = _km_and_arrival(net, _km_path(net, h_km, o, goal), depart)
+    upper = w1 * km + w2 * ((arrival - depart) / 60.0)
     lower = w1 * (o.length + h_km[o.to_node]) + w2 * (b - minute)
     return c if lower > upper * (1.0 + _SCALAR_MARGIN) else None
 
@@ -394,8 +406,8 @@ def route_plan(
     w1, w2 = weights.w1, weights.w2
     if w2 == 0.0:
         path = _km_path(net, h_km, o, goal)
-        est = (entry_times(net, path, depart)[-1] - depart) / 60.0
-        return RoutePlanStep(path, depart, path_km(net, path), est, weights)
+        km, arrival = _km_and_arrival(net, path, depart)
+        return RoutePlanStep(path, depart, km, (arrival - depart) / 60.0, weights)
     tables = _tables(net)
     if tables.forward is None:
         _compile_forward(net, tables)

@@ -9,12 +9,13 @@ stored network file.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import InputError, read_jsonl, read_number, read_string
+from .errors import InputError, read_file_once, read_jsonl, read_number, read_string
 from .network import GpsPoint, LatLng, RoadNetwork, check_coordinates, check_gps, haversine_km
 from .routing import RoutePlanStep, RoutingWeights, check_contiguous
 
@@ -295,11 +296,18 @@ def save_trips(trips, path) -> None:
             fh.write(json.dumps(trip_to_dict(trip), sort_keys=True) + "\n")
 
 
+def _parse_trips(data: bytes, path) -> tuple[TripRecord, ...]:
+    # BytesIO splits lines as a binary file does, on b"\n" only
+    return tuple(trip for _, trip in read_jsonl(io.BytesIO(data), f"trip file {path}",
+                                                trip_from_dict))
+
+
 def load_trips(path) -> list[TripRecord]:
     """The trips of a JSONL file, one per non-blank line.
 
     A missing path or a directory raises the OSError of opening it; a line
     that is not UTF-8, not JSON or not a valid trip raises DataFormatError.
+    Identical bytes loaded again in one process are not parsed again
+    (``errors.read_file_once``): the frozen trips are shared, in a new list.
     """
-    with Path(path).open("rb") as fh:
-        return [trip for _, trip in read_jsonl(fh, f"trip file {path}", trip_from_dict)]
+    return list(read_file_once(path, _parse_trips))

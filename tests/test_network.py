@@ -22,7 +22,7 @@ from detourlab.network import (
 from detourlab.routing import entry_times
 from detourlab.simulate import SimConfig, generate_network
 
-from conftest import flat
+from conftest import flat, line_network
 
 
 def reference_haversine(lat1, lng1, lat2, lng2, radius=6371.0):
@@ -287,6 +287,54 @@ def test_load_malformed_network(tmp_path):
     bad.write_text('{"nodes": [{"id": "a"}], "segments": []}')  # missing lat/lng
     with pytest.raises(InputError):
         load_network(bad)
+
+
+def test_identical_network_bytes_load_as_one_network(tmp_path, small_grid):
+    # two paths, one set of bytes: the second load is the first load's network
+    save_network(small_grid, tmp_path / "a.json")
+    save_network(small_grid, tmp_path / "b.json")
+    net = load_network(tmp_path / "a.json")
+    assert load_network(tmp_path / "b.json") is net
+    assert load_network(tmp_path / "a.json") is net
+
+
+def test_a_rewritten_network_file_is_parsed_again(tmp_path):
+    path = tmp_path / "net.json"
+    save_network(line_network([1.0, 2.0]), path)
+    first = load_network(path)
+    save_network(line_network([1.0, 2.0, 3.0]), path)
+    second = load_network(path)
+    assert second is not first
+    assert sorted(second.segments) == ["e0", "e1", "e2"]
+
+
+def test_a_bad_network_file_fails_the_same_way_on_every_load(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"nodes": [{"id": "a"}], "segments": []}')
+    messages = []
+    for _ in range(3):
+        with pytest.raises(InputError) as err:
+            load_network(bad)
+        messages.append(str(err.value))
+    assert messages == [f"bad network file {bad}: missing key 'lat'"] * 3
+    save_network(line_network([1.0]), bad)  # a failed parse leaves nothing behind
+    assert sorted(load_network(bad).segments) == ["e0"]
+
+
+def test_four_other_files_evict_the_least_recently_used_parse(tmp_path):
+    paths = []
+    for k in range(5):
+        paths.append(tmp_path / f"net{k}.json")
+        save_network(line_network([1.0] * (k + 1)), paths[-1])
+    first = load_network(paths[0])
+    for path in paths[1:4]:
+        load_network(path)
+    assert load_network(paths[0]) is first  # four parses fit; this use makes it the newest
+    load_network(paths[4])  # evicts the least recently used, paths[1]'s
+    assert load_network(paths[0]) is first
+    for path in paths[1:5]:  # four other files since the first one's last use
+        load_network(path)
+    assert load_network(paths[0]) is not first
 
 
 @pytest.mark.parametrize("where,bad", [

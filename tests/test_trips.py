@@ -415,6 +415,64 @@ def test_only_the_first_stored_plan_is_read(tmp_path):
         load_trips(path)
 
 
+def test_identical_trip_bytes_are_parsed_once(tmp_path):
+    net = line_network([1.0] * 4)
+    trips = [chain_trip(net, 3, 300.0, trip_id=f"t{k}") for k in range(3)]
+    save_trips(trips, tmp_path / "a.jsonl")
+    save_trips(trips, tmp_path / "b.jsonl")
+    first = load_trips(tmp_path / "a.jsonl")
+    second = load_trips(tmp_path / "b.jsonl")
+    assert first == second == trips
+    assert second is not first and all(a is b for a, b in zip(first, second))
+
+
+def test_a_rewritten_trip_file_is_parsed_again(tmp_path):
+    net = line_network([1.0] * 4)
+    path = tmp_path / "trips.jsonl"
+    save_trips([chain_trip(net, 3, 300.0)], path)
+    first = load_trips(path)
+    save_trips([chain_trip(net, 3, 360.0)], path)
+    second = load_trips(path)
+    assert second != first
+    assert second[0].atr.steps[-1].t == T0 + 360.0
+
+
+def test_a_bad_trip_line_fails_the_same_way_on_every_load(tmp_path):
+    net = line_network([1.0] * 3)
+    line = json.dumps(trip_to_dict(chain_trip(net, 2, 300.0)), sort_keys=True)
+    path = tmp_path / "trips.jsonl"
+    path.write_text("\n".join([line, "", line, line[:-1]]) + "\n", encoding="utf-8")
+    for _ in range(3):
+        with pytest.raises(DataFormatError) as err:
+            load_trips(path)
+        assert err.value.line == 4
+        assert str(err.value).startswith(f"trip file {path}, line 4: ")
+    path.write_text(line + "\n", encoding="utf-8")  # a failed parse leaves nothing behind
+    assert len(load_trips(path)) == 1
+
+
+def test_a_bare_carriage_return_does_not_end_a_trip_line(tmp_path):
+    # lines split only at a newline, as reading the file line by line splits them
+    net = line_network([1.0] * 3)
+    line = json.dumps(trip_to_dict(chain_trip(net, 2, 300.0)), sort_keys=True)
+    path = tmp_path / "trips.jsonl"
+    path.write_bytes(line.replace(", ", ",\r", 1).encode() + b"\r\n" + line.encode() + b"\n")
+    assert len(load_trips(path)) == 2
+
+
+def test_changing_a_loaded_trip_list_does_not_change_the_next_load(tmp_path):
+    net = line_network([1.0] * 3)
+    path = tmp_path / "trips.jsonl"
+    save_trips([chain_trip(net, 2, 300.0, trip_id="t0"), chain_trip(net, 2, 300.0, trip_id="t1")],
+               path)
+    loaded = load_trips(path)
+    want = list(loaded)
+    loaded.pop()
+    loaded.append(chain_trip(net, 2, 300.0, trip_id="other"))
+    loaded.reverse()
+    assert load_trips(path) == want
+
+
 def test_load_missing_trips_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_trips(tmp_path / "nope.jsonl")
