@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from weakref import WeakKeyDictionary
 
 from . import trips
@@ -227,6 +228,15 @@ def viterbi_decode(net: RoadNetwork, tr, cfg: MatchConfig = MatchConfig()) -> li
     Score ties are broken toward the lower segment id, which makes the decode
     equal to exhaustive enumeration of candidate sequences under the ordering
     (score desc, reversed id sequence asc).
+
+    Each candidate visits the live predecessors best score first (ties by
+    index) and stops at the first one whose own score is below the best
+    total found so far.  No later predecessor can reach that total or tie
+    it: a transition adds ``y = -|route - gc| / beta <= 0``, and rounding to
+    nearest is monotone, so ``fl(s + y) <= s`` for every score ``s``.  A
+    total equal to the best goes to the lower index, so the decoded states
+    are those of scoring every predecessor in index order with a strict
+    ``>``, and only the transitions that can win ask for a route distance.
     """
     if len(tr) < 2:
         raise InputError("map matching needs at least 2 GPS points")
@@ -248,10 +258,12 @@ def viterbi_decode(net: RoadNetwork, tr, cfg: MatchConfig = MatchConfig()) -> li
 
     for k in range(1, len(tr)):
         gc = haversine_km(tr[k - 1], tr[k])
-        # predecessors with a finite score, as (index, score, segment id, along_km)
+        # predecessors with a finite score, as (index, score, segment id,
+        # along_km), best score first; the sort is stable, so ties keep index order
         live = [(j, s, seg.id, along)
                 for j, ((seg, _, along), s) in enumerate(zip(cands[k - 1], score))
                 if s != neg_inf]
+        live.sort(key=itemgetter(1), reverse=True)
         new_score: list[float] = []
         pointers: list[int] = []
         for seg, distance_m, along_b in cands[k]:
@@ -259,6 +271,8 @@ def viterbi_decode(net: RoadNetwork, tr, cfg: MatchConfig = MatchConfig()) -> li
             best = neg_inf
             best_j = -1
             for j, s, pid, along_a in live:
+                if s < best:
+                    break  # this and every later total is below best
                 # The driving distance between the two projections: the
                 # segment-to-segment route covers the predecessor in full and
                 # stops on entering this segment, and the along-track
@@ -276,7 +290,7 @@ def viterbi_decode(net: RoadNetwork, tr, cfg: MatchConfig = MatchConfig()) -> li
                 # segment from its reverse twin
                 route = route if route > 0.0 else 0.0
                 cand = s + -abs(route - gc) / beta
-                if cand > best:  # strict: first (lowest-id) predecessor wins ties
+                if cand > best or (cand == best and j < best_j):  # lowest index wins ties
                     best = cand
                     best_j = j
             new_score.append(best + emission_logprob(distance_m)

@@ -152,7 +152,11 @@ def destination_change_probability(net: RoadNetwork, trip: TripRecord) -> float:
     Near 1 when the trip ended where it was booked to; can go negative when
     the gap exceeds the distance travelled, which is returned as-is.
     """
-    dist = trajectory_distance_km(net, trip.atr)
+    return _destination_change(trip, trajectory_distance_km(net, trip.atr))
+
+
+def _destination_change(trip: TripRecord, dist: float) -> float:
+    """``destination_change_probability`` given the trajectory's km ``dist``."""
     if dist <= 0.0:
         raise InputError(f"trip {trip.trip_id!r}: zero-length trajectory")
     gap = haversine_km(trip.actual_destination, trip.recorded_destination)
@@ -200,7 +204,7 @@ def _rejection_reason(net, trip, rules) -> str | None:
         return REJECT_TIME
     if dist / (seconds / 3600.0) > rules.max_speed:
         return REJECT_SPEED
-    if destination_change_probability(net, trip) < rules.epsilon_bar:
+    if _destination_change(trip, dist) < rules.epsilon_bar:
         return REJECT_DESTINATION
     return None
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -50,9 +51,13 @@ def transition_logprob(route_km: float | None, gc_km: float) -> float:
     return -abs(route_km - gc_km) / TRANSITION_BETA_KM
 
 
-def reference_viterbi(net, tr, cfg):
+def reference_viterbi(net, tr, cfg, asked=None):
     """The decode one transition at a time through the two helpers above,
-    with every route distance read from ``routing.route_km`` unmemoized."""
+    with every route distance read from ``routing.route_km`` unmemoized.
+
+    Every finite predecessor is scored against every candidate; the segment
+    pairs whose route distance it reads are appended to ``asked`` if given.
+    """
     cands = []
     for i, p in enumerate(tr):
         found = candidates_for(net, p, cfg.candidate_radius)
@@ -61,7 +66,12 @@ def reference_viterbi(net, tr, cfg):
                              f"{cfg.candidate_radius} m", point_index=i)
         cands.append(found)
 
-    routes = SimpleNamespace(km=lambda a, b: route_km(net, a, b))
+    def km(a, b):
+        if asked is not None:
+            asked.append((a, b))
+        return route_km(net, a, b)
+
+    routes = SimpleNamespace(km=km)
     score = [emission_logprob(distance_m) for _, distance_m, _ in cands[0]]
     back = []
     for k in range(1, len(tr)):
@@ -362,6 +372,66 @@ def test_decode_equals_reference_on_noisy_traces(seed, dims, noise_m):
             _decode_outcome(reference_viterbi, net, points, cfg)
 
 
+@pytest.fixture
+def km_requests(monkeypatch):
+    """The (from, to) segment pairs passed to ``RouteDistanceCache.km``, in call order."""
+    asked = []
+    real_km = RouteDistanceCache.km
+
+    def recording_km(self, a, b):
+        asked.append((a, b))
+        return real_km(self, a, b)
+
+    monkeypatch.setattr(RouteDistanceCache, "km", recording_km)
+    return asked
+
+
+def test_decode_asks_for_fewer_distances_than_full_evaluation(km_requests):
+    cfg = MatchConfig()
+    net, traces = noisy_traces(7, (10, 10), 10.0, 20)
+    asked = km_requests
+    decoded_total = full_total = 0
+    for points in traces:
+        asked.clear()
+        full = []
+        decoded = viterbi_decode(net, points, cfg)
+        assert decoded == reference_viterbi(net, points, cfg, asked=full)
+        # the decoder reads a subset of the transitions full evaluation reads
+        assert Counter(asked) <= Counter(full)
+        decoded_total += len(asked)
+        full_total += len(full)
+        # windows short enough to enumerate every candidate sequence
+        for start in range(0, len(points) - 4, 9):
+            window = points[start:start + 5]
+            assert viterbi_decode(net, window, cfg) == enumeration_best(net, window, cfg)
+    assert decoded_total < full_total
+
+
+def test_decode_breaks_exact_ties_toward_the_lower_index(monkeypatch, km_requests):
+    # Three roads into v, then v -> x.  At the first point b has the best
+    # score (0) though a (-0.5) comes first by index, and d (-2) is worst.
+    # With a 1 km gap between the points, a -> c (1 km) costs nothing and
+    # b -> c (2 km) costs 0.5: both totals are exactly -0.5.  The decoder
+    # tries b first, then a, which ties and wins by its lower index; d's
+    # score is below -0.5 already, so d -> c is never evaluated.
+    nodes = [Node(n, 0.0, lng) for n, lng in
+             (("u", -0.01), ("w", -0.02), ("z", -0.03), ("v", 0.0), ("x", 0.01))]
+    segments = [Segment(sid, a, b, km, flat(40.0))
+                for sid, a, b, km in (("a", "u", "v", 1.0), ("b", "w", "v", 2.0),
+                                      ("c", "v", "x", 1.0), ("d", "z", "v", 1.0))]
+    net = RoadNetwork(nodes, segments)
+    seg = net.segment
+    points = [GpsPoint(0.0, 0.0, BASE_T), GpsPoint(0.0, 0.0, BASE_T + 60.0)]
+    found = {BASE_T: [(seg("a"), 25.0, 0.0), (seg("b"), 0.0, 0.0), (seg("d"), 50.0, 0.0)],
+             BASE_T + 60.0: [(seg("c"), 0.0, 0.0)]}
+    assert [emission_logprob(d) for _, d, _ in found[BASE_T]] == [-0.5, 0.0, -2.0]
+    monkeypatch.setattr(matching, "candidates_for", lambda net, point, radius: found[point.t])
+    monkeypatch.setattr(matching, "haversine_km", lambda p, q: 1.0)
+    assert viterbi_decode(net, points, MatchConfig()) == ["a", "c"]
+    assert km_requests == [("b", "c"), ("a", "c")]
+    assert [route_km(net, a, "c") for a in ("a", "b", "d")] == [1.0, 2.0, 1.0]
+
+
 @pytest.fixture(scope="module")
 def dead_ends():
     """One-way road l -> c -> r, with c -> l2 a dead end drawn over l -> c,
@@ -379,16 +449,9 @@ def dead_ends():
     return RoadNetwork(nodes, segments)
 
 
-def test_decode_skips_transitions_with_no_route(dead_ends, monkeypatch):
+def test_decode_skips_transitions_with_no_route(dead_ends, km_requests):
     cfg = MatchConfig()
-    asked = []
-    real_km = RouteDistanceCache.km
-
-    def recording_km(self, a, b):
-        asked.append((a, b))
-        return real_km(self, a, b)
-
-    monkeypatch.setattr(RouteDistanceCache, "km", recording_km)
+    asked = km_requests
     points = [offset_point(0.0, -0.3 / KM_PER_DEG, 5.0, 0.0, BASE_T),
               offset_point(0.0, 0.2 / KM_PER_DEG, 5.0, 0.0, BASE_T + 20.0),
               offset_point(0.0, 0.4 / KM_PER_DEG, 5.0, 0.0, BASE_T + 40.0)]
@@ -400,8 +463,10 @@ def test_decode_skips_transitions_with_no_route(dead_ends, monkeypatch):
         assert route_km(dead_ends, a, b) is None
     decoded = viterbi_decode(dead_ends, points, cfg)
     assert decoded == ["l>c", "c>r", "c>r"]
-    # a distance is asked for exactly where the segments differ and the
-    # predecessor's score is finite
+    # a distance is asked for where the segments differ, the predecessor's
+    # score is finite and not below the best total found so far for the
+    # candidate; predecessors go best score first, ties (the twin roads at
+    # the first point) in index order
     assert asked == [("c>l2", "c>r"), ("l>c", "c>r"), ("c>l2", "r2>c"), ("l>c", "r2>c"),
                      ("c>r", "r2>c")]
     assert decoded == reference_viterbi(dead_ends, points, cfg)
@@ -445,7 +510,7 @@ def test_memo_equals_route_km_for_every_pair(index_grid, dead_ends):
         assert (unreachable > 0) == (net is dead_ends)
 
 
-def test_decode_fetches_one_km_table_per_destination(monkeypatch):
+def test_decode_fetches_one_km_table_per_destination(monkeypatch, km_requests):
     net, traces = noisy_traces(7, (10, 10), 10.0, 5)
     fetched = []
     real_km_table = matching.km_table
@@ -455,18 +520,11 @@ def test_decode_fetches_one_km_table_per_destination(monkeypatch):
         return real_km_table(net, dest)
 
     monkeypatch.setattr(matching, "km_table", counting_km_table)
-    pairs = set()
-    real_km = RouteDistanceCache.km
-
-    def recording_km(self, a, b):
-        pairs.add((a, b))
-        return real_km(self, a, b)
-
-    monkeypatch.setattr(RouteDistanceCache, "km", recording_km)
     for points in traces:
         fetched.clear()
-        pairs.clear()
+        km_requests.clear()
         viterbi_decode(net, points, MatchConfig())
+        pairs = set(km_requests)
         assert len(fetched) == len(set(fetched)) == len({b for _, b in pairs})
         assert len(fetched) < len(pairs)
 

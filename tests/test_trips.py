@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from detourlab import trips as trips_module
 from detourlab.classifier import LogitModel
 from detourlab.errors import DataFormatError, InputError, read_number
 from detourlab.network import LatLng
@@ -156,6 +157,22 @@ def test_filter_malformed_trip(filter_fixture):
     one_step = make_trip(net, [("e0", T0)], ["e0"], 1.0, 1.0, trip_id="stub")
     _, rejected = filter_dataset(net, [one_step])
     assert rejected[0][1] == REJECT_MALFORMED
+
+
+def test_filter_walks_each_trajectory_once(filter_fixture, monkeypatch):
+    # the speed rule and the destination-change rule share one km sum
+    net, trips = filter_fixture
+    walked = []
+    real_walk = trips_module.trajectory_distance_km
+
+    def counting_walk(net, atr):
+        walked.append(atr.trip_id)
+        return real_walk(net, atr)
+
+    monkeypatch.setattr(trips_module, "trajectory_distance_km", counting_walk)
+    kept, _ = filter_dataset(net, trips)
+    assert [t.trip_id for t in kept] == ["ok0", "ok1", "ok2"]  # past every rule
+    assert walked == [t.trip_id for t in trips]
 
 
 @pytest.mark.parametrize("part", ["atr", "plan"])
