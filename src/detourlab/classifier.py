@@ -129,9 +129,12 @@ def train(samples, ridge: float = 0.0) -> TrainReport:
 
     Each step solves the information matrix against the gradient, by least
     squares so that a constant feature column (a singular matrix) still gets
-    a direction, and halves until the log-likelihood does not drop.  Stops
-    when the gradient infinity-norm falls below ``_GRAD_TOL``, or unconverged
-    after ``_MAX_STEPS`` steps or when no halving stops the drop.  Standard
+    a direction, and halves until the log-likelihood drops by at most 4 ulps
+    of its magnitude.  Near the optimum a full step's gain falls below that
+    resolution and can round to a tiny drop; halving such a step would stall
+    the gradient above its tolerance at the optimum.  Stops when the
+    gradient infinity-norm falls below ``_GRAD_TOL``, or unconverged after
+    ``_MAX_STEPS`` steps or when no halving stops the drop.  Standard
     errors come from the inverse information at the optimum.  Perfectly
     separable data with no ridge has no finite maximizer; that case is
     reported with ``converged=False`` and a diagnostic instead of an error.
@@ -156,7 +159,7 @@ def train(samples, ridge: float = 0.0) -> TrainReport:
         for _ in range(_MAX_HALVINGS):
             candidate = beta + direction
             cll = log_likelihood(candidate, X, y, ridge)
-            if cll >= ll:
+            if cll >= ll - 4.0 * math.ulp(ll):
                 break
             direction = 0.5 * direction
         else:

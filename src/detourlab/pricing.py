@@ -328,26 +328,6 @@ DEFAULT_SCHEDULES = {
 }
 
 
-def schedule_to_dict(schedule: FareSchedule) -> dict:
-    return {
-        "city": schedule.city,
-        "base_fare": schedule.base_fare,
-        "base_km": schedule.base_km,
-        "base_min": schedule.base_min,
-        "operating_cost_per_km": schedule.operating_cost_per_km,
-        "intervals": [
-            {
-                "start_min": iv.start_min,
-                "end_min": iv.end_min,
-                "rate_per_km": iv.rate_per_km,
-                "rate_per_min": iv.rate_per_min,
-                "serving_speed_km_per_min": iv.serving_speed,
-            }
-            for iv in schedule.intervals
-        ],
-    }
-
-
 def schedule_from_dict(data: dict) -> FareSchedule:
     intervals = tuple(
         IntervalRate(*(read_number(iv[key], key) for key in (

@@ -8,19 +8,18 @@ is empty.  This single convention makes the live per-step scores collapse to
 the offline features on the final step with no special cases.
 
 Travel times are FIFO (``network.segment_travel_time``): entering a segment
-later never means leaving it earlier.  So a route that reaches a node with
-no more km and no later than another continues at least as well, the label
-search keeps one small Pareto set of (km, arrival) labels per node (one
-label when no route that can still be optimal reaches a speed change), and
-a recommended route never passes through a node twice.  A distance-only
-query needs no search: it walks the km table.
+later never means leaving it earlier, and a speed change bounds how much
+later.  So the label search keeps per node a small front of labels that no
+other label there beats under one rule, from those slope bounds
+(``route_plan``), and a recommended route never passes through a node
+twice.  A distance-only query needs no search: it walks the km table.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
 from operator import itemgetter
@@ -106,40 +105,40 @@ def entry_times(net: RoadNetwork, path, depart: float) -> list[float]:
     return times
 
 
-# Per-network cache of the static per-goal tables, keyed by (goal node, edge
-# cost).  The network is immutable, so the tables never go stale.  Each
-# network keeps at most _MAX_TABLES of them and evicts the least recently
-# used, so memory stays bounded on large grids; a 10x10 grid needs at most
-# 200 (100 goals, two kinds) and never evicts.
+# Per-network cache of the static per-goal km tables, keyed by goal node.  The
+# network is immutable, so the tables never go stale.  Each network keeps at
+# most _MAX_TABLES of them and evicts the least recently used, so memory stays
+# bounded on large grids; a 10x10 grid needs at most 100 and never evicts.
 _HEURISTICS: WeakKeyDictionary = WeakKeyDictionary()
 _MAX_TABLES = 512
 _FIRST = itemgetter(0)
-# How far the lower bound on a route that reaches the next speed change must
-# clear the cost of a known route before labels compare by weighted cost
-# alone; it is far above the rounding of either side.
+# How far a label must clear a cone test with a positive slope term, and how
+# far the horizon and the minutes-per-km bound are widened; it is far above
+# the rounding of either side, so no tie is decided by the cone.
 _SCALAR_MARGIN = 1e-9
 
 
 class _NetworkTables(OrderedDict):
-    """One network's LRU of per-goal tables, and what is compiled once per network.
+    """One network's LRU of per-goal km tables, and what is compiled once per network.
 
-    ``reverse`` holds the compiled reverse graph per edge cost.  ``forward``
-    holds per node id its outgoing segments, in ``net.outgoing`` order, as
-    ``(to_node, length, id, segment, starts, fulls, changes)``: the columns
-    of ``network.full_traversals``.  ``changes`` is the sorted minutes of the
-    day at which some segment's speed changes, and ``pace`` the minutes-per-km
-    bound per speed regime (``_regime``).  Each is at most O(segments), kept
-    for the network's lifetime, and none counts toward ``_MAX_TABLES`` or is
-    ever evicted.  ``forward`` and ``changes`` are built by the first
-    time-weighted (w2 > 0) ``route_plan``, so a caller that reads only km
-    tables or plans by distance alone never builds them.
+    ``incoming`` is the reverse graph of the km tables (``_lower_bounds``).
+    ``forward`` holds per node id its outgoing segments, in ``net.outgoing``
+    order, as ``(to_node, length, id, segment, starts, fulls, changes)``:
+    the columns of ``network.full_traversals``.  ``changes`` is the sorted
+    minutes of the day at which some segment's speed changes, ``slopes`` per
+    change ``(min(1, least ratio), max(1, greatest ratio))`` of a segment's
+    speed before it to its speed after it, and ``pace`` the minutes-per-km
+    bound per speed regime (``_pace``).  Each is O(segments), kept for the
+    network's lifetime and never evicted.  The first time-weighted (w2 > 0)
+    ``route_plan`` builds ``forward``, ``changes`` and ``slopes``.
     """
 
     def __init__(self):
         super().__init__()
-        self.reverse = {}
+        self.incoming = None
         self.forward = None
         self.changes = None
+        self.slopes = None
         self.pace = {}
 
 
@@ -151,7 +150,7 @@ def _tables(net: RoadNetwork) -> _NetworkTables:
 
 
 def _compile_forward(net: RoadNetwork, tables: _NetworkTables) -> None:
-    """Fill ``tables.forward`` and ``tables.changes`` from ``net``."""
+    """Fill ``tables.forward``, ``tables.changes`` and ``tables.slopes`` from ``net``."""
     forward = {}
     for nid in net.nodes:
         rows = []
@@ -159,81 +158,58 @@ def _compile_forward(net: RoadNetwork, tables: _NetworkTables) -> None:
             starts, fulls, changes = zip(*full_traversals(seg))
             rows.append((seg.to_node, seg.length, seg.id, seg, starts, fulls, changes))
         forward[nid] = tuple(rows)
-    changes = set()
+    ratios = {}
     for seg in net.segments.values():
         prof = seg.speed_profile
-        changes.update(start for i, (start, kmh) in enumerate(prof) if kmh != prof[i - 1][1])
+        for i, (start, kmh) in enumerate(prof):
+            if kmh != prof[i - 1][1]:
+                ratio = prof[i - 1][1] / kmh
+                lo, hi = ratios.get(start, (1.0, 1.0))
+                ratios[start] = (min(lo, ratio), max(hi, ratio))
     tables.forward = forward
-    tables.changes = tuple(sorted(changes))
+    tables.changes = tuple(sorted(ratios))
+    tables.slopes = tuple(ratios[minute] for minute in tables.changes)
 
 
-def _regime(net: RoadNetwork, tables: _NetworkTables, minute: float) -> tuple[float, float]:
-    """``(b, c)`` for a departure at ``minute`` of the day.
+def _pace(net: RoadNetwork, tables: _NetworkTables, regime: int) -> float:
+    """The least minutes per km, ``60 / kmh``, over every segment at the
+    speed it keeps in ``regime``, rounded down by ``_SCALAR_MARGIN``; cached.
 
-    ``b`` is the first minute after ``minute`` at which some segment's speed
-    changes: past 1440 when that is tomorrow, inf when no speed ever
-    changes.  ``c`` is the least minutes per km, ``60 / kmh``, over every
-    segment at the speed it keeps from ``minute`` up to ``b``, rounded down
-    by ``_SCALAR_MARGIN``; it is cached per regime.
+    Regime r runs from change r - 1 to change r of ``tables.changes``;
+    regime 0 runs from the last change of one day to the first of the next.
+    With no change there is one regime.
     """
-    changes = tables.changes
-    k = bisect_right(changes, minute)
-    if k < len(changes):
-        b = changes[k]
-    else:
-        b = changes[0] + DAY_MINUTES if changes else math.inf
-    key = k % len(changes) if changes else 0
-    c = tables.pace.get(key)
+    c = tables.pace.get(regime)
     if c is None:
-        c = tables.pace[key] = (1.0 - _SCALAR_MARGIN) * min(
+        minute = tables.changes[regime - 1] if tables.changes else 0.0
+        c = tables.pace[regime] = (1.0 - _SCALAR_MARGIN) * min(
             60.0 / seg.speed_profile[bisect_right(seg.speed_profile, minute, key=_FIRST) - 1][1]
             for seg in net.segments.values())
-    return b, c
+    return c
 
 
-def _segment_km(seg) -> float:
-    return seg.length
+def _lower_bounds(net: RoadNetwork, goal: str) -> dict[str, float]:
+    """The least km from every node that reaches ``goal`` to it.
 
-
-def _fastest_minutes(seg) -> float:
-    return min(seg.length / kmh * 60.0 for _, kmh in seg.speed_profile)
-
-
-def _reverse_graph(net: RoadNetwork, edge_cost):
-    """Node ids in sorted order, their index map, and per node index a tuple
-    of ``(from_index, edge_cost(seg))`` over its incoming segments in
-    ``net.incoming`` order.  Each segment's cost is evaluated once."""
-    ids = sorted(net.nodes)
-    index = {nid: i for i, nid in enumerate(ids)}
-    incoming = tuple(tuple((index[seg.from_node], edge_cost(seg)) for seg in net.incoming(nid))
-                     for nid in ids)
-    return ids, index, incoming
-
-
-def _lower_bounds(net: RoadNetwork, goal: str, edge_cost) -> dict[str, float]:
-    """Static per-node lower bounds on what remains to ``goal``, by ``edge_cost``.
-
-    With ``_segment_km`` the bound is the exact remaining km; with
-    ``_fastest_minutes`` it is the remaining minutes at each segment's
-    fastest bucket.  Both are admissible and consistent for the
-    time-dependent search whatever the departure time.  Each table is built
-    on first use, so a caller that reads only km, a distance-only
-    ``route_plan`` query or one under the one-label rule never builds
-    minutes.  The table maps every node that reaches ``goal`` to its bound.
-
-    The build is a reverse Dijkstra over the network's compiled reverse
-    graph.  Node indices follow sorted id order, so ``(cost, index)`` heap
-    entries break ties exactly as ``(cost, node_id)`` would.
+    This is the static A* table of ``route_plan``, admissible and consistent
+    whatever the departure time, built on first use.  The build is a reverse
+    Dijkstra over a reverse graph compiled once per network: node ids in
+    sorted order, and per node index a tuple of ``(from_index, length)``
+    over its incoming segments in ``net.incoming`` order.  Node indices
+    follow sorted id order, so ``(km, index)`` heap entries break ties
+    exactly as ``(km, node_id)`` would.
     """
     tables = _tables(net)
-    key = (goal, edge_cost)
-    if key in tables:
-        tables.move_to_end(key)
-        return tables[key]
-    graph = tables.reverse.get(edge_cost)
-    if graph is None:
-        graph = tables.reverse[edge_cost] = _reverse_graph(net, edge_cost)
-    ids, index, incoming = graph
+    if goal in tables:
+        tables.move_to_end(goal)
+        return tables[goal]
+    if tables.incoming is None:
+        ids = sorted(net.nodes)
+        index = {nid: i for i, nid in enumerate(ids)}
+        tables.incoming = ids, index, tuple(
+            tuple((index[seg.from_node], seg.length) for seg in net.incoming(nid))
+            for nid in ids)
+    ids, index, incoming = tables.incoming
     start = index.get(goal)
     if start is None:
         raise InputError(f"unknown node id {goal!r}")
@@ -251,7 +227,7 @@ def _lower_bounds(net: RoadNetwork, goal: str, edge_cost) -> dict[str, float]:
                 dist[u] = nd
                 heappush(heap, (nd, u))
     table = {nid: d for nid, d in zip(ids, dist) if d != math.inf}
-    tables[key] = table
+    tables[goal] = table
     if len(tables) > _MAX_TABLES:
         tables.popitem(last=False)
     return table
@@ -263,7 +239,7 @@ def km_table(net: RoadNetwork, dest: str) -> dict[str, float]:
     This is the static km table behind the planner's A* bound for that goal,
     built on first use and shared with ``route_plan``.
     """
-    return _lower_bounds(net, net.segment(dest).from_node, _segment_km)
+    return _lower_bounds(net, net.segment(dest).from_node)
 
 
 def km_via(origin: Segment, dest: str, table: dict[str, float]) -> float | None:
@@ -322,20 +298,37 @@ def _km_and_arrival(net, path, depart: float) -> tuple[float, float]:
     return km, t
 
 
-def _scalar_pace(net, tables, h_km, o: Segment, goal: str, depart: float,
-                 w1: float, w2: float) -> float | None:
-    """The regime's minutes-per-km bound ``c`` when labels may compare by
-    weighted cost alone (see ``route_plan``), else None.
+def _horizon(net, tables, h_km, o: Segment, goal: str, depart: float,
+             w1: float, w2: float) -> tuple[float, float, float]:
+    """``(rho, R, c)`` for a time-weighted query (see ``route_plan``).
 
     U is the cost of the km-shortest route ``_km_path``, its km and arrival
-    summed forward exactly as the search does (``_km_and_arrival``).
+    summed forward exactly as the search does (``_km_and_arrival``), and K0
+    the origin's length plus the least km from its exit node to the goal.
+    The horizon runs H = (U * (1 + ``_SCALAR_MARGIN``) - w1 * K0) / w2
+    minutes from the departure.  ``rho`` and ``R`` are the products of the
+    ``slopes`` of the speed changes after the departure and within H:
+    0 and inf when H is a day or more and some speed changes.  ``c`` is the
+    least ``_pace`` of the speed regimes the horizon meets.
     """
     minute = minute_of_day(depart)
-    b, c = _regime(net, tables, minute)
     km, arrival = _km_and_arrival(net, _km_path(net, h_km, o, goal), depart)
     upper = w1 * km + w2 * ((arrival - depart) / 60.0)
-    lower = w1 * (o.length + h_km[o.to_node]) + w2 * (b - minute)
-    return c if lower > upper * (1.0 + _SCALAR_MARGIN) else None
+    end = minute + (upper * (1.0 + _SCALAR_MARGIN) - w1 * (o.length + h_km[o.to_node])) / w2
+    changes, n = tables.changes, len(tables.changes)
+    if not n:
+        return 1.0, 1.0, _pace(net, tables, 0)
+    if end - minute >= DAY_MINUTES:  # every regime: the fastest speed of the day
+        return 0.0, math.inf, (1.0 - _SCALAR_MARGIN) * 60.0 / max(
+            kmh for seg in net.segments.values() for _, kmh in seg.speed_profile)
+    k = bisect_right(changes, minute)
+    rho, big, c = 1.0, 1.0, _pace(net, tables, k % n)
+    while changes[k % n] + DAY_MINUTES * (k // n) <= end:
+        lo, hi = tables.slopes[k % n]
+        rho, big = rho * lo, big * hi
+        k += 1
+        c = min(c, _pace(net, tables, k % n))
+    return rho, big, c
 
 
 def route_plan(
@@ -351,46 +344,54 @@ def route_plan(
     evolving along the path.  A distance-only query (w2 = 0) depends on
     neither w1 nor the time: its path is the km-table walk ``_km_path``, so
     its ties break by the walk's rule, and its km and minutes are summed
-    forward along it.  Every other query is a label search.  Travel times
-    are FIFO (``segment_travel_time``), so arriving at a node earlier and
-    with fewer km never hurts what follows: each node keeps a Pareto set of
-    (km, arrival) labels, and a label that another one there matches or
-    beats on every weighted criterion is dropped.  A loop only adds km and
-    time, so the result is loop-free by construction.  Equal-cost ties
-    resolve toward the lexicographically smallest segment-id sequence.
+    forward along it.  Every other query is an A* label search whose
+    equal-cost ties resolve toward the lexicographically smallest
+    segment-id sequence.
 
-    One label per node when no useful route can reach a speed change.  Let b
-    be the first time after the departure at which some segment's speed
-    changes, K0 the origin's length plus the least km from its exit node to
-    the goal, and U the cost of one real route (``_scalar_pace``).  Every
-    route has at least K0 km, so a route that reaches the goal at or after b
-    costs at least L = w1 * K0 + w2 * (minutes from the departure to b).
-    When L exceeds U by ``_SCALAR_MARGIN``, no route that reaches b is
-    optimal, and labels at a node compare by weighted cost g alone, ties by
-    path.  Proof: let X and Y be labels at node v with g(X) <= g(Y), and S a
-    continuation from v to the goal.  If X arrives at or after b, g(Y) >=
-    g(X) >= w1 * km(X) + w2 * (minutes to b), and Y+S adds at least the least
-    km from v, so Y+S costs at least L and is not optimal.  If Y arrives at
-    or after b, the same sum holds for Y.  Otherwise both arrive before b.
-    Until b every segment keeps one speed, so S driven before b adds fixed
-    km(S) and fixed minutes m(S).  Suppose Y+S is optimal: it ends before b
-    and costs g(Y) + w1 * km(S) + w2 * m(S) <= U.  Drive S from X, which may
-    arrive later with fewer km, at the speeds in force before b: that costs
-    g(X) + w1 * km(S) + w2 * m(S) <= U < L, so the drive ends before b (one
-    that reaches b costs at least L), the real X+S is that drive, and it is
-    at least as good as Y+S.  So Y can go.
+    Each node keeps a front of labels: cost g so far, km (0.0 when w1 is 0),
+    arrival and path; m is the minutes from the departure to the arrival.
+    A label X beats a label Y at the same node, and Y is dropped, when X
+    has no more km and arrives no later (the smaller path wins a tie in
+    both), or when g(X) + w2 * k * |m(X) - m(Y)| <= g(Y), with k = 1 - rho
+    if X arrives no later and k = R - 1 if later.  A positive k must clear
+    that test by the relative ``_SCALAR_MARGIN``; with k = 0 the smaller g
+    wins, and the smaller path a tie.
 
-    The A* bound adds to g the static remaining km to the goal, weighted by
-    w1, and a lower bound on the remaining minutes, weighted by w2.  Under
-    the one-label rule that bound is the remaining km times the least
-    minutes per km of any segment at the speeds in force before b: it holds
-    on every route that can still be optimal, as those end before b, and no
-    per-goal minutes table is built.  Otherwise it is a static table of the
-    remaining minutes at each segment's fastest bucket.  Segment minutes
-    come from an adjacency compiled once per network that holds each
-    bucket's full-traversal minutes and the next minute the segment's speed
-    changes; only a traversal that reaches that change calls
-    ``segment_travel_time``, and both give the same float.
+    rho and R bound a slope.  Let K0 be the origin's length plus the least
+    km from its exit node to the goal, and U the cost of one real route
+    (``_horizon``).  Every route has at least K0 km, so one that costs at
+    most U, as an optimal one does, ends within H = (U - w1 * K0) / w2
+    minutes of the departure.  Travel times are FIFO
+    (``segment_travel_time``): a vehicle that enters a segment dt later and
+    crosses a change of its speed from v1 to v2 leaves it v1 / v2 * dt
+    later.  So along a fixed continuation S from a node, the arrival at the
+    goal A_S(t), as a function of the time t the node is left, has slope the
+    product of v1 / v2 over the changes the drive crosses.  rho is the
+    product over the speed changes within H of min(1, the least such ratio
+    there), and R that of max(1, the greatest), so the slope lies between
+    them while the drive ends within H.  With no change there, rho = R = 1
+    and labels compare by g alone; an H of a day or more gives rho = 0 and
+    R = inf, which leaves the first case: a (km, arrival) Pareto front.
+
+    Why a dropped Y loses nothing.  Let Y+S be optimal, so it ends within H.
+    If X arrives no later, every drive of S that leaves between t_X and t_Y
+    ends by Y+S's end, so A_S(t_Y) - A_S(t_X) >= rho * (t_Y - t_X), and
+    cost(X+S) - cost(Y+S) <= g(X) - g(Y) + w2 * (1 - rho) * (m(Y) - m(X))
+    <= 0.  If X arrives later and X+S ends within H, the same holds with
+    R - 1.  If X+S ends after H, let t* be when A_S reaches H's end; the
+    test gives cost(Y+S) >= w1 * (km(Y) + km(S)) + w2 * (H - R * (t* - t_Y)
+    / 60) > w1 * (km(X) + km(S)) + w2 * H >= U, so Y+S was not optimal.  A
+    positive k passes only with the margin, so it decides no tie; the other
+    tests give a tie to X's smaller path.  X+S may pass a node twice, but a
+    loop only adds km and time, so the answer is loop-free.
+
+    The A* bound adds to g the remaining km to the goal, from a static
+    table, times w1 + w2 * c, c the least minutes per km of any segment in
+    any speed regime within H: it holds on every route that can still be
+    optimal.  Segment minutes come from an adjacency compiled once per
+    network that holds each bucket's full-traversal minutes and the next
+    minute the segment's speed changes; only a traversal that reaches that
+    change calls ``segment_travel_time``, and both give the same float.
     """
     if not math.isfinite(depart):
         raise InputError(f"departure time {depart!r} is not a finite number")
@@ -400,7 +401,7 @@ def route_plan(
         return RoutePlanStep((), depart, 0.0, 0.0, weights)
 
     goal = d.from_node
-    h_km = _lower_bounds(net, goal, _segment_km)
+    h_km = _lower_bounds(net, goal)
     if o.to_node not in h_km:
         raise NoRouteError(f"no route from segment {origin!r} to segment {dest!r}")
     w1, w2 = weights.w1, weights.w2
@@ -412,32 +413,22 @@ def route_plan(
     if tables.forward is None:
         _compile_forward(net, tables)
     forward = tables.forward
-    t0 = depart + 60.0 * segment_travel_time(o, minute_of_day(depart))
-    pace = _scalar_pace(net, tables, h_km, o, goal, depart, w1, w2)
-    h_min = None if pace is not None else _lower_bounds(net, goal, _fastest_minutes)
+    rho, big, c = _horizon(net, tables, h_km, o, goal, depart, w1, w2)
+    # the cone's k per second of arrival, for an earlier and a later label
+    early, late = w2 * (1.0 - rho) / 60.0, w2 * (big - 1.0) / 60.0
+    clear = 1.0 + _SCALAR_MARGIN
+    scale = w1 + w2 * c
 
-    # A label is a list whose last item stays True until a better label at
-    # its node replaces it; a replaced label is skipped when popped.  Under
-    # the one-label rule, best[node] is [g, path, alive], and a new label is
-    # dropped unless its (g, path) is smaller.  Otherwise each node keeps a
-    # Pareto front of labels [a, b, path, alive]: a is the km, held at 0.0
-    # when w1 is 0, and b the arrival.  Raw values are compared, never
-    # weighted sums, which rounding can tie.  The front is sorted by a, so
-    # b strictly falls along it.  A new label is dropped if a
-    # label there has no more a and no more b, and the smaller path on a tie
-    # in both; the labels it beats leave the front.
+    # A label is [g, km, arrival, path, alive]; alive stays True until a
+    # label at its node beats it, and a beaten label is skipped when popped.
+    # The proof needs only that the beating label's path exists, so a label
+    # the new one beats goes even if a later one beats the new one.  Raw km
+    # and arrivals are compared in the first case, never weighted sums.
+    t0 = depart + 60.0 * segment_travel_time(o, minute_of_day(depart))
     g0 = w1 * o.length + w2 * ((t0 - depart) / 60.0)
-    hk = h_km[o.to_node]
-    if pace is None:
-        start = [o.length if w1 else 0.0, t0, (origin,), True]
-        f0 = g0 + w1 * hk + w2 * h_min[o.to_node]
-        fronts: dict[str, list[list]] = {o.to_node: [start]}
-    else:
-        scale = w1 + w2 * pace
-        start = [g0, (origin,), True]
-        f0 = g0 + hk * scale
-        best: dict[str, list] = {o.to_node: start}
-    heap = [(f0, (origin,), o.to_node, o.length, t0, start)]
+    start = [g0, o.length if w1 else 0.0, t0, (origin,), True]
+    fronts: dict[str, list[list]] = {o.to_node: [start]}
+    heap = [(g0 + h_km[o.to_node] * scale, (origin,), o.to_node, o.length, t0, start)]
 
     while heap:
         f, path, node, dist_km, t_abs, label = heapq.heappop(heap)
@@ -457,32 +448,31 @@ def route_plan(
             nt = t_abs + 60.0 * mins
             nd = dist_km + km
             g = w1 * nd + w2 * ((nt - depart) / 60.0)
-            if pace is not None:
-                old = best.get(to)
-                if old is not None and old[0] < g:
-                    continue
-                npath = path + (sid,)
-                if old is not None:
-                    if old[0] == g and old[1] <= npath:
-                        continue
-                    old[2] = False
-                new = best[to] = [g, npath, True]
-                heapq.heappush(heap, (g + hk * scale, npath, to, nd, nt, new))
-                continue
+            a = nd if w1 else 0.0
             npath = path + (sid,)
-            a, b = (nd if w1 else 0.0), nt
-            front = fronts.setdefault(to, [])
-            i = bisect_right(front, a, key=_FIRST)
-            if i:
-                pa, pb, ppath, _ = front[i - 1]  # the least b among a <= this a
-                if pb < b or (pb == b and (pa < a or ppath <= npath)):
-                    continue
-            j = k = bisect_left(front, a, hi=i, key=_FIRST)
-            while k < len(front) and front[k][1] >= b:
-                front[k][3] = False
-                k += 1
-            new = [a, b, npath, True]
-            front[j:k] = [new]
-            heapq.heappush(heap, (g + w1 * hk + w2 * h_min[to], npath, to, nd, nt, new))
+            kept = []
+            for x in fronts.get(to, ()):
+                xg, xa, xt, xpath, alive = x
+                if xt <= nt:
+                    if xa <= a and (xa < a or xt < nt or xpath < npath):
+                        break
+                    k, back, dt = early, late if xt < nt else early, nt - xt
+                else:
+                    k, back, dt = late, early, xt - nt
+                if (xg + k * dt) * clear < g if k else xg < g or xg == g and xpath < npath:
+                    break
+                # the same tests the other way round; x did not win the first
+                # case, so it loses it whenever it arrives no earlier with no
+                # fewer km
+                if nt <= xt and a <= xa or ((g + back * dt) * clear < xg if back else
+                                            g < xg or g == xg and npath < xpath):
+                    x[4] = False
+                elif alive:
+                    kept.append(x)
+            else:
+                new = [g, a, nt, npath, True]
+                kept.append(new)
+                fronts[to] = kept
+                heapq.heappush(heap, (g + hk * scale, npath, to, nd, nt, new))
 
     raise NoRouteError(f"no route from segment {origin!r} to segment {dest!r}")

@@ -21,6 +21,21 @@ def path_est_time(net, path, depart: float) -> float:
     return (entry_times(net, path, depart)[-1] - depart) / 60.0
 
 
+def schedule_json(schedule) -> dict:
+    """The JSON form ``pricing.load_schedule`` reads, for ``schedule``."""
+    return {
+        "city": schedule.city,
+        "base_fare": schedule.base_fare,
+        "base_km": schedule.base_km,
+        "base_min": schedule.base_min,
+        "operating_cost_per_km": schedule.operating_cost_per_km,
+        "intervals": [{"start_min": iv.start_min, "end_min": iv.end_min,
+                       "rate_per_km": iv.rate_per_km, "rate_per_min": iv.rate_per_min,
+                       "serving_speed_km_per_min": iv.serving_speed}
+                      for iv in schedule.intervals],
+    }
+
+
 def line_network(lengths, speed: float = 60.0) -> RoadNetwork:
     """Chain of nodes along the equator; segment k has the given length."""
     lngs = [0.0]

@@ -142,6 +142,29 @@ def test_training_converges_fast_on_near_separable_data():
     assert np.max(np.abs(log_likelihood_gradient(beta, X, y, 1e-6))) < 1e-8
 
 
+def test_training_stops_at_float_resolution():
+    # Well-posed data where, near the optimum, the full Newton step's gain is
+    # below the rounding of the log-likelihood and rounds to a tiny drop.  A
+    # fit that accepts no drop at all halves that step, leaves the gradient
+    # above its tolerance and runs out of steps at the optimum, reporting it
+    # unconverged with no diagnostic.
+    rng = np.random.default_rng(34)
+    n = int(rng.integers(200, 3001))
+    x = rng.normal(size=(n, 2))
+    b = rng.normal(0.0, 2.0, size=3)
+    y = rng.random(n) < 1.0 / (1.0 + np.exp(-(b[0] + x @ b[1:])))
+    assert (n, int(y.sum())) == (376, 210)
+    samples = [(FeatureVector(float(u), float(v)), bool(label))
+               for (u, v), label in zip(x, y)]
+    report = train(samples, ridge=0.0)
+    assert report.converged and report.diagnostics is None
+    assert report.iterations <= 10
+    m = report.model
+    beta = np.array([m.intercept, m.dist_coef, m.time_coef])
+    X = np.column_stack([np.ones(n), x])
+    assert np.max(np.abs(log_likelihood_gradient(beta, X, y.astype(float)))) < 1e-8
+
+
 def test_training_on_noisy_data_converges():
     rng = np.random.default_rng(5)
     X, y = _random_dataset(rng, n=800)

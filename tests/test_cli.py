@@ -13,6 +13,8 @@ from detourlab.online import run_trip
 from detourlab.simulate import SimConfig, generate_network
 from detourlab.trips import load_trips
 
+from conftest import schedule_json
+
 
 def run(args):
     return main([str(a) for a in args])
@@ -755,11 +757,11 @@ def test_non_finite_setting_exits_3(pipeline_dir, tmp_path, command, flags):
 
 
 def test_pricing_accepts_schedule_file(pipeline_dir, tmp_path):
-    from detourlab.pricing import DEFAULT_SCHEDULES, schedule_to_dict
+    from detourlab.pricing import DEFAULT_SCHEDULES
 
     root, net, data, filt, model = pipeline_dir
     schedule_path = tmp_path / "tariff.json"
-    schedule_path.write_text(json.dumps(schedule_to_dict(DEFAULT_SCHEDULES["shenzhen"])))
+    schedule_path.write_text(json.dumps(schedule_json(DEFAULT_SCHEDULES["shenzhen"])))
     out = tmp_path / "intervals.csv"
     assert run(["pricing", "--network", net, "--trips", filt / "kept.jsonl",
                 "--schedule", schedule_path, "--out", out]) == 0

@@ -18,10 +18,11 @@ from detourlab.pricing import (
     interval_stats,
     load_schedule,
     schedule_from_dict,
-    schedule_to_dict,
     solve_price_adjustment,
 )
 from detourlab.simulate import SimConfig, generate_network, generate_trips
+
+from conftest import schedule_json
 
 BEIJING = DEFAULT_SCHEDULES["beijing"]
 MORNING = 8 * 60.0  # inside 06:00-12:00
@@ -279,7 +280,7 @@ def test_interval_report_empty_interval_marked_unavailable():
 
 def test_schedule_save_load_roundtrip(tmp_path):
     path = tmp_path / "schedule.json"
-    path.write_text(json.dumps(schedule_to_dict(BEIJING)), encoding="utf-8")
+    path.write_text(json.dumps(schedule_json(BEIJING)), encoding="utf-8")
     assert load_schedule(path) == BEIJING
 
 
@@ -291,7 +292,7 @@ def test_schedule_validation():
         FareSchedule("x", 10.0, 3.0, 10.0, 0.5,
                      (IntervalRate(10.0, 1440.0, 1.0, 1.0, 0.4),))  # gap at 0
     for key, value in (("rate_per_km", math.nan), ("serving_speed_km_per_min", -1.0)):
-        data = schedule_to_dict(BEIJING)
+        data = schedule_json(BEIJING)
         data["intervals"][2][key] = value
         with pytest.raises(InputError):
             schedule_from_dict(data)
@@ -299,14 +300,14 @@ def test_schedule_validation():
 
 @pytest.mark.parametrize("key,bad", [("base_fare", "13.0"), ("rate_per_km", True)])
 def test_schedule_rejects_strings_and_booleans(key, bad):
-    data = schedule_to_dict(BEIJING)
+    data = schedule_json(BEIJING)
     (data if key == "base_fare" else data["intervals"][1])[key] = bad
     with pytest.raises(InputError):
         schedule_from_dict(data)
 
 
 def test_schedule_rejects_a_city_that_is_not_a_string():
-    data = schedule_to_dict(BEIJING)
+    data = schedule_json(BEIJING)
     data["city"] = 7
     with pytest.raises(InputError):
         schedule_from_dict(data)

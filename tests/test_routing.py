@@ -140,6 +140,50 @@ def test_matches_brute_force_on_random_graphs():
     assert checked > 60
 
 
+# w2 = 1e-13 puts the planner's horizon, (U - w1 * K0) / w2 minutes with U
+# raised by a relative 1e-9, past a day on every route of at least 0.2 km
+NEAR_CHANGE_WEIGHTS = WEIGHT_CHOICES + (
+    RoutingWeights(1.0, 0.05), RoutingWeights(0.7, 2.0), RoutingWeights(1.0, 1e-13))
+
+
+def speed_changes(net):
+    """Minutes of the day at which some segment's speed changes."""
+    return sorted({start for seg in net.segments.values()
+                   for i, (start, kmh) in enumerate(seg.speed_profile)
+                   if kmh != seg.speed_profile[i - 1][1]})
+
+
+def test_matches_brute_force_just_before_speed_changes():
+    # Departures packed into the 30 minutes before a speed change, half of
+    # them within 2 minutes, where the planner's slope bounds matter most.
+    rng = np.random.default_rng(2026)
+    nets = [random_graph(rng, int(rng.integers(3, 8))) for _ in range(100)]
+    nets += [generate_network(SimConfig(seed=seed, grid_dims=(4, 4))) for seed in range(4)]
+    checked = unreachable = 0
+    for net in nets:
+        seg_ids = sorted(net.segments)
+        changes = speed_changes(net)
+        if len(seg_ids) < 2 or not changes:
+            continue
+        for q in range(16):
+            origin, dest = (seg_ids[int(i)] for i in rng.integers(len(seg_ids), size=2))
+            change = changes[int(rng.integers(len(changes)))]
+            before = float(rng.uniform(0.0, 2.0 if q % 2 else 30.0))
+            depart = BASE_T + (change - before) * 60.0 + 86400.0 * int(rng.integers(2))
+            weights = NEAR_CHANGE_WEIGHTS[q % len(NEAR_CHANGE_WEIGHTS)]
+            expected = brute_force_best(net, origin, dest, depart, weights)
+            if expected is None:
+                unreachable += 1
+                with pytest.raises(NoRouteError):
+                    route_plan(net, origin, dest, depart, weights)
+                continue
+            plan = route_plan(net, origin, dest, depart, weights)
+            got = weights.w1 * plan.distance + weights.w2 * plan.est_time
+            assert (got, plan.path) == expected, (origin, dest, depart, weights)
+            checked += 1
+    assert checked > 1000 and unreachable > 0
+
+
 def test_route_km_equals_distance_only_plan(small_grid):
     # 21:50 sits just before a speed breakpoint; distance must not care
     shortest = RoutingWeights(1.0, 0.0)
@@ -319,22 +363,32 @@ def test_loop_before_a_speed_rise_never_pays():
     assert (weights.w1 * plan.distance + weights.w2 * plan.est_time, plan.path) == expected
 
 
+def segment_km(seg):
+    return seg.length
+
+
+def fastest_minutes(seg):
+    """Minutes to traverse ``seg`` at its fastest speed bucket."""
+    return min(seg.length / kmh * 60.0 for _, kmh in seg.speed_profile)
+
+
 def state_search_plan(net, origin, dest, depart, weights, h_min=None):
     """A* label-setting over exact (node, entry-time) states.
 
     The planner's search before per-node dominance, kept as an oracle: it
-    assumes nothing about FIFO, so it also finds a route that loops.  The
-    minutes bound is each segment's fastest bucket unless ``h_min`` is given.
+    assumes nothing about FIFO, so it also finds a route that loops.  It
+    reads the planner's km table, and its minutes bound is its own table of
+    each segment's fastest bucket unless ``h_min`` is given.
     """
     if origin == dest:
         return (), 0.0, 0.0
     o = net.segment(origin)
     goal = net.segment(dest).from_node
-    h_km = routing._lower_bounds(net, goal, routing._segment_km)
+    h_km = routing._lower_bounds(net, goal)
     if o.to_node not in h_km:
         return None
     if h_min is None:
-        h_min = routing._lower_bounds(net, goal, routing._fastest_minutes)
+        h_min = reference_lower_bounds(net, goal, fastest_minutes)
     w1, w2 = weights.w1, weights.w2
 
     def cost(dist_km, t_abs):
@@ -390,16 +444,17 @@ def window_minutes(net, goal, depart, horizon):
 
 
 def rule_outcomes(monkeypatch):
-    """[accepted, declined] counts of the one-label rule, updated as it runs."""
+    """[without, with] counts of horizons that hold a speed change, updated
+    as the planner takes them (``routing._horizon``)."""
     counts = [0, 0]
-    real = routing._scalar_pace
+    real = routing._horizon
 
     def counted(*args):
-        pace = real(*args)
-        counts[pace is None] += 1
-        return pace
+        rho, big, pace = real(*args)
+        counts[(rho, big) != (1.0, 1.0)] += 1
+        return rho, big, pace
 
-    monkeypatch.setattr(routing, "_scalar_pace", counted)
+    monkeypatch.setattr(routing, "_horizon", counted)
     return counts
 
 
@@ -459,33 +514,40 @@ def test_matches_state_search_across_speed_changes(monkeypatch, tmp_path, seed, 
                                    cost / weights.w2 * (1.0 + 1e-9))
         assert (plan.path, plan.distance, plan.est_time) == state_search_plan(
             net, origin, dest, depart, weights, h_min), (origin, dest, depart, weights)
-    accepted, declined = outcomes
-    assert accepted > 0 and declined > 0
+    without, with_change = outcomes
+    assert without > 0 and with_change > 0
 
 
-@pytest.mark.parametrize("change", [360.0, 607.3], ids=["06:00", "own_10:07"])
+@pytest.mark.parametrize("change, speeds, weights, kept, beaten", [
+    (360.0, (60.0, 2.0), RoutingWeights(0.5, 0.5), "fast", "slow"),
+    (607.3, (60.0, 2.0), RoutingWeights(0.5, 0.5), "fast", "slow"),
+    (360.0, (2.0, 600.0), RoutingWeights(0.2, 1.0), "slow", "fast"),
+    (607.3, (2.0, 600.0), RoutingWeights(0.2, 1.0), "slow", "fast"),
+], ids=["06:00", "own_10:07", "rise_06:00", "rise_own_10:07"])
 def test_one_label_rule_declines_where_it_would_change_the_answer(monkeypatch, tmp_path,
-                                                                  change):
+                                                                  change, speeds, weights,
+                                                                  kept, beaten):
     # From o, "fast" reaches v with more km and sooner, "slow" with fewer km
-    # and later, and costs less there.  The last road slows to 2 km/h at
-    # ``change``: the early arrival crosses before it, the late one does not.
+    # and later; under ``weights`` the ``beaten`` one costs less there.  The
+    # last road's speed changes at ``change``, after "fast" has left v.
+    # Where it falls to 2 km/h, "fast" crosses before it and "slow" crawls
+    # after it; where it rises to 600 km/h, "slow" catches up and wins on km.
     data = network_to_dict(RoadNetwork(
         [Node(n, 0.0, 0.01 * i) for i, n in enumerate(("s", "o", "v", "g", "x"))],
         [Segment("in", "s", "o", 0.1, flat(60.0)),
          Segment("fast", "o", "v", 4.0, flat(240.0)),
          Segment("slow", "o", "v", 1.0, flat(20.0)),
-         Segment("last", "v", "g", 2.0, ((0.0, 60.0), (change, 2.0))),
+         Segment("last", "v", "g", 2.0, ((0.0, speeds[0]), (change, speeds[1]))),
          Segment("out", "g", "x", 1.0, flat(60.0))],
     ))
     path = tmp_path / "net.json"
     path.write_text(json.dumps(data))
     net = load_network(path)
     outcomes = rule_outcomes(monkeypatch)
-    weights = RoutingWeights(0.5, 0.5)
     depart = BASE_T + (change - 5.0) * 60.0
     plan = route_plan(net, "in", "out", depart, weights)
     assert outcomes == [0, 1]
-    assert plan.path == ("in", "fast", "last")
+    assert plan.path == ("in", kept, "last")
     assert (plan.path, plan.distance, plan.est_time) == state_search_plan(
         net, "in", "out", depart, weights)
 
@@ -493,14 +555,15 @@ def test_one_label_rule_declines_where_it_would_change_the_answer(monkeypatch, t
         return (weights.w1 * path_distance(net, path)
                 + weights.w2 * path_est_time(net, path, depart))
 
-    # one label per node would keep "slow" at v and miss the answer
-    assert cost(("in", "slow")) < cost(("in", "fast"))
-    assert cost(("in", "slow", "last")) > cost(plan.path)
+    # comparing labels by cost alone (rho = R = 1) would keep ``beaten`` at v
+    # and miss the answer; the slope R = 30 or rho = 1 / 300 keeps ``kept``
+    assert cost(("in", beaten)) < cost(("in", kept))
+    assert cost(("in", beaten, "last")) > cost(plan.path)
 
 
 def test_km_walk_ends_on_a_zero_length_cycle(monkeypatch):
     # the network of test_distance_only_plan_leaves_a_zero_length_cycle, with
-    # the default weights, so the one-label rule walks the km table there
+    # the default weights, so the horizon walks the km table there
     net = zero_length_cycle_net()
     outcomes = rule_outcomes(monkeypatch)
     plan = route_plan(net, "o", "d", BASE_T)
@@ -552,8 +615,7 @@ def test_distance_only_plans_equal_the_state_search_on_every_pair():
         for origin in net.segments:
             for dest in net.segments:
                 depart = BASE_T + float(rng.uniform(0.0, 2880.0)) * 60.0
-                h_km = routing._lower_bounds(net, net.segment(dest).from_node,
-                                             routing._segment_km)
+                h_km = routing._lower_bounds(net, net.segment(dest).from_node)
                 want = state_search_plan(net, origin, dest, depart, shortest, h_min=h_km)
                 if want is None:
                     unreachable += 1
@@ -677,22 +739,20 @@ def test_lower_bounds_equal_the_dict_build(monkeypatch, net, connected):
                         types.SimpleNamespace(heappush=heappush, heappop=heappop))
     unreachable = 0
     for goal in sorted(net.nodes):
-        for edge_cost in (routing._segment_km, routing._fastest_minutes):
-            counts[:] = [0, 0]
-            want = reference_lower_bounds(net, goal, edge_cost)
-            want_work, counts[:] = list(counts), [0, 0]
-            got = routing._lower_bounds(net, goal, edge_cost)
-            assert got.keys() == want.keys(), (goal, edge_cost)
-            assert all(got[node] == want[node] for node in want), (goal, edge_cost)
-            assert counts == want_work, (goal, edge_cost)
-            unreachable += len(net.nodes) - len(want)
+        counts[:] = [0, 0]
+        want = reference_lower_bounds(net, goal, segment_km)
+        want_work, counts[:] = list(counts), [0, 0]
+        got = routing._lower_bounds(net, goal)
+        assert got.keys() == want.keys(), goal
+        assert all(got[node] == want[node] for node in want), goal
+        assert counts == want_work, goal
+        unreachable += len(net.nodes) - len(want)
     assert (unreachable == 0) == connected
 
 
 def test_distance_only_query_builds_no_minutes_table():
-    # a query with w2 = 0 walks the km table, so it builds neither a minutes
-    # table nor the adjacency the label search reads; the search reads the
-    # minutes table at every node of the km table, so their keys agree
+    # a query with w2 = 0 walks the km table, so it builds neither the
+    # adjacency nor the speed-change tables that the label search reads
     net = generate_network(SimConfig(seed=7, grid_dims=(10, 10)))
     ids = sorted(net.segments)
     rng = np.random.default_rng(21)
@@ -702,28 +762,27 @@ def test_distance_only_query_builds_no_minutes_table():
         assert plan.est_time == path_est_time(net, plan.path, plan.planned_at)
     tables = routing._tables(net)
     assert len(tables) > 50
-    assert all(cost is routing._segment_km for _, cost in tables)
-    assert routing._fastest_minutes not in tables.reverse
-    assert tables.forward is None
-    for graph in (net, dead_end_net()):
-        for goal in graph.nodes:
-            assert (routing._lower_bounds(graph, goal, routing._segment_km).keys()
-                    == routing._lower_bounds(graph, goal, routing._fastest_minutes).keys())
+    assert set(tables) <= set(net.nodes)
+    assert (tables.forward, tables.changes, tables.slopes, tables.pace) == (None, None, None, {})
 
 
-def test_static_edge_costs_are_computed_once_per_segment():
+def test_static_edge_costs_are_computed_once_per_segment(monkeypatch):
+    # every km table of a network is built over one reverse graph, which
+    # reads each node's incoming segments once
     net = generate_network(SimConfig(seed=8, grid_dims=(8, 8)))
+    want = {goal: reference_lower_bounds(net, goal, segment_km) for goal in net.nodes}
     calls = 0
+    real = net.incoming
 
-    def counting_km(seg):
+    def incoming(nid):
         nonlocal calls
         calls += 1
-        return seg.length
+        return real(nid)
 
+    monkeypatch.setattr(net, "incoming", incoming)
     for goal in net.nodes:
-        assert routing._lower_bounds(net, goal, counting_km) == routing._lower_bounds(
-            net, goal, routing._segment_km)
-    assert calls == len(net.segments)
+        assert routing._lower_bounds(net, goal) == want[goal]
+    assert calls == len(net.nodes)
 
 
 def test_non_contiguous_path_rejected(two_route_net):
