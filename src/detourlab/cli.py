@@ -73,7 +73,8 @@ def _json_value(value, default, where: str):
     if want is dict:
         item = next(iter(default.values()))
         return {k: _json_value(v, item, f"{where}.{k}") for k, v in value.items()}
-    return want(value)
+    # read_number turns an integer too large for a float into an InputError
+    return read_number(value, where) if want is float else value
 
 
 @dataclass(frozen=True)
@@ -372,21 +373,20 @@ def cmd_report(args) -> int:
     stage_rows = _write_stage_auc(out / "stage_auc.csv", net, model, trips, config.weights)
     rows, _ = _write_intervals(out / "intervals.csv", net, schedule, trips)
 
-    mids = [(r.stats.interval, (schedule.intervals[r.stats.interval].start_min
-                                + schedule.intervals[r.stats.interval].end_min) / 2.0 / 60.0)
-            for r in rows]
-    ratio_pts = [(h, r.stats.detour_ratio) for (_, h), r in zip(mids, rows)]
+    # interval_report gives one row per interval, in schedule order
+    hours = [(iv.start_min + iv.end_min) / 2.0 / 60.0 for iv in schedule.intervals]
+    ratio_pts = [(h, r.stats.detour_ratio) for h, r in zip(hours, rows)]
     charts.write_line_chart(out / "detour_ratio.svg", "Detour ratio by time of day",
                             [("detour ratio", ratio_pts)], "hour", "ratio")
-    util_pts = [(h, r.utility) for (_, h), r in zip(mids, rows) if r.utility is not None]
-    cost_pts = [(h, r.opportunity_cost) for (_, h), r in zip(mids, rows)
+    util_pts = [(h, r.utility) for h, r in zip(hours, rows) if r.utility is not None]
+    cost_pts = [(h, r.opportunity_cost) for h, r in zip(hours, rows)
                 if r.opportunity_cost is not None]
     charts.write_line_chart(out / "utility.svg", "Detour utility and opportunity cost",
                             [("utility", util_pts), ("opportunity cost", cost_pts)],
                             "hour", "per minute")
-    f0_pts = [(h, r.adjustment.delta_base_fare) for (_, h), r in zip(mids, rows)
+    f0_pts = [(h, r.adjustment.delta_base_fare) for h, r in zip(hours, rows)
               if r.adjustment is not None]
-    a1_pts = [(h, r.adjustment.delta_rate_per_km) for (_, h), r in zip(mids, rows)
+    a1_pts = [(h, r.adjustment.delta_rate_per_km) for h, r in zip(hours, rows)
               if r.adjustment is not None]
     charts.write_line_chart(out / "adjustments.svg", "Suggested price adjustments",
                             [("base fare change", f0_pts), ("km rate change", a1_pts)],

@@ -1,8 +1,8 @@
 """Exception types shared across the package, the one reader for each kind of
 input, a JSON file (``read_json_file``) or a JSONL stream (``read_jsonl``), the
 per-process cache of network and trip file parses (``read_file_once``), the
-strict number and string readers every parser uses on the parsed JSON, and the
-ridge rule that both the fit and the run config check."""
+strict number, string and array readers every parser uses on the parsed JSON,
+and the ridge rule that both the fit and the run config check."""
 
 import json
 import math
@@ -167,4 +167,15 @@ def read_string(value, what: str) -> str:
     """
     if not isinstance(value, str):
         raise InputError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def read_array(value, what: str) -> list:
+    """An array read from parsed JSON, or an InputError.
+
+    Every loader reads its arrays here, so a string or an object where an
+    array belongs fails instead of loading as its characters or its keys.
+    """
+    if not isinstance(value, list):
+        raise InputError(f"{what} must be an array, got {value!r}")
     return value

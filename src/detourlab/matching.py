@@ -319,38 +319,30 @@ def match_trajectory(
     timestamp.  Where the decode jumps between non-adjacent segments, the
     distance-optimal connecting segments are stitched in with entry times
     interpolated along the route, so the output always satisfies the
-    trajectory invariants.
+    trajectory invariants.  A jump that no route closes raises MatchError
+    with the index of the GPS point decoded onto the far segment.
     """
-    states = viterbi_decode(net, tr, cfg)
-
-    collapsed: list[trips.TrajStep] = []
-    for sid, point in zip(states, tr):
-        if not collapsed or collapsed[-1].segment != sid:
-            collapsed.append(trips.TrajStep(sid, point.t))
-
     steps: list[trips.TrajStep] = []
-    for i, cur in enumerate(collapsed):
-        if i == 0:
-            steps.append(cur)
-            continue
-        prev = steps[-1]
-        a = net.segment(prev.segment)
-        b = net.segment(cur.segment)
-        if a.to_node != b.from_node:
-            try:
-                plan = route_plan(net, prev.segment, cur.segment, prev.t, RoutingWeights(1.0, 0.0))
-            except NoRouteError:
-                raise MatchError(
-                    f"matched segments {prev.segment!r} -> {cur.segment!r} cannot be connected",
-                    point_index=i,
-                ) from None
-            total = plan.distance
-            span = cur.t - prev.t
-            covered = a.length  # plan.path[0] is prev.segment itself
-            for sid in plan.path[1:]:
-                steps.append(trips.TrajStep(sid, prev.t + span * covered / total))
-                covered += net.segment(sid).length
-        steps.append(cur)
+    for i, (sid, point) in enumerate(zip(viterbi_decode(net, tr, cfg), tr)):
+        if steps:
+            prev = steps[-1]
+            if prev.segment == sid:
+                continue  # a repeated decode keeps its first timestamp
+            a = net.segment(prev.segment)
+            if a.to_node != net.segment(sid).from_node:
+                try:
+                    plan = route_plan(net, prev.segment, sid, prev.t, RoutingWeights(1.0, 0.0))
+                except NoRouteError:
+                    raise MatchError(
+                        f"matched segments {prev.segment!r} -> {sid!r} cannot be connected",
+                        point_index=i,
+                    ) from None
+                covered = a.length  # plan.path[0] is prev.segment itself
+                for mid in plan.path[1:]:
+                    steps.append(trips.TrajStep(
+                        mid, prev.t + (point.t - prev.t) * covered / plan.distance))
+                    covered += net.segment(mid).length
+        steps.append(trips.TrajStep(sid, point.t))
 
     atr = trips.AbstractTrajectory(trip_id, tuple(steps))
     check_contiguous(net, [step.segment for step in steps])

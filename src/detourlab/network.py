@@ -19,7 +19,8 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import MappingProxyType
 
-from .errors import InputError, parse_json_bytes, read_file_once, read_number, read_string
+from .errors import (InputError, parse_json_bytes, read_array, read_file_once, read_number,
+                     read_string)
 
 EARTH_RADIUS_KM = 6371.0
 DAY_MINUTES = 1440.0
@@ -292,7 +293,7 @@ def network_from_dict(data: dict) -> RoadNetwork:
     raises what reading it raises; ``load_network`` reports it as a bad file."""
     nodes = [Node(read_string(n["id"], "node id"), read_number(n["lat"], "lat"),
                   read_number(n["lng"], "lng"))
-             for n in data["nodes"]]
+             for n in read_array(data["nodes"], "nodes")]
     segments = [
         Segment(
             read_string(s["id"], "segment id"),
@@ -300,9 +301,10 @@ def network_from_dict(data: dict) -> RoadNetwork:
             read_string(s["to"], "segment to"),
             read_number(s["length_km"], "length_km"),
             tuple((read_number(b["start_min"], "start_min"),
-                   read_number(b["speed_kmh"], "speed_kmh")) for b in s["speed_profile"]),
+                   read_number(b["speed_kmh"], "speed_kmh"))
+                  for b in read_array(s["speed_profile"], "speed_profile")),
         )
-        for s in data["segments"]
+        for s in read_array(data["segments"], "segments")
     ]
     return RoadNetwork(nodes, segments)
 

@@ -26,8 +26,6 @@ STAGES = 10  # completeness stages of stage_auc: the first 10%, 20%, ..., 100% o
 @dataclass(frozen=True)
 class StepDecision:
     step: int  # 1-based index in the trajectory
-    segment: str
-    t: float
     extra_distance_ratio: float
     extra_time_ratio: float
     theta: float
@@ -55,9 +53,8 @@ class TripProgress:
     trip_id: str
     dest_segment: str
     weights: RoutingWeights = RoutingWeights()
-    initial_plan: RoutePlanStep | None = None  # the pickup recommendation
+    initial_plan: RoutePlanStep | None = None  # the pickup plan, issued at the first step
     step_count: int = 0
-    first_t: float = 0.0  # entry time of the first step, once there is one
     last_segment: str | None = None
     last_t: float = 0.0
     prefix_km: float = 0.0  # running length of completed segments
@@ -90,7 +87,6 @@ def step(net: RoadNetwork, model: LogitModel, progress: TripProgress,
     if not math.isfinite(t):
         raise InputError(f"trip {progress.trip_id!r}: timestamp {t} is not finite")
     seg = net.segment(segment)
-    first_t = t
     prefix_km = progress.prefix_km
     if progress.last_segment is not None:
         prev_seg = net.segment(progress.last_segment)
@@ -101,21 +97,22 @@ def step(net: RoadNetwork, model: LogitModel, progress: TripProgress,
             )
         if t <= progress.last_t:
             raise InputError(f"trip {progress.trip_id!r}: timestamps must strictly increase")
-        first_t = progress.first_t
         prefix_km += prev_seg.length
 
     path, times, k = progress.plan_path, progress.plan_times, progress.plan_index
     if k < len(path) and path[k] == segment and times[k] == t:  # on the held plan
-        rest = path[k:]
-        plan = RoutePlanStep(rest, t, path_km(net, rest), (times[-1] - t) / 60.0,
-                             progress.weights)
+        plan_km, plan_min = path_km(net, path[k:]), (times[-1] - t) / 60.0
     else:
-        plan = (RoutePlanStep((), t, 0.0, 0.0, progress.weights)
-                if segment == progress.dest_segment  # arrived: nothing is left to plan
-                else route_plan(net, segment, progress.dest_segment, t, progress.weights))
-        path, times, k = plan.path, tuple(entry_times(net, plan.path, t)), 0
-    initial = plan if progress.initial_plan is None else progress.initial_plan
-    fv = excess_ratios(prefix_km + plan.distance, (t - first_t) / 60.0 + plan.est_time,
+        if segment == progress.dest_segment:  # arrived: nothing is left to plan
+            path, plan_km, plan_min = (), 0.0, 0.0
+        else:
+            plan = route_plan(net, segment, progress.dest_segment, t, progress.weights)
+            path, plan_km, plan_min = plan.path, plan.distance, plan.est_time
+        times, k = tuple(entry_times(net, path, t)), 0
+    initial = progress.initial_plan
+    if initial is None:  # the first step's plan, issued at t, is the pickup recommendation
+        initial = RoutePlanStep(path[k:], t, plan_km, plan_min, progress.weights)
+    fv = excess_ratios(prefix_km + plan_km, (t - initial.planned_at) / 60.0 + plan_min,
                        initial, progress.trip_id)
     theta = model.log_odds(fv)
     if theta > 0.0:
@@ -126,7 +123,6 @@ def step(net: RoadNetwork, model: LogitModel, progress: TripProgress,
     # all checks passed; mutate the per-trip state
     progress.initial_plan = initial
     progress.step_count += 1
-    progress.first_t = first_t
     progress.last_segment = segment
     progress.last_t = t
     progress.prefix_km = prefix_km
@@ -134,16 +130,7 @@ def step(net: RoadNetwork, model: LogitModel, progress: TripProgress,
     progress.plan_path, progress.plan_times, progress.plan_index = path, times, k + 1
 
     x1, x2 = fv.extra_distance_ratio, fv.extra_time_ratio
-    return StepDecision(
-        step=progress.step_count,
-        segment=segment,
-        t=t,
-        extra_distance_ratio=x1,
-        extra_time_ratio=x2,
-        theta=theta,
-        action=action,
-        scenario=_scenario(x1, x2),
-    )
+    return StepDecision(progress.step_count, x1, x2, theta, action, _scenario(x1, x2))
 
 
 def run_trip(net: RoadNetwork, model: LogitModel, trip,

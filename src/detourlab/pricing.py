@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import FitError, InputError, read_json_file, read_number, read_string
+from .errors import FitError, InputError, read_array, read_json_file, read_number, read_string
 from .network import minute_of_day
 from .trips import trajectory_distance_km, trajectory_minutes
 
@@ -333,7 +333,7 @@ def schedule_from_dict(data: dict) -> FareSchedule:
         IntervalRate(*(read_number(iv[key], key) for key in (
             "start_min", "end_min", "rate_per_km", "rate_per_min",
             "serving_speed_km_per_min")))
-        for iv in data["intervals"]
+        for iv in read_array(data["intervals"], "intervals")
     )
     city = read_string(data["city"], "city")
     return FareSchedule(city, *(read_number(data[key], key) for key in (

@@ -66,6 +66,8 @@ class SimConfig:
             raise InputError("grid_dims must be at least (2, 2)")
         if self.n_trips <= 0 or self.n_drivers <= 0:
             raise InputError("counts must be positive")
+        if self.n_drivers > 2**63:  # drivers are drawn below it as a numpy int64 bound
+            raise InputError(f"n_drivers must be at most 2**63, got {self.n_drivers}")
         amounts = {"detour_inflation": self.detour_inflation,
                    "gps_period_s": self.gps_period_s,
                    "gps_noise_m": self.gps_noise_m,

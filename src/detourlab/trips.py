@@ -15,7 +15,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import InputError, read_file_once, read_jsonl, read_number, read_string
+from .errors import (InputError, read_array, read_file_once, read_jsonl, read_number,
+                     read_string)
 from .network import GpsPoint, LatLng, RoadNetwork, check_coordinates, check_gps, haversine_km
 from .routing import RoutePlanStep, RoutingWeights, check_contiguous
 
@@ -226,7 +227,7 @@ def _plan_to_dict(plan: RoutePlanStep) -> dict:
 
 
 def _plan_from_dict(d: dict) -> RoutePlanStep:
-    path = tuple(read_string(s, "plan path segment") for s in d["path"])
+    path = tuple(read_string(s, "plan path segment") for s in read_array(d["path"], "plan path"))
     w = d.get("weights")  # absent from files written before plans recorded their weights
     return RoutePlanStep(
         path,
@@ -266,14 +267,14 @@ def trip_from_dict(d: dict) -> TripRecord:
     atr = AbstractTrajectory(
         trip_id,
         tuple(TrajStep(read_string(s["segment"], "atr segment"), read_number(s["t"], "atr t"))
-              for s in d["atr"]),
+              for s in read_array(d["atr"], "atr")),
     )
     # files written by older versions repeat the first step's timestamp
     if "start_time" in d and read_number(d["start_time"], "start_time") != atr.steps[0].t:
         raise InputError(f"trip {trip_id!r}: start_time {d['start_time']} is not the first "
                          f"step's timestamp {atr.steps[0].t}")
-    plans = d["plans"]
-    if not isinstance(plans, list) or not plans:
+    plans = read_array(d["plans"], "plans")
+    if not plans:
         raise InputError(f"trip {atr.trip_id!r}: 'plans' must be a non-empty list")
     raw = d.get("raw_gps")
     return TripRecord(
@@ -287,7 +288,7 @@ def trip_from_dict(d: dict) -> TripRecord:
         raw_gps=None if raw is None else tuple([
             GpsPoint(read_number(p["lat"], "raw_gps lat"), read_number(p["lng"], "raw_gps lng"),
                      read_number(p["t"], "raw_gps t"))
-            for p in raw
+            for p in read_array(raw, "raw_gps")
         ]),
         behavior=(None if d.get("behavior") is None
                   else read_string(d["behavior"], "behavior")),

@@ -16,6 +16,9 @@ from detourlab.trips import load_trips
 from conftest import schedule_json
 
 
+HUGE_INT = "1" + "0" * 400  # a JSON integer too large for a float
+
+
 def run(args):
     return main([str(a) for a in args])
 
@@ -513,6 +516,23 @@ def test_jsonl_line_that_is_not_an_object_exits_3_saying_so(pipeline_dir, tmp_pa
     assert "line 2: expected a JSON object, got an array" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, bad, reason", [
+    ("raw_gps", {}, "raw_gps must be an array, got {}"),
+    ("label", "maybe", "unknown label 'maybe'"),
+], ids=["raw_gps_object", "unknown_label"])
+def test_bad_trip_line_exits_3_naming_the_line(pipeline_dir, tmp_path, capsys, key, bad, reason):
+    root, net, data, filt, model = pipeline_dir
+    lines = (data / "trips.jsonl").read_text().splitlines()[:3]
+    d = json.loads(lines[2])
+    d[key] = bad
+    lines[2] = json.dumps(d)
+    trips = tmp_path / "trips.jsonl"
+    trips.write_text("\n".join(lines) + "\n")
+    assert run(["filter", "--network", net, "--trips", trips, "--out", tmp_path / "out"]) == 3
+    err = capsys.readouterr().err
+    assert "line 3: " in err and reason in err
+
+
 @pytest.mark.parametrize("bad, reason", [
     ("true", "must be a number, got True"), ('"1"', "must be a number, got '1'"),
     ("NaN", "must be finite, got nan"),
@@ -682,11 +702,19 @@ def test_validation_failure_exits_3(tmp_path):
     '{"sim": {"gps_noise_m": NaN}}',
     '{"sim": {"gps_period_s": Infinity}}',
     '{"sim": {"night_detour_boost": NaN}}',
+    # integers too large for a float, in float fields
+    f'{{"ridge": {HUGE_INT}}}',
+    f'{{"sim": {{"detour_inflation": {HUGE_INT}}}}}',
+    f'{{"rules": {{"max_speed": {HUGE_INT}}}}}',
+    f'{{"weights": {{"w1": {HUGE_INT}, "w2": 0.5}}}}',
+    f'{{"sim": {{"n_drivers": {2**70}}}}}',
 ], ids=["invalid_json", "not_an_object", "section_not_an_object", "unknown_key", "wrong_type",
         "tuple_element_type", "tuple_length", "tuple_float_for_int", "dict_value_type",
         "dict_value_null", "removed_match_key", "removed_full_plans_key",
         "removed_duty_minutes_key", "nan_weight", "nan_filter_rule", "nan_behavior_mix",
-        "nan_detour_inflation", "nan_gps_noise", "inf_gps_period", "nan_night_boost"])
+        "nan_detour_inflation", "nan_gps_noise", "inf_gps_period", "nan_night_boost",
+        "huge_int_ridge", "huge_int_detour_inflation", "huge_int_max_speed", "huge_int_weight",
+        "n_drivers_beyond_int64"])
 def test_bad_config_file_exits_3(tmp_path, text):
     config = tmp_path / "config.json"
     config.write_text(text)

@@ -297,6 +297,17 @@ def test_unmatched_point_error(t_junction):
     assert err.value.point_index == 1
 
 
+def test_unconnectable_jump_names_its_gps_point(dead_ends, monkeypatch):
+    # a decode that jumps onto a road no route reaches fails at the GPS point
+    # that jumped, counted over every point, repeated decodes included
+    points = [offset_point(0.0, 0.0, 0.0, 0.0, BASE_T + 10.0 * i) for i in range(4)]
+    monkeypatch.setattr(matching, "viterbi_decode",
+                        lambda net, tr, cfg: ["l>c", "l>c", "l>c", "x>y"])
+    with pytest.raises(MatchError, match="'l>c' -> 'x>y' cannot be connected") as err:
+        match_trajectory(dead_ends, points)
+    assert err.value.point_index == 3
+
+
 def test_empty_network_finds_nothing():
     net = RoadNetwork([], [])
     p = offset_point(0.0, 0.0, 0.0, 0.0, BASE_T)

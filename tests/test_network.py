@@ -352,6 +352,22 @@ def test_load_rejects_strings_and_booleans_as_numbers(small_grid, where, bad):
         network_from_dict(data)
 
 
+@pytest.mark.parametrize("where, bad", [
+    (("nodes",), {}), (("segments",), {}), (("segments",), ""),
+    (("segments", 0, "speed_profile"), {}),
+], ids=["nodes_object", "segments_object", "segments_string", "speed_profile_object"])
+def test_load_rejects_strings_and_objects_where_an_array_belongs(small_grid, where, bad):
+    # iterated as they are, {"nodes": {}, "segments": {}} would load as an empty network
+    data = network_to_dict(small_grid)
+    *parents, key = where
+    record = data
+    for k in parents:
+        record = record[k]
+    record[key] = bad
+    with pytest.raises(InputError, match=f"^{key} must be an array, got "):
+        network_from_dict(data)
+
+
 def test_load_rejects_ids_that_are_not_strings(small_grid):
     # a node id and its segment endpoints all false would load as node 'False'
     data = network_to_dict(small_grid)

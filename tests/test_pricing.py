@@ -306,6 +306,14 @@ def test_schedule_rejects_strings_and_booleans(key, bad):
         schedule_from_dict(data)
 
 
+@pytest.mark.parametrize("bad", [{"0": {}}, ""], ids=["object", "string"])
+def test_schedule_intervals_must_be_an_array(bad):
+    data = schedule_json(BEIJING)
+    data["intervals"] = bad
+    with pytest.raises(InputError, match="^intervals must be an array, got "):
+        schedule_from_dict(data)
+
+
 def test_schedule_rejects_a_city_that_is_not_a_string():
     data = schedule_json(BEIJING)
     data["city"] = 7

@@ -121,6 +121,12 @@ def test_config_is_checked_when_built_and_frozen():
         cfg.n_trips = 0
 
 
+def test_driver_count_fits_the_int64_bound_drivers_are_drawn_below():
+    assert SimConfig(n_drivers=2**63).n_drivers == 2**63
+    with pytest.raises(InputError, match="n_drivers must be at most 2\\*\\*63"):
+        SimConfig(n_drivers=2**63 + 1)
+
+
 def test_bad_mix_rejected():
     with pytest.raises(InputError):
         SimConfig(behavior_mix={"normal": 0.5})

@@ -312,6 +312,56 @@ def test_load_names_the_line_of_any_bad_record(tmp_path, bad):
     assert err.value.line == 2
 
 
+def _set(d, where, value):
+    *parents, key = where
+    for k in parents:
+        d = d[k]
+    d[key] = value
+
+
+@pytest.mark.parametrize("where, bad, what", [
+    (("plans", 0, "path"), "e0", "plan path"), (("plans", 0, "path"), {"e0": 1}, "plan path"),
+    (("raw_gps",), {}, "raw_gps"), (("raw_gps",), "", "raw_gps"), (("atr",), "e0", "atr"),
+    (("plans",), {"0": {}}, "plans"),
+], ids=["path_string", "path_object", "raw_gps_object", "raw_gps_string", "atr_string",
+        "plans_object"])
+def test_load_rejects_strings_and_objects_where_an_array_belongs(tmp_path, where, bad, what):
+    # iterated as they are, these would load as a path ('e0',) or an empty GPS trace
+    net = line_network([1.0] * 3)
+    d = trip_to_dict(chain_trip(net, 2, 300.0))
+    good = json.dumps(d)
+    _set(d, where, bad)
+    path = tmp_path / "trips.jsonl"
+    path.write_text(good + "\n" + json.dumps(d) + "\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match=f"line 2: {what} must be an array, got ") as err:
+        load_trips(path)
+    assert err.value.line == 2
+
+
+@pytest.mark.parametrize("bad, message", [
+    (lambda d: _set(d, ("atr",), []), "trajectory 't0' is empty"),
+    (lambda d: _set(d, ("atr", 1, "t"), d["atr"][0]["t"]),
+     "trajectory 't0': timestamps not increasing at step 1"),
+    (lambda d: _set(d, ("label",), "maybe"), "trip 't0': unknown label 'maybe'"),
+    (lambda d: _set(d, ("plans", 0, "planned_at"), d["atr"][0]["t"] + 1.0),
+     "trip 't0': the plan is not issued at the first step"),
+    (lambda d: _set(d, ("plans", 0, "path"), d["plans"][0]["path"][1:]),
+     "trip 't0': the plan does not start on the first step's segment"),
+], ids=["empty_atr", "atr_time_not_increasing", "unknown_label", "plan_issued_later",
+        "plan_off_the_first_segment"])
+def test_load_rejects_a_bad_trajectory_or_trip_naming_the_line(tmp_path, bad, message):
+    net = line_network([1.0] * 3)
+    d = trip_to_dict(chain_trip(net, 2, 300.0))
+    good = json.dumps(d)
+    bad(d)
+    path = tmp_path / "trips.jsonl"
+    path.write_text(good + "\n" + json.dumps(d) + "\n", encoding="utf-8")
+    with pytest.raises(DataFormatError) as err:
+        load_trips(path)
+    assert err.value.line == 2
+    assert str(err.value) == f"trip file {path}, line 2: {message}"
+
+
 def test_load_empty_file(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("", encoding="utf-8")
