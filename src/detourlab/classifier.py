@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import FitError, InputError, check_ridge, read_json_file, read_number
+from .errors import FitError, InputError, check_non_negative, read_json_file, read_number
 from .routing import RoutePlanStep
 from .trips import TripRecord, trajectory_distance_km, trajectory_minutes
 
@@ -50,7 +50,6 @@ class TrainReport:
     final_log_likelihood: float
     iterations: int
     converged: bool
-    standard_errors: tuple[float, float, float]
     diagnostics: str | None = None
 
 
@@ -134,14 +133,13 @@ def train(samples, ridge: float = 0.0) -> TrainReport:
     resolution and can round to a tiny drop; halving such a step would stall
     the gradient above its tolerance at the optimum.  Stops when the
     gradient infinity-norm falls below ``_GRAD_TOL``, or unconverged after
-    ``_MAX_STEPS`` steps or when no halving stops the drop.  Standard
-    errors come from the inverse information at the optimum.  Perfectly
+    ``_MAX_STEPS`` steps or when no halving stops the drop.  Perfectly
     separable data with no ridge has no finite maximizer; that case is
     reported with ``converged=False`` and a diagnostic instead of an error.
     """
     import numpy as np
 
-    check_ridge(ridge)
+    check_non_negative("ridge", ridge)
     X, y = _design(samples)
     positives = int(np.sum(y))
     if positives == 0 or positives == len(y):
@@ -182,21 +180,11 @@ def train(samples, ridge: float = 0.0) -> TrainReport:
         converged = False
         diagnostics = "coefficients diverging; data may be (near-)separable"
 
-    try:
-        cov = np.linalg.inv(_information(beta, X, ridge))
-        ses = np.sqrt(np.maximum(np.diag(cov), 0.0))
-        if not np.all(np.isfinite(ses)):
-            raise np.linalg.LinAlgError
-        standard_errors = (float(ses[0]), float(ses[1]), float(ses[2]))
-    except np.linalg.LinAlgError:
-        standard_errors = (math.inf, math.inf, math.inf)
-
     return TrainReport(
         model=LogitModel(float(beta[0]), float(beta[1]), float(beta[2])),
         final_log_likelihood=ll,
         iterations=iterations,
         converged=converged,
-        standard_errors=standard_errors,
         diagnostics=diagnostics,
     )
 

@@ -21,8 +21,8 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from . import trips as trips_mod
-from .errors import (DataFormatError, DetourlabError, FitError, InputError, check_ridge,
-                     read_json_file, read_jsonl, read_number, read_string)
+from .errors import (DataFormatError, DetourlabError, FitError, InputError, check_non_negative,
+                     read_json_file, read_jsonl, read_number, read_string, shown)
 from .network import load_network, save_network
 from .routing import RoutingWeights
 from .simulate import SimConfig, generate_network, generate_trips
@@ -62,12 +62,13 @@ def _json_value(value, default, where: str):
     want = dict if is_dataclass(default) else type(default)
     types, kind = _JSON_TYPES[want]
     if isinstance(value, bool) != (want is bool) or not isinstance(value, types):
-        raise InputError(f"{where} must be {kind}, got {json.dumps(value)}")
+        raise InputError(f"{where} must be {kind}, got {shown(json.dumps(value))}")
     if is_dataclass(default):
         return _from_json(type(default), value, where)
     if want is tuple:
         if len(value) != len(default):
-            raise InputError(f"{where} must have {len(default)} elements, got {json.dumps(value)}")
+            raise InputError(f"{where} must have {len(default)} elements, "
+                             f"got {shown(json.dumps(value))}")
         return tuple(_json_value(v, d, f"{where}[{i}]")
                      for i, (v, d) in enumerate(zip(value, default)))
     if want is dict:
@@ -87,7 +88,7 @@ class RunConfig:
     ridge: float = 0.0
 
     def __post_init__(self):
-        check_ridge(self.ridge)
+        check_non_negative("ridge", self.ridge)
 
     @staticmethod
     def from_dict(data: dict) -> "RunConfig":
@@ -97,12 +98,9 @@ class RunConfig:
         return asdict(self)
 
 
-def load_run_config(path) -> RunConfig:
-    return read_json_file(path, "config", RunConfig.from_dict)
-
-
 def _config_for(args) -> RunConfig:
-    return load_run_config(args.config) if getattr(args, "config", None) else RunConfig()
+    path = getattr(args, "config", None)
+    return read_json_file(path, "config", RunConfig.from_dict) if path else RunConfig()
 
 
 def _fmt(value) -> str:

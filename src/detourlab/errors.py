@@ -2,7 +2,8 @@
 input, a JSON file (``read_json_file``) or a JSONL stream (``read_jsonl``), the
 per-process cache of network and trip file parses (``read_file_once``), the
 strict number, string and array readers every parser uses on the parsed JSON,
-and the ridge rule that both the fit and the run config check."""
+the one cut of a bad value shown in a message (``shown``), and the
+non-negative rule that every config and schedule amount is checked by."""
 
 import json
 import math
@@ -129,6 +130,15 @@ def read_jsonl(lines, what: str, parse):
         yield lineno, value
 
 
+_SHOWN_CHARS = 80  # the most characters of a bad value a message shows
+
+
+def shown(text: str) -> str:
+    """``text``, a bad value as a message shows it, cut to ``_SHOWN_CHARS``
+    characters and ``...`` if longer, so a huge value makes a short message."""
+    return text if len(text) <= _SHOWN_CHARS else text[:_SHOWN_CHARS] + "..."
+
+
 def read_number(value, what: str) -> float:
     """A number read from parsed JSON, as a finite float, or an InputError.
 
@@ -139,24 +149,24 @@ def read_number(value, what: str) -> float:
     number = value
     if type(value) is not float:  # JSON's 1.5 is an exact float and needs only the finite test
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise InputError(f"{what} must be a number, got {value!r}")
+            raise InputError(f"{what} must be a number, got {shown(repr(value))}")
         try:
             number = float(value)
         except OverflowError:  # an integer too large for a float
             number = math.inf
     if not math.isfinite(number):
-        raise InputError(f"{what} must be finite, got {value!r}")
+        raise InputError(f"{what} must be finite, got {shown(repr(value))}")
     return number
 
 
-def check_ridge(ridge: float) -> None:
-    """InputError unless the ridge penalty is finite and non-negative.
+def check_non_negative(name: str, value: float) -> None:
+    """InputError unless the amount ``value`` named ``name`` is finite and non-negative.
 
-    The one ridge rule: the fit checks its argument and a run config its
-    field, and the config is built without importing the fit.
+    The one non-negative rule: the fit checks its ridge, and the run,
+    simulation and fare configs their amounts, each when built.
     """
-    if not (math.isfinite(ridge) and ridge >= 0.0):
-        raise InputError(f"ridge must be finite and non-negative, got {ridge}")
+    if not (math.isfinite(value) and value >= 0.0):
+        raise InputError(f"{name} must be finite and non-negative, got {value}")
 
 
 def read_string(value, what: str) -> str:
@@ -166,7 +176,7 @@ def read_string(value, what: str) -> str:
     file fails instead of loading as ``'False'`` or ``'7'``.
     """
     if not isinstance(value, str):
-        raise InputError(f"{what} must be a string, got {value!r}")
+        raise InputError(f"{what} must be a string, got {shown(repr(value))}")
     return value
 
 
@@ -177,5 +187,5 @@ def read_array(value, what: str) -> list:
     array belongs fails instead of loading as its characters or its keys.
     """
     if not isinstance(value, list):
-        raise InputError(f"{what} must be an array, got {value!r}")
+        raise InputError(f"{what} must be an array, got {shown(repr(value))}")
     return value

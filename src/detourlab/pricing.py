@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import FitError, InputError, read_array, read_json_file, read_number, read_string
+from .errors import (FitError, InputError, check_non_negative, read_array, read_json_file,
+                     read_number, read_string)
 from .network import minute_of_day
 from .trips import trajectory_distance_km, trajectory_minutes
 
@@ -52,8 +53,7 @@ class FareSchedule:
         amounts = {"base_fare": self.base_fare, "base_km": self.base_km,
                    "base_min": self.base_min, "operating_cost_per_km": self.operating_cost_per_km}
         for name, value in amounts.items():
-            if not (math.isfinite(value) and value >= 0.0):
-                raise InputError(f"{name} must be finite and non-negative, got {value}")
+            check_non_negative(name, value)
         expected = 0.0
         for iv in self.intervals:
             if iv.start_min != expected:

@@ -298,23 +298,24 @@ def _km_and_arrival(net, path, depart: float) -> tuple[float, float]:
     return km, t
 
 
-def _horizon(net, tables, h_km, o: Segment, goal: str, depart: float,
+def _horizon(net, tables, h_km, o: Segment, goal: str, k0: float, depart: float,
              w1: float, w2: float) -> tuple[float, float, float]:
     """``(rho, R, c)`` for a time-weighted query (see ``route_plan``).
 
     U is the cost of the km-shortest route ``_km_path``, its km and arrival
     summed forward exactly as the search does (``_km_and_arrival``), and K0
-    the origin's length plus the least km from its exit node to the goal.
-    The horizon runs H = (U * (1 + ``_SCALAR_MARGIN``) - w1 * K0) / w2
-    minutes from the departure.  ``rho`` and ``R`` are the products of the
-    ``slopes`` of the speed changes after the departure and within H:
-    0 and inf when H is a day or more and some speed changes.  ``c`` is the
-    least ``_pace`` of the speed regimes the horizon meets.
+    is ``k0``, the query's ``km_via``: the origin's length plus the least km
+    from its exit node to the goal.  The horizon runs H = (U * (1 +
+    ``_SCALAR_MARGIN``) - w1 * K0) / w2 minutes from the departure.  ``rho``
+    and ``R`` are the products of the ``slopes`` of the speed changes after
+    the departure and within H: 0 and inf when H is a day or more and some
+    speed changes.  ``c`` is the least ``_pace`` of the speed regimes the
+    horizon meets.
     """
     minute = minute_of_day(depart)
     km, arrival = _km_and_arrival(net, _km_path(net, h_km, o, goal), depart)
     upper = w1 * km + w2 * ((arrival - depart) / 60.0)
-    end = minute + (upper * (1.0 + _SCALAR_MARGIN) - w1 * (o.length + h_km[o.to_node])) / w2
+    end = minute + (upper * (1.0 + _SCALAR_MARGIN) - w1 * k0) / w2
     changes, n = tables.changes, len(tables.changes)
     if not n:
         return 1.0, 1.0, _pace(net, tables, 0)
@@ -402,7 +403,8 @@ def route_plan(
 
     goal = d.from_node
     h_km = _lower_bounds(net, goal)
-    if o.to_node not in h_km:
+    k0 = km_via(o, dest, h_km)
+    if k0 is None:
         raise NoRouteError(f"no route from segment {origin!r} to segment {dest!r}")
     w1, w2 = weights.w1, weights.w2
     if w2 == 0.0:
@@ -413,7 +415,7 @@ def route_plan(
     if tables.forward is None:
         _compile_forward(net, tables)
     forward = tables.forward
-    rho, big, c = _horizon(net, tables, h_km, o, goal, depart, w1, w2)
+    rho, big, c = _horizon(net, tables, h_km, o, goal, k0, depart, w1, w2)
     # the cone's k per second of arrival, for an earlier and a later label
     early, late = w2 * (1.0 - rho) / 60.0, w2 * (big - 1.0) / 60.0
     clear = 1.0 + _SCALAR_MARGIN

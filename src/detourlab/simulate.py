@@ -12,7 +12,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .errors import InputError, NoRouteError
+from .errors import InputError, NoRouteError, check_non_negative
 from .network import (
     EARTH_RADIUS_KM,
     GpsPoint,
@@ -74,8 +74,7 @@ class SimConfig:
                    "night_detour_boost": self.night_detour_boost,
                    **{f"behavior_mix[{b!r}]": v for b, v in self.behavior_mix.items()}}
         for name, value in amounts.items():
-            if not (math.isfinite(value) and value >= 0.0):
-                raise InputError(f"{name} must be finite and non-negative, got {value}")
+            check_non_negative(name, value)
         unknown = set(self.behavior_mix) - set(BEHAVIORS)
         if unknown:
             raise InputError(f"unknown behaviors in mix: {sorted(unknown)}")

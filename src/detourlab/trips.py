@@ -147,21 +147,18 @@ def trajectory_minutes(atr: AbstractTrajectory) -> float:
     return (atr.steps[-1].t - atr.steps[0].t) / 60.0
 
 
-def destination_change_probability(net: RoadNetwork, trip: TripRecord) -> float:
-    """1 - (straight-line gap between actual and booked drop-off) / trip distance.
+def destination_change_probability(trip: TripRecord, dist_km: float) -> float:
+    """1 - (straight-line gap between actual and booked drop-off) / ``dist_km``.
 
-    Near 1 when the trip ended where it was booked to; can go negative when
-    the gap exceeds the distance travelled, which is returned as-is.
+    ``dist_km`` is the trip's ``trajectory_distance_km``, which ``filter_dataset``
+    has already summed for its speed rule.  Near 1 when the trip ended where it
+    was booked to; can go negative when the gap exceeds the distance
+    travelled, which is returned as-is.
     """
-    return _destination_change(trip, trajectory_distance_km(net, trip.atr))
-
-
-def _destination_change(trip: TripRecord, dist: float) -> float:
-    """``destination_change_probability`` given the trajectory's km ``dist``."""
-    if dist <= 0.0:
+    if dist_km <= 0.0:
         raise InputError(f"trip {trip.trip_id!r}: zero-length trajectory")
     gap = haversine_km(trip.actual_destination, trip.recorded_destination)
-    return 1.0 - gap / dist
+    return 1.0 - gap / dist_km
 
 
 REJECT_MALFORMED = "malformed"
@@ -205,7 +202,7 @@ def _rejection_reason(net, trip, rules) -> str | None:
         return REJECT_TIME
     if dist / (seconds / 3600.0) > rules.max_speed:
         return REJECT_SPEED
-    if _destination_change(trip, dist) < rules.epsilon_bar:
+    if destination_change_probability(trip, dist) < rules.epsilon_bar:
         return REJECT_DESTINATION
     return None
 

@@ -152,6 +152,27 @@ def test_negative_seed_exits_3(tmp_path, capsys):
     assert "seed must be non-negative, got -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_unlabeled_trips_are_left_out(pipeline_dir, tmp_path, capsys, command):
+    root, net, data, filt, model = pipeline_dir
+    lines = (filt / "kept.jsonl").read_text().splitlines()
+    first = json.loads(lines[0])
+    first["label"] = "unlabeled"
+    with_unlabeled = tmp_path / "with.jsonl"
+    with_unlabeled.write_text("\n".join([json.dumps(first)] + lines[1:]) + "\n")
+    without = tmp_path / "without.jsonl"
+    without.write_text("\n".join(lines[1:]) + "\n")
+    extra = ["--ridge", "1e-6"] if command == "train" else ["--model", model]
+    outputs = []
+    for trips in (with_unlabeled, without):
+        out = tmp_path / f"{trips.stem}.out"
+        assert run([command, "--network", net, "--trips", trips, *extra, "--out", out]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    counted = f" on={len(lines) - 1} " if command == "train" else f" n={len(lines) - 1} "
+    assert capsys.readouterr().out.count(counted) == 2
+
+
 def test_eval_prints_auc_line(pipeline_dir, capsys):
     root, net, data, filt, model = pipeline_dir
     roc = root / "roc.csv"
@@ -738,6 +759,27 @@ def test_config_type_errors_name_json_types(tmp_path, capsys, text, message):
     config.write_text(text)
     assert run(["gen-network", "--config", config, "--out", tmp_path / "net.json"]) == 3
     assert capsys.readouterr().err.strip().endswith(f"bad config file {config}: {message}")
+
+
+@pytest.mark.parametrize("text, message", [
+    (f'{{"sim": {{"detour_inflation": {HUGE_INT}}}}}',
+     f"config.sim.detour_inflation must be finite, got {HUGE_INT[:80]}..."),
+    (json.dumps({"sim": {"n_trips": "x" * 5000}}),
+     'config.sim.n_trips must be an integer, got "' + "x" * 79 + "..."),
+], ids=["huge_integer", "long_string"])
+def test_config_error_cuts_a_long_bad_value(tmp_path, capsys, text, message):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    assert run(["gen-network", "--config", config, "--out", tmp_path / "net.json"]) == 3
+    assert capsys.readouterr().err.strip().endswith(f"bad config file {config}: {message}")
+
+
+def test_network_error_cuts_a_long_bad_value(tmp_path, capsys):
+    bad = tmp_path / "badnet.json"
+    bad.write_text(json.dumps({"nodes": "x" * 5000, "segments": []}))
+    assert run(["gen-trips", "--network", bad, "--out", tmp_path / "out"]) == 3
+    message = "nodes must be an array, got '" + "x" * 79 + "..."
+    assert capsys.readouterr().err.strip().endswith(f"bad network file {bad}: {message}")
 
 
 @pytest.mark.parametrize("command", ["eval", "pricing", "stage-report"])

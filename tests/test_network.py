@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from detourlab.cli import main
 from detourlab.errors import InputError
 from detourlab.network import (
     GpsPoint,
@@ -366,6 +367,23 @@ def test_load_rejects_strings_and_objects_where_an_array_belongs(small_grid, whe
     record[key] = bad
     with pytest.raises(InputError, match=f"^{key} must be an array, got "):
         network_from_dict(data)
+
+
+@pytest.mark.parametrize("profile, reason", [
+    ([], "empty speed profile"),
+    ([[0.0, 30.0], [1440.0, 20.0]], "bucket start 1440.0 outside [0, 1440)"),
+    ([[0.0, 30.0], [-60.0, 20.0]], "bucket start -60.0 outside [0, 1440)"),
+], ids=["empty", "start_at_1440", "negative_start"])
+def test_network_file_with_a_bad_speed_profile_exits_3(small_grid, tmp_path, capsys,
+                                                        profile, reason):
+    data = network_to_dict(small_grid)
+    seg = data["segments"][0]
+    seg["speed_profile"] = [{"start_min": start, "speed_kmh": kmh} for start, kmh in profile]
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(data))
+    # gen-trips reads the file with load_network
+    assert main(["gen-trips", "--network", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.strip().endswith(f"segment {seg['id']!r}: {reason}")
 
 
 def test_load_rejects_ids_that_are_not_strings(small_grid):

@@ -10,8 +10,8 @@ from detourlab.classifier import offline_features
 from detourlab.errors import InputError
 from detourlab.network import network_to_dict, save_network
 from detourlab.routing import RoutingWeights, path_distance, route_plan
-from detourlab.simulate import (BEHAVIORS, SimConfig, _cdf, _demand_weights, _rng, _Stream,
-                                generate_network, generate_trips)
+from detourlab.simulate import (BASE_EPOCH, BEHAVIORS, SimConfig, _cdf, _demand_weights, _rng,
+                                _Stream, generate_network, generate_trips)
 from detourlab.trips import trajectory_distance_km, trajectory_minutes, trip_to_dict
 
 from conftest import path_est_time
@@ -218,6 +218,28 @@ def test_label_proportions_match_mix():
     trips, _ = generate_trips(net, cfg)
     detour_share = sum(1 for t in trips if t.label == "detour") / len(trips)
     assert abs(detour_share - mix["detour"]) <= 0.02
+
+
+def _night_and_day_detour_shares(boost):
+    """Detour shares of trips starting before 06:00 and after, over three seeds."""
+    counts = {True: [0, 0], False: [0, 0]}
+    for seed in range(3):
+        cfg = SimConfig(seed=seed, grid_dims=(4, 4), n_trips=300, gps_period_s=0.0,
+                        night_detour_boost=boost)
+        trips, _ = generate_trips(generate_network(cfg), cfg)
+        for trip in trips:
+            tally = counts[trip.atr.steps[0].t < BASE_EPOCH + 360 * 60.0]
+            tally[0] += trip.label == "detour"
+            tally[1] += 1
+    return counts[True][0] / counts[True][1], counts[False][0] / counts[False][1]
+
+
+def test_night_detour_boost_raises_the_night_detour_share():
+    flat_night, flat_day = _night_and_day_detour_shares(0.0)
+    night, day = _night_and_day_detour_shares(3.0)
+    # a boost of 3 takes the night mix's detour weight from 0.1 to 0.4 / 1.3
+    assert night > 2.0 * flat_night
+    assert abs(day - flat_day) < 0.02
 
 
 def test_trip_structure_valid(sim_dataset):

@@ -70,7 +70,7 @@ def test_trajectory_distance_checks_every_step(last, message):
 def test_epsilon_same_destination_is_one():
     net = line_network([4.0, 6.0, 2.0])
     trip = chain_trip(net, 2, 600.0)
-    assert destination_change_probability(net, trip) == 1.0
+    assert destination_change_probability(trip, trajectory_distance_km(net, trip.atr)) == 1.0
 
 
 def test_epsilon_zero_when_gap_equals_distance():
@@ -78,7 +78,8 @@ def test_epsilon_zero_when_gap_equals_distance():
     actual = equator_point_at_km(10.0)
     recorded = equator_point_at_km(20.0)  # 10 km straight-line gap = trip distance
     trip = chain_trip(net, 2, 600.0, recorded=recorded, actual=actual)
-    assert destination_change_probability(net, trip) == pytest.approx(0.0, abs=1e-9)
+    km = trajectory_distance_km(net, trip.atr)
+    assert destination_change_probability(trip, km) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_epsilon_hand_value():
@@ -86,14 +87,15 @@ def test_epsilon_hand_value():
     actual = equator_point_at_km(10.0)
     recorded = equator_point_at_km(10.05)  # 50 m gap on a 10 km trip
     trip = chain_trip(net, 2, 600.0, recorded=recorded, actual=actual)
-    assert destination_change_probability(net, trip) == pytest.approx(0.995, abs=1e-9)
+    km = trajectory_distance_km(net, trip.atr)
+    assert destination_change_probability(trip, km) == pytest.approx(0.995, abs=1e-9)
 
 
 def test_epsilon_zero_length_trajectory_rejected():
     net = line_network([4.0, 6.0, 2.0])
     trip = make_trip(net, [("e0", T0)], ["e0"], 4.0, 4.0)
     with pytest.raises(InputError):
-        destination_change_probability(net, trip)
+        destination_change_probability(trip, trajectory_distance_km(net, trip.atr))
 
 
 @given(scale=st.floats(0.1, 40.0))
@@ -107,8 +109,10 @@ def test_epsilon_scale_consistency(scale):
     scaled = chain_trip(scaled_net, 2, 600.0,
                         recorded=equator_point_at_km((10.0 + gap) * scale),
                         actual=equator_point_at_km(10.0 * scale))
-    assert destination_change_probability(base_net, base) == pytest.approx(
-        destination_change_probability(scaled_net, scaled), abs=1e-7
+    base_km = trajectory_distance_km(base_net, base.atr)
+    scaled_km = trajectory_distance_km(scaled_net, scaled.atr)
+    assert destination_change_probability(base, base_km) == pytest.approx(
+        destination_change_probability(scaled, scaled_km), abs=1e-7
     )
 
 
@@ -336,6 +340,22 @@ def test_load_rejects_strings_and_objects_where_an_array_belongs(tmp_path, where
     with pytest.raises(DataFormatError, match=f"line 2: {what} must be an array, got ") as err:
         load_trips(path)
     assert err.value.line == 2
+
+
+@pytest.mark.parametrize("where, bad, shown", [
+    (("raw_gps",), "x" * 5000, "raw_gps must be an array, got '" + "x" * 79 + "..."),
+    (("atr", 1, "t"), 10**400, "atr t must be finite, got " + "1" + "0" * 79 + "..."),
+], ids=["long_string", "huge_integer"])
+def test_load_cuts_a_long_bad_value_in_the_message(tmp_path, where, bad, shown):
+    net = line_network([1.0] * 3)
+    d = trip_to_dict(chain_trip(net, 2, 300.0))
+    good = json.dumps(d)
+    _set(d, where, bad)
+    path = tmp_path / "trips.jsonl"
+    path.write_text(good + "\n" + json.dumps(d) + "\n", encoding="utf-8")
+    with pytest.raises(DataFormatError) as err:
+        load_trips(path)
+    assert str(err.value) == f"trip file {path}, line 2: {shown}"
 
 
 @pytest.mark.parametrize("bad, message", [
