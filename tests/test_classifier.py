@@ -182,7 +182,7 @@ def test_training_halves_a_step_that_lowers_the_likelihood(monkeypatch):
     real = classifier.log_likelihood
 
     def counting(*args):
-        evaluations.append(args[0])
+        evaluations.append(1)
         return real(*args)
 
     monkeypatch.setattr(classifier, "log_likelihood", counting)
