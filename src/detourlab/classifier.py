@@ -120,7 +120,8 @@ def _information(beta: np.ndarray, X: np.ndarray, ridge: float) -> np.ndarray:
     import numpy as np
 
     probs = _sigmoid(X @ beta)
-    return X.T @ (X * (probs * (1.0 - probs))[:, None]) + ridge * np.eye(X.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):  # ``train`` rejects a non-finite result
+        return X.T @ (X * (probs * (1.0 - probs))[:, None]) + ridge * np.eye(X.shape[1])
 
 
 def train(samples, ridge: float = 0.0) -> TrainReport:
@@ -136,6 +137,9 @@ def train(samples, ridge: float = 0.0) -> TrainReport:
     ``_MAX_STEPS`` steps or when no halving stops the drop.  Perfectly
     separable data with no ridge has no finite maximizer; that case is
     reported with ``converged=False`` and a diagnostic instead of an error.
+    A feature that is not finite, or one so large that the information
+    matrix overflows (a plan distance near 0 gives an excess ratio near
+    1e300), raises FitError before any step.
     """
     import numpy as np
 
@@ -144,6 +148,8 @@ def train(samples, ridge: float = 0.0) -> TrainReport:
     positives = int(np.sum(y))
     if positives == 0 or positives == len(y):
         raise FitError("training data must contain both classes")
+    if not np.isfinite(X).all():
+        raise FitError("the features must be finite")
 
     beta = np.zeros(3)
     ll = log_likelihood(beta, X, y, ridge)
@@ -153,7 +159,11 @@ def train(samples, ridge: float = 0.0) -> TrainReport:
         converged = float(np.max(np.abs(grad))) < _GRAD_TOL
         if converged or iterations == _MAX_STEPS:
             break
-        direction = np.linalg.lstsq(_information(beta, X, ridge), grad, rcond=None)[0]
+        information = _information(beta, X, ridge)
+        if not np.isfinite(information).all():
+            raise FitError("the information matrix is not finite: features as large as "
+                           f"{float(np.max(np.abs(X)))!r} are too large to fit")
+        direction = np.linalg.lstsq(information, grad, rcond=None)[0]
         for _ in range(_MAX_HALVINGS):
             candidate = beta + direction
             cll = log_likelihood(candidate, X, y, ridge)

@@ -46,7 +46,7 @@ def _from_json(cls, data, where: str):
     values = {}
     for key, value in data.items():
         if key not in names:
-            raise InputError(f"{where}: unknown key {key!r}")
+            raise InputError(f"{where}: unknown key {shown(repr(key))}")
         values[key] = _json_value(value, getattr(defaults, key), f"{where}.{key}")
     return cls(**values)
 

@@ -10,13 +10,15 @@ radius (100 m by default) is configurable.
 
 Candidates come from a uniform grid over segment bounding boxes (Newson &
 Krumm 2009 bound candidates the same way), built once per network on first
-use.  Each cell lists the segments whose boxes come within one cell of it,
-so a point whose search window is at most a cell wide reads only the cell
-that holds it; a wider window reads every segment.  Either way only the
-segments whose boxes meet the window are projected.  The window is the
-radius converted to degrees with the projection's own scale factors, so any
-segment within the radius has its closest point inside it: the candidates
-equal a scan over every segment.
+use and held by the network.  Each entry holds its segment's coordinates
+and length as plain floats, so ``candidates_for``, the one home of the
+projection, reads no node.  Each cell lists the segments whose boxes come
+within one cell of it, so a point whose search window is at most a cell
+wide reads only the cell that holds it; a wider window reads every segment.
+Either way only the segments whose boxes meet the window are projected.  The
+window is the radius converted to degrees with the projection's own scale
+factors, so any segment within the radius has its closest point inside it:
+the candidates equal a scan over every segment.
 """
 
 from __future__ import annotations
@@ -24,11 +26,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from weakref import WeakKeyDictionary
 
 from . import trips
 from .errors import InputError, MatchError, NoRouteError
-from .network import EARTH_RADIUS_KM, Node, RoadNetwork, Segment, check_gps, haversine_km
+from .network import EARTH_RADIUS_KM, RoadNetwork, Segment, check_gps, haversine_km
 from .routing import RoutingWeights, check_contiguous, km_table, km_via, route_plan
 
 
@@ -43,34 +44,6 @@ class MatchConfig:
     def __post_init__(self):
         if not (math.isfinite(self.candidate_radius) and self.candidate_radius > 0):
             raise InputError("candidate radius must be finite and positive")
-
-
-def _metres_per_degree(lat: float) -> tuple[float, float]:
-    """(kx, ky): metres per degree of longitude and of latitude at ``lat``."""
-    kx = EARTH_RADIUS_KM * 1000.0 * math.cos(math.radians(lat)) * math.pi / 180.0
-    ky = EARTH_RADIUS_KM * 1000.0 * math.pi / 180.0
-    return kx, ky
-
-
-def _project(point, kx: float, ky: float, a: Node, b: Node) -> tuple[float, float]:
-    """(distance_m, along_fraction) of a point against the straight segment a -> b.
-
-    ``a`` and ``b`` are the segment's entry and exit nodes, and ``(kx, ky)``
-    is ``_metres_per_degree(point.lat)``.  Uses a local equirectangular
-    projection centred on the point; fine at the sub-kilometre scales where
-    candidates live.  The fraction is clamped to the segment, 0 at its entry
-    node and 1 at its exit node.
-    """
-    ax = (a.lng - point.lng) * kx
-    ay = (a.lat - point.lat) * ky
-    bx = (b.lng - point.lng) * kx
-    by = (b.lat - point.lat) * ky
-    dx, dy = bx - ax, by - ay
-    norm2 = dx * dx + dy * dy
-    if norm2 == 0.0:
-        return math.hypot(ax, ay), 0.0
-    u = max(0.0, min(1.0, -(ax * dx + ay * dy) / norm2))
-    return math.hypot(ax + u * dx, ay + u * dy), u
 
 
 def emission_logprob(distance_m: float) -> float:
@@ -90,7 +63,9 @@ def emission_logprob(distance_m: float) -> float:
 _CELL_DEG = 0.002
 _MAX_CELLS = 512
 _WINDOW_MARGIN = 1e-9
-_GRIDS: WeakKeyDictionary = WeakKeyDictionary()
+# metres of the Earth's radius, and metres per degree of latitude
+_RADIUS_M = EARTH_RADIUS_KM * 1000.0
+_M_PER_DEG_LAT = _RADIUS_M * math.pi / 180.0
 
 
 @dataclass(frozen=True)
@@ -98,8 +73,9 @@ class _SegmentGrid:
     """Segments bucketed by the grid cells near their bounding boxes.
 
     ``entries`` holds one entry per segment, in segment id order:
-    ``(segment, entry node, exit node, lat_lo, lat_hi, lng_lo, lng_hi)``,
-    the last four being the segment's own box.  Each cell holds, in the same
+    ``(segment, length, a_lat, a_lng, b_lat, b_lng, lat_lo, lat_hi, lng_lo,
+    lng_hi)``: the segment, its length in km, the coordinates of its entry
+    node a and exit node b, and its own box.  Each cell holds, in the same
     order, the entries of the segments whose boxes, widened by one cell (and
     the window margin) on each side, overlap it.  Cell (i, j) covers
     latitudes from ``lat0 + i * cell`` and longitudes from
@@ -123,7 +99,8 @@ def _cell_range(lo: float, hi: float, origin: float, end: float, cell: float) ->
 
 
 def _segment_grid(net: RoadNetwork) -> _SegmentGrid:
-    grid = _GRIDS.get(net)
+    """The network's grid, built on first use and held by the network."""
+    grid = net._derived.get(_SegmentGrid)
     if grid is not None:
         return grid
     lats = [n.lat for n in net.nodes.values()]
@@ -139,7 +116,7 @@ def _segment_grid(net: RoadNetwork) -> _SegmentGrid:
         a, b = net.node(seg.from_node), net.node(seg.to_node)
         lat_lo, lat_hi = min(a.lat, b.lat), max(a.lat, b.lat)
         lng_lo, lng_hi = min(a.lng, b.lng), max(a.lng, b.lng)
-        entry = (seg, a, b, lat_lo, lat_hi, lng_lo, lng_hi)
+        entry = (seg, seg.length, a.lat, a.lng, b.lat, b.lng, lat_lo, lat_hi, lng_lo, lng_hi)
         entries.append(entry)
         lng_cells = _cell_range(lng_lo - widen, lng_hi + widen, lng0, lng1, cell)
         for i in _cell_range(lat_lo - widen, lat_hi + widen, lat0, lat1, cell):
@@ -147,7 +124,7 @@ def _segment_grid(net: RoadNetwork) -> _SegmentGrid:
                 cells.setdefault((i, j), []).append(entry)
     grid = _SegmentGrid(tuple(entries), {key: tuple(near) for key, near in cells.items()},
                         lat0, lat1, lng0, lng1, cell)
-    _GRIDS[net] = grid
+    net._derived[_SegmentGrid] = grid
     return grid
 
 
@@ -158,41 +135,61 @@ def candidates_for(net: RoadNetwork, point, radius_m: float) -> list[tuple[Segme
     ``along_km`` the driving distance from the segment's entry node to the
     point's projection.  Sorted by segment id.
 
-    The point's window spans ``radius_m`` converted to degrees with
-    ``_project``'s scale factors at the point's latitude, so a segment within
-    ``radius_m`` has its closest point inside it, and its box meets the
-    window.  Each grid cell lists every segment whose box comes within one
-    cell of it, so when the window is at most one cell wide on each side the
-    cell that holds the point (clamped to the grid's box) lists every such
-    segment; a wider window reads every segment.  Only the listed segments
-    whose boxes meet the window are projected, so the result is the same as
-    projecting onto every segment.
+    The projection is a local equirectangular one centred on the point, fine
+    at the sub-kilometre scales where candidates live: ``kx`` and ``ky`` are
+    metres per degree of longitude and of latitude at the point's latitude.
+    The point's projection onto the straight segment a -> b is clamped to it,
+    its fraction ``u`` being 0 at a and 1 at b, and a segment whose ends
+    coincide projects onto a.
+
+    The point's window spans ``radius_m`` converted to degrees with the same
+    scale factors, so a segment within ``radius_m`` has its closest point
+    inside it, and its box meets the window.  Each grid cell lists every
+    segment whose box comes within one cell of it, so when the window is at
+    most one cell wide on each side the cell that holds the point (clamped
+    to the grid's box) lists every such segment; a wider window reads every
+    segment.  Only the listed segments whose boxes meet the window are
+    projected, so the result is the same as projecting onto every segment.
     """
     grid = _segment_grid(net)
-    kx, ky = _metres_per_degree(point.lat)
+    plat, plng = point.lat, point.lng
+    kx = _RADIUS_M * math.cos(math.radians(plat)) * math.pi / 180.0
+    ky = _M_PER_DEG_LAT
     half_lat = radius_m / ky * (1.0 + _WINDOW_MARGIN) + _WINDOW_MARGIN
     half_lng = radius_m / abs(kx) * (1.0 + _WINDOW_MARGIN) + _WINDOW_MARGIN
-    lat_lo, lat_hi = point.lat - half_lat, point.lat + half_lat
-    lng_lo, lng_hi = point.lng - half_lng, point.lng + half_lng
+    lat_lo, lat_hi = plat - half_lat, plat + half_lat
+    lng_lo, lng_hi = plng - half_lng, plng + half_lng
     lat0, lat1, lng0, lng1, cell = grid.lat0, grid.lat1, grid.lng0, grid.lng1, grid.cell
     # written so that a NaN coordinate or radius, which no segment is within,
     # finds nothing
     if not (lat_lo <= lat1 and lat_hi >= lat0 and lng_lo <= lng1 and lng_hi >= lng0):
         return []
     if half_lat <= cell and half_lng <= cell:
-        lat = min(max(point.lat, lat0), lat1)
-        lng = min(max(point.lng, lng0), lng1)
+        lat = min(max(plat, lat0), lat1)
+        lng = min(max(plng, lng0), lng1)
         entries = grid.cells.get((math.floor((lat - lat0) / cell),
                                   math.floor((lng - lng0) / cell)), ())
     else:
         entries = grid.entries
     found = []
-    for seg, a, b, s_lat_lo, s_lat_hi, s_lng_lo, s_lng_hi in entries:
+    for (seg, length, a_lat, a_lng, b_lat, b_lng,
+         s_lat_lo, s_lat_hi, s_lng_lo, s_lng_hi) in entries:
         if s_lat_lo > lat_hi or s_lat_hi < lat_lo or s_lng_lo > lng_hi or s_lng_hi < lng_lo:
             continue
-        distance_m, u = _project(point, kx, ky, a, b)
+        ax = (a_lng - plng) * kx
+        ay = (a_lat - plat) * ky
+        dx = (b_lng - plng) * kx - ax
+        dy = (b_lat - plat) * ky - ay
+        norm2 = dx * dx + dy * dy
+        if norm2 == 0.0:
+            distance_m, u = math.hypot(ax, ay), 0.0
+        else:
+            u = -(ax * dx + ay * dy) / norm2
+            # max(0.0, min(1.0, u)): NaN and above 1 give 1, -0.0 and below 0 give 0
+            u = (u if u > 0.0 else 0.0) if u < 1.0 else 1.0
+            distance_m = math.hypot(ax + u * dx, ay + u * dy)
         if distance_m <= radius_m:
-            found.append((seg, distance_m, u * seg.length))
+            found.append((seg, distance_m, u * length))
     return found
 
 
@@ -258,19 +255,19 @@ def viterbi_decode(net: RoadNetwork, tr, cfg: MatchConfig = MatchConfig()) -> li
 
     for k in range(1, len(tr)):
         gc = haversine_km(tr[k - 1], tr[k])
-        # predecessors with a finite score, as (index, score, segment id,
+        # predecessors with a finite score, as (score, index, segment id,
         # along_km), best score first; the sort is stable, so ties keep index order
-        live = [(j, s, seg.id, along)
+        live = [(s, j, seg.id, along)
                 for j, ((seg, _, along), s) in enumerate(zip(cands[k - 1], score))
                 if s != neg_inf]
-        live.sort(key=itemgetter(1), reverse=True)
+        live.sort(key=itemgetter(0), reverse=True)
         new_score: list[float] = []
         pointers: list[int] = []
         for seg, distance_m, along_b in cands[k]:
             sid = seg.id
             best = neg_inf
             best_j = -1
-            for j, s, pid, along_a in live:
+            for s, j, pid, along_a in live:
                 if s < best:
                     break  # this and every later total is below best
                 # The driving distance between the two projections: the

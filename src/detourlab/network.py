@@ -20,7 +20,7 @@ from pathlib import Path
 from types import MappingProxyType
 
 from .errors import (InputError, parse_json_bytes, read_array, read_file_once, read_number,
-                     read_string)
+                     read_string, shown)
 
 EARTH_RADIUS_KM = 6371.0
 DAY_MINUTES = 1440.0
@@ -197,6 +197,12 @@ class RoadNetwork:
     Instances never mutate after construction and are safe to share read-only
     across concurrent workers.  Malformed speed profiles and dangling segment
     endpoints are rejected here, at load time, not at query time.
+
+    ``_derived`` holds the tables other modules compile from the network on
+    first use (the planner's ``routing._NetworkTables``, the matcher's
+    ``matching._SegmentGrid``), keyed by the table's type.  The network
+    never changes, so they never go stale, and they live exactly as long as
+    the network does.
     """
 
     def __init__(self, nodes, segments):
@@ -226,6 +232,7 @@ class RoadNetwork:
         self._segments = MappingProxyType(seg_map)
         self._out = {nid: tuple(sorted(v, key=lambda s: s.id)) for nid, v in out.items()}
         self._in = {nid: tuple(sorted(v, key=lambda s: s.id)) for nid, v in inc.items()}
+        self._derived: dict[type, object] = {}
 
     @property
     def nodes(self):
@@ -239,24 +246,24 @@ class RoadNetwork:
         try:
             return self._nodes[node_id]
         except KeyError:
-            raise InputError(f"unknown node id {node_id!r}") from None
+            raise InputError(f"unknown node id {shown(repr(node_id))}") from None
 
     def segment(self, segment_id: str) -> Segment:
         try:
             return self._segments[segment_id]
         except KeyError:
-            raise InputError(f"unknown segment id {segment_id!r}") from None
+            raise InputError(f"unknown segment id {shown(repr(segment_id))}") from None
 
     def outgoing(self, node_id: str) -> tuple[Segment, ...]:
         """Outgoing segments of a node, sorted by segment id."""
         if node_id not in self._out:
-            raise InputError(f"unknown node id {node_id!r}")
+            raise InputError(f"unknown node id {shown(repr(node_id))}")
         return self._out[node_id]
 
     def incoming(self, node_id: str) -> tuple[Segment, ...]:
         """Incoming segments of a node, sorted by segment id."""
         if node_id not in self._in:
-            raise InputError(f"unknown node id {node_id!r}")
+            raise InputError(f"unknown node id {shown(repr(node_id))}")
         return self._in[node_id]
 
     def segment_end(self, segment_id: str) -> LatLng:

@@ -23,7 +23,6 @@ from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
 from operator import itemgetter
-from weakref import WeakKeyDictionary
 
 from .errors import InputError, NoRouteError
 from .network import (DAY_MINUTES, RoadNetwork, Segment, full_traversals, minute_of_day,
@@ -105,11 +104,9 @@ def entry_times(net: RoadNetwork, path, depart: float) -> list[float]:
     return times
 
 
-# Per-network cache of the static per-goal km tables, keyed by goal node.  The
-# network is immutable, so the tables never go stale.  Each network keeps at
-# most _MAX_TABLES of them and evicts the least recently used, so memory stays
-# bounded on large grids; a 10x10 grid needs at most 100 and never evicts.
-_HEURISTICS: WeakKeyDictionary = WeakKeyDictionary()
+# Each network keeps at most _MAX_TABLES per-goal km tables and evicts the
+# least recently used, so memory stays bounded on large grids; a 10x10 grid
+# needs at most 100 and never evicts.
 _MAX_TABLES = 512
 _FIRST = itemgetter(0)
 # How far a label must clear a cone test with a positive slope term, and how
@@ -119,7 +116,11 @@ _SCALAR_MARGIN = 1e-9
 
 
 class _NetworkTables(OrderedDict):
-    """One network's LRU of per-goal km tables, and what is compiled once per network.
+    """One network's LRU of per-goal km tables, keyed by goal node, and what
+    is compiled once per network.
+
+    The network holds it in ``RoadNetwork._derived``, where ``_tables``
+    finds it, so it lives as long as the network and never goes stale.
 
     ``incoming`` is the reverse graph of the km tables (``_lower_bounds``).
     ``forward`` holds per node id its outgoing segments, in ``net.outgoing``
@@ -143,9 +144,9 @@ class _NetworkTables(OrderedDict):
 
 
 def _tables(net: RoadNetwork) -> _NetworkTables:
-    tables = _HEURISTICS.get(net)
+    tables = net._derived.get(_NetworkTables)
     if tables is None:
-        tables = _HEURISTICS[net] = _NetworkTables()
+        tables = net._derived[_NetworkTables] = _NetworkTables()
     return tables
 
 

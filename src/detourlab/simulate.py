@@ -12,7 +12,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .errors import InputError, NoRouteError, check_non_negative
+from .errors import InputError, NoRouteError, check_non_negative, shown
 from .network import (
     EARTH_RADIUS_KM,
     GpsPoint,
@@ -67,7 +67,7 @@ class SimConfig:
         if self.n_trips <= 0 or self.n_drivers <= 0:
             raise InputError("counts must be positive")
         if self.n_drivers > 2**63:  # drivers are drawn below it as a numpy int64 bound
-            raise InputError(f"n_drivers must be at most 2**63, got {self.n_drivers}")
+            raise InputError(f"n_drivers must be at most 2**63, got {shown(str(self.n_drivers))}")
         amounts = {"detour_inflation": self.detour_inflation,
                    "gps_period_s": self.gps_period_s,
                    "gps_noise_m": self.gps_noise_m,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import (InputError, read_array, read_file_once, read_jsonl, read_number,
-                     read_string)
+                     read_string, shown)
 from .network import GpsPoint, LatLng, RoadNetwork, check_coordinates, check_gps, haversine_km
 from .routing import RoutePlanStep, RoutingWeights, check_contiguous
 
@@ -80,7 +80,7 @@ class TripRecord:
 
     def __post_init__(self):
         if self.label not in LABELS:
-            raise InputError(f"trip {self.trip_id!r}: unknown label {self.label!r}")
+            raise InputError(f"trip {self.trip_id!r}: unknown label {shown(repr(self.label))}")
         where = f"trip {self.trip_id!r}"
         for name, dest in (("recorded", self.recorded_destination),
                            ("actual", self.actual_destination)):

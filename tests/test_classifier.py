@@ -117,6 +117,17 @@ def test_training_single_class_rejected():
         train(samples)
 
 
+@pytest.mark.parametrize("big, message", [(1e300, "the information matrix is not finite"),
+                                          (math.inf, "the features must be finite")])
+def test_training_rejects_features_too_large_to_fit(big, message):
+    # the squares of 1e300 overflow the information matrix; with
+    # filterwarnings = error a numpy warning on the way fails the test too
+    samples = [(FeatureVector(0.1 * k, 0.0), k % 2) for k in range(10)]
+    samples[0] = (FeatureVector(big, 0.0), 1)
+    with pytest.raises(FitError, match=message):
+        train(samples, ridge=1e-6)
+
+
 def test_training_flags_perfect_separation():
     samples = [(FeatureVector(x, 0.0), 1 if x > 0 else 0)
                for x in np.linspace(-1, 1, 40) if x != 0]

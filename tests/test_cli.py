@@ -82,6 +82,29 @@ def test_train_with_ridge_converges(separable_dir, tmp_path, capsys):
     assert model.exists()
 
 
+@pytest.mark.parametrize("distance_km, message", [
+    (1e-300, "the information matrix is not finite"),  # an excess ratio near 4e300
+    (1e-310, "the features must be finite"),  # a subnormal distance: an infinite ratio
+])
+def test_train_on_a_plan_distance_near_0_exits_3(tmp_path, capsys, distance_km, message):
+    # load_trips accepts any finite positive plan distance
+    net = tmp_path / "network.json"
+    assert run(["gen-network", "--seed", 5, "--rows", 5, "--cols", 5, "--out", net]) == 0
+    assert run(["gen-trips", "--network", net, "--seed", 5, "--n-trips", 100,
+                "--out", tmp_path / "data"]) == 0
+    lines = (tmp_path / "data" / "trips.jsonl").read_text().splitlines()
+    first = json.loads(lines[0])
+    first["plans"][0]["distance_km"] = distance_km
+    trips = tmp_path / "edited.jsonl"
+    trips.write_text("\n".join([json.dumps(first)] + lines[1:]) + "\n")
+    model = tmp_path / "model.json"
+    capsys.readouterr()
+    assert run(["train", "--network", net, "--trips", trips, "--ridge", "1e-6",
+                "--out", model]) == 3
+    assert capsys.readouterr().err.startswith(f"error: FitError: {message}")
+    assert not model.exists()
+
+
 def test_gen_network_deterministic(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -766,7 +789,10 @@ def test_config_type_errors_name_json_types(tmp_path, capsys, text, message):
      f"config.sim.detour_inflation must be finite, got {HUGE_INT[:80]}..."),
     (json.dumps({"sim": {"n_trips": "x" * 5000}}),
      'config.sim.n_trips must be an integer, got "' + "x" * 79 + "..."),
-], ids=["huge_integer", "long_string"])
+    (json.dumps({"sim": {"k" * 5000: 1}}), "config.sim: unknown key '" + "k" * 79 + "..."),
+    (f'{{"sim": {{"n_drivers": {HUGE_INT}}}}}',
+     f"n_drivers must be at most 2**63, got {HUGE_INT[:80]}..."),
+], ids=["huge_integer", "long_string", "long_key", "huge_n_drivers"])
 def test_config_error_cuts_a_long_bad_value(tmp_path, capsys, text, message):
     config = tmp_path / "config.json"
     config.write_text(text)

@@ -1,13 +1,15 @@
+import gc
 import itertools
 import math
 import time
+import weakref
 from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from detourlab import matching
+from detourlab import matching, routing
 from detourlab.errors import InputError, MatchError
 from detourlab.matching import (
     TRANSITION_BETA_KM,
@@ -18,8 +20,9 @@ from detourlab.matching import (
     match_trajectory,
     viterbi_decode,
 )
-from detourlab.network import GpsPoint, Node, RoadNetwork, Segment, haversine_km
-from detourlab.routing import route_km
+from detourlab.network import (EARTH_RADIUS_KM, GpsPoint, Node, RoadNetwork, Segment,
+                               haversine_km)
+from detourlab.routing import route_km, route_plan
 from detourlab.simulate import SimConfig, generate_network, generate_trips
 from detourlab.trips import trajectory_distance_km
 
@@ -544,17 +547,47 @@ def test_decode_fetches_one_km_table_per_destination(monkeypatch, km_requests):
 # the grid index behind candidates_for against a scan over every segment
 
 
+def project(point, a, b):
+    """(distance_m, along_fraction) of ``point`` against the straight segment
+    from node ``a`` to node ``b``: the projection ``candidates_for`` makes,
+    written out again here in the same float operations."""
+    kx = EARTH_RADIUS_KM * 1000.0 * math.cos(math.radians(point.lat)) * math.pi / 180.0
+    ky = EARTH_RADIUS_KM * 1000.0 * math.pi / 180.0
+    ax = (a.lng - point.lng) * kx
+    ay = (a.lat - point.lat) * ky
+    bx = (b.lng - point.lng) * kx
+    by = (b.lat - point.lat) * ky
+    dx, dy = bx - ax, by - ay
+    norm2 = dx * dx + dy * dy
+    if norm2 == 0.0:
+        return math.hypot(ax, ay), 0.0
+    u = max(0.0, min(1.0, -(ax * dx + ay * dy) / norm2))
+    return math.hypot(ax + u * dx, ay + u * dy), u
+
+
 def linear_scan(net, point, radius_m):
     """Every segment within ``radius_m``, found by projecting onto all of them."""
     found = []
-    kx, ky = matching._metres_per_degree(point.lat)
     for seg in net.segments.values():
-        distance_m, u = matching._project(point, kx, ky, net.node(seg.from_node),
-                                          net.node(seg.to_node))
+        distance_m, u = project(point, net.node(seg.from_node), net.node(seg.to_node))
         if distance_m <= radius_m:
             found.append((seg, distance_m, u * seg.length))
     found.sort(key=lambda c: c[0].id)
     return found
+
+
+def count_projections(monkeypatch):
+    """A one-item list counting the projections ``candidates_for`` makes from
+    now on: each one measures its distance with one ``math.hypot``, which
+    the kernel looks up on ``matching.math``."""
+    calls = [0]
+
+    def hypot(*args):
+        calls[0] += 1
+        return math.hypot(*args)
+
+    monkeypatch.setattr(matching, "math", SimpleNamespace(**{**vars(math), "hypot": hypot}))
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -598,9 +631,8 @@ def test_index_keeps_segments_exactly_at_the_radius(index_grid):
         point = GpsPoint(float(rng.uniform(lat0, lat1)), float(rng.uniform(lng0, lng1)), BASE_T)
         cases.append((point, segments[int(rng.integers(len(segments)))]))
     for point, seg in cases:
-        radius_m, _ = matching._project(point, *matching._metres_per_degree(point.lat),
-                                        index_grid.node(seg.from_node),
-                                        index_grid.node(seg.to_node))
+        radius_m, _ = project(point, index_grid.node(seg.from_node),
+                              index_grid.node(seg.to_node))
         got = candidates_for(index_grid, point, radius_m)
         assert got == linear_scan(index_grid, point, radius_m)
         assert seg in [c[0] for c in got]
@@ -658,31 +690,39 @@ def test_index_equals_linear_scan_on_coarse_cells():
 
 def test_index_is_built_on_first_use_only():
     net = generate_network(SimConfig(seed=5, grid_dims=(3, 3)))
-    assert net not in matching._GRIDS
+    assert matching._SegmentGrid not in net._derived
     point = next(iter(net.nodes.values()))
     candidates_for(net, point, 100.0)
-    grid = matching._GRIDS[net]
+    grid = net._derived[matching._SegmentGrid]
     candidates_for(net, point, 100.0)
-    assert matching._GRIDS[net] is grid
+    assert net._derived[matching._SegmentGrid] is grid
+
+
+def test_network_tables_go_with_the_network():
+    # the planner's tables and the candidate grid are held by the network
+    # alone, so nothing keeps a network alive once its last user drops it
+    net = generate_network(SimConfig(seed=5, grid_dims=(3, 3)))
+    ids = sorted(net.segments)
+    route_plan(net, ids[0], ids[-1], BASE_T)
+    point = next(iter(net.nodes.values()))
+    assert candidates_for(net, point, 100.0)
+    assert set(net._derived) == {routing._NetworkTables, matching._SegmentGrid}
+    gone = weakref.ref(net)
+    del net
+    gc.collect()
+    assert gone() is None
 
 
 def test_index_projects_a_few_segments_per_point(index_grid, monkeypatch):
     rng = np.random.default_rng(10)
     lat0, lat1, lng0, lng1 = _box(index_grid)
-    calls = 0
-    real_project = matching._project
-
-    def counting_project(*args):
-        nonlocal calls
-        calls += 1
-        return real_project(*args)
-
-    monkeypatch.setattr(matching, "_project", counting_project)
-    n_points = 200
+    calls = count_projections(monkeypatch)
+    n_points, found = 200, 0
     for _ in range(n_points):
         point = GpsPoint(float(rng.uniform(lat0, lat1)), float(rng.uniform(lng0, lng1)), BASE_T)
-        candidates_for(index_grid, point, 100.0)
-    assert calls / n_points < 0.1 * len(index_grid.segments)
+        found += len(candidates_for(index_grid, point, 100.0))
+    assert found <= calls[0]  # each candidate was projected, so the count is real
+    assert calls[0] / n_points < 0.1 * len(index_grid.segments)
 
 
 def test_index_projects_only_segments_whose_box_meets_the_window(index_grid, monkeypatch):
@@ -690,21 +730,13 @@ def test_index_projects_only_segments_whose_box_meets_the_window(index_grid, mon
     # nothing within the radius
     rng = np.random.default_rng(10)
     lat0, lat1, lng0, lng1 = _box(index_grid)
-    calls = 0
-    real_project = matching._project
-
-    def counting_project(*args):
-        nonlocal calls
-        calls += 1
-        return real_project(*args)
-
-    monkeypatch.setattr(matching, "_project", counting_project)
+    calls = count_projections(monkeypatch)
     found = 0
     for _ in range(200):
         point = GpsPoint(float(rng.uniform(lat0, lat1)), float(rng.uniform(lng0, lng1)), BASE_T)
         found += len(candidates_for(index_grid, point, 100.0))
     assert found > 0
-    assert calls <= 1.25 * found
+    assert found <= calls[0] <= 1.25 * found
 
 
 def test_index_memory_does_not_grow_with_queries(index_grid):
@@ -718,9 +750,9 @@ def test_index_memory_does_not_grow_with_queries(index_grid):
                          float(rng.uniform(lng0 - pad, lng1 + pad)), BASE_T)
         candidates_for(index_grid, point, radii[k % len(radii)])
         if grid is None:
-            grid = matching._GRIDS[index_grid]
+            grid = index_grid._derived[matching._SegmentGrid]
             cells = dict(grid.cells)
-    assert matching._GRIDS[index_grid] is grid
+    assert index_grid._derived[matching._SegmentGrid] is grid
     assert grid.cells == cells
 
 

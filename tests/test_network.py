@@ -233,6 +233,17 @@ def test_bad_coordinates_rejected():
         RoadNetwork([Node("a", 91.0, 0.0)], [])
 
 
+@pytest.mark.parametrize("lookup", ["segment", "node", "outgoing", "incoming"])
+def test_unknown_id_messages_cut_a_long_id(small_grid, lookup):
+    kind = "segment" if lookup == "segment" else "node"
+    with pytest.raises(InputError) as err:
+        getattr(small_grid, lookup)("s" * 5000)
+    assert str(err.value) == f"unknown {kind} id '" + "s" * 79 + "..."
+    with pytest.raises(InputError) as err:
+        getattr(small_grid, lookup)("nowhere")
+    assert str(err.value) == f"unknown {kind} id 'nowhere'"
+
+
 def test_save_load_idempotent(tmp_path, small_grid):
     p1 = tmp_path / "net1.json"
     p2 = tmp_path / "net2.json"

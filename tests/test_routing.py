@@ -666,13 +666,14 @@ def test_heuristic_tables_stay_under_the_cap(monkeypatch, small_grid):
                                       rng.uniform(0.0, 1440.0, size=40),
                                       (WEIGHT_CHOICES * 10))]
     assert len({small_grid.segment(b).from_node for _, b, _, _ in queries}) > 6
-    routing._HEURISTICS.pop(small_grid, None)
-    cached = []
+    small_grid._derived.pop(routing._NetworkTables, None)
+    cached, held = [], []
     for query in queries:
         cached.append(route_plan(small_grid, *query))
-        assert len(routing._HEURISTICS.get(small_grid, ())) <= 6
+        held.append(len(routing._tables(small_grid)))
+    assert max(held) == 6  # the cap was reached, and never passed
     for query, plan in zip(queries, cached):
-        routing._HEURISTICS.pop(small_grid, None)
+        small_grid._derived.pop(routing._NetworkTables, None)
         assert route_plan(small_grid, *query) == plan
 
 

@@ -345,7 +345,8 @@ def test_load_rejects_strings_and_objects_where_an_array_belongs(tmp_path, where
 @pytest.mark.parametrize("where, bad, shown", [
     (("raw_gps",), "x" * 5000, "raw_gps must be an array, got '" + "x" * 79 + "..."),
     (("atr", 1, "t"), 10**400, "atr t must be finite, got " + "1" + "0" * 79 + "..."),
-], ids=["long_string", "huge_integer"])
+    (("label",), "x" * 5000, "trip 't0': unknown label '" + "x" * 79 + "..."),
+], ids=["long_string", "huge_integer", "long_label"])
 def test_load_cuts_a_long_bad_value_in_the_message(tmp_path, where, bad, shown):
     net = line_network([1.0] * 3)
     d = trip_to_dict(chain_trip(net, 2, 300.0))
