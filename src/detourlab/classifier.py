@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import FitError, InputError, check_non_negative, read_json_file, read_number
+from .errors import FitError, InputError, check_non_negative, read_json_file, read_number, shown
 from .routing import RoutePlanStep
 from .trips import TripRecord, trajectory_distance_km, trajectory_minutes
 
@@ -60,7 +60,7 @@ def excess_ratios(km: float, minutes: float, plan: RoutePlanStep, trip_id: str) 
     totals, the live detector its estimated totals at each step.
     """
     if plan.distance <= 0.0 or plan.est_time <= 0.0:
-        raise InputError(f"trip {trip_id!r}: degenerate initial plan")
+        raise InputError(f"trip {shown(repr(trip_id))}: degenerate initial plan")
     return FeatureVector(km / plan.distance - 1.0, minutes / plan.est_time - 1.0)
 
 

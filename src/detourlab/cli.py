@@ -270,7 +270,8 @@ def cmd_detect(args) -> int:
             if trip_id not in sessions:
                 if dest is None:
                     raise DataFormatError(
-                        f"line {lineno}: first event of trip {trip_id!r} must carry 'dest'",
+                        f"line {lineno}: first event of trip {shown(repr(trip_id))} "
+                        "must carry 'dest'",
                         line=lineno,
                     )
                 sessions[trip_id] = online.TripProgress(trip_id, dest, weights)

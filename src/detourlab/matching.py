@@ -226,8 +226,11 @@ def viterbi_decode(net: RoadNetwork, tr, cfg: MatchConfig = MatchConfig()) -> li
     equal to exhaustive enumeration of candidate sequences under the ordering
     (score desc, reversed id sequence asc).
 
-    Each candidate visits the live predecessors best score first (ties by
-    index) and stops at the first one whose own score is below the best
+    The state carried from one point to the next is one list of live
+    states, ``(score, candidate index, segment id, along_km)``, one per
+    candidate with a finite score, sorted best score first (a stable sort, so
+    ties keep index order).  Each candidate of the next point visits them in
+    that order and stops at the first one whose own score is below the best
     total found so far.  No later predecessor can reach that total or tie
     it: a transition adds ``y = -|route - gc| / beta <= 0``, and rounding to
     nearest is monotone, so ``fl(s + y) <= s`` for every score ``s``.  A
@@ -249,21 +252,17 @@ def viterbi_decode(net: RoadNetwork, tr, cfg: MatchConfig = MatchConfig()) -> li
     km = RouteDistanceCache(net).km
     beta = TRANSITION_BETA_KM
     neg_inf = -math.inf
-    # score[j] aligns with cands[k]; back[k][j] is the chosen predecessor index
-    score = [emission_logprob(distance_m) for _, distance_m, _ in cands[0]]
-    back: list[list[int]] = []
+    live = [(s, j, seg.id, along) for j, (seg, distance_m, along) in enumerate(cands[0])
+            if (s := emission_logprob(distance_m)) != neg_inf]
+    back: list[list[int]] = []  # back[k][j]: predecessor index of candidate j of point k + 1
 
     for k in range(1, len(tr)):
+        if len(live) > 1:
+            live.sort(key=itemgetter(0), reverse=True)
         gc = haversine_km(tr[k - 1], tr[k])
-        # predecessors with a finite score, as (score, index, segment id,
-        # along_km), best score first; the sort is stable, so ties keep index order
-        live = [(s, j, seg.id, along)
-                for j, ((seg, _, along), s) in enumerate(zip(cands[k - 1], score))
-                if s != neg_inf]
-        live.sort(key=itemgetter(0), reverse=True)
-        new_score: list[float] = []
+        new_live = []
         pointers: list[int] = []
-        for seg, distance_m, along_b in cands[k]:
+        for i, (seg, distance_m, along_b) in enumerate(cands[k]):
             sid = seg.id
             best = neg_inf
             best_j = -1
@@ -290,17 +289,17 @@ def viterbi_decode(net: RoadNetwork, tr, cfg: MatchConfig = MatchConfig()) -> li
                 if cand > best or (cand == best and j < best_j):  # lowest index wins ties
                     best = cand
                     best_j = j
-            new_score.append(best + emission_logprob(distance_m)
-                             if best > neg_inf else neg_inf)
+            score = best + emission_logprob(distance_m)
+            if score != neg_inf:
+                new_live.append((score, i, sid, along_b))
             pointers.append(best_j)
-        if all(s == neg_inf for s in new_score):
+        if not new_live:
             raise MatchError(f"no feasible transition into GPS point {k}", point_index=k)
-        score = new_score
+        live = new_live
         back.append(pointers)
 
-    best_last = max(score)
-    last = score.index(best_last)  # candidates are id-sorted: ties pick the lowest id
-    states = [last]
+    # live is in index order (id order) and max keeps the first of equal scores
+    states = [max(live, key=itemgetter(0))[1]]
     for pointers in reversed(back):
         states.append(pointers[states[-1]])
     states.reverse()

@@ -24,6 +24,12 @@ from .errors import (InputError, parse_json_bytes, read_array, read_file_once, r
 
 EARTH_RADIUS_KM = 6371.0
 DAY_MINUTES = 1440.0
+# The longest a segment may take to traverse at its slowest speed: a week.
+# ``segment_travel_time`` steps from one speed change to the next, and on a
+# far longer traversal (a length near 1e308 km, a speed near 1e-300 km/h) a
+# step's subtraction from the remaining km can be lost to rounding, so the
+# walk would never end.
+MAX_TRAVERSAL_MINUTES = 7 * DAY_MINUTES
 
 
 @dataclass(frozen=True)
@@ -124,6 +130,10 @@ def _validate_profile(seg: Segment) -> None:
         if not (math.isfinite(kmh) and kmh > 0.0):
             raise InputError(f"segment {seg.id!r}: speed {kmh} is not a finite positive number")
         prev = start
+    slowest = min(kmh for _, kmh in prof)
+    if seg.length / slowest * 60.0 > MAX_TRAVERSAL_MINUTES:  # an overflow to inf included
+        raise InputError(f"segment {shown(repr(seg.id))}: {seg.length} km at {slowest} "
+                         f"km/h takes more than {MAX_TRAVERSAL_MINUTES} minutes")
 
 
 def segment_travel_time(seg: Segment, entry_minute: float) -> float:
@@ -196,7 +206,9 @@ class RoadNetwork:
 
     Instances never mutate after construction and are safe to share read-only
     across concurrent workers.  Malformed speed profiles and dangling segment
-    endpoints are rejected here, at load time, not at query time.
+    endpoints are rejected here, at load time, not at query time, and so is
+    a segment that takes more than ``MAX_TRAVERSAL_MINUTES`` to traverse at
+    its slowest speed.
 
     ``_derived`` holds the tables other modules compile from the network on
     first use (the planner's ``routing._NetworkTables``, the matcher's

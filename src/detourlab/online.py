@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .classifier import LogitModel, excess_ratios, rank_auc
-from .errors import FitError, InputError
+from .errors import FitError, InputError, shown
 from .network import RoadNetwork
 from .routing import (RoutePlanStep, RoutingWeights, entry_times, path_distance, path_km,
                       route_plan)
@@ -85,18 +85,19 @@ def step(net: RoadNetwork, model: LogitModel, progress: TripProgress,
     pattern of the two ratios.  A rejected step leaves ``progress`` as it was.
     """
     if not math.isfinite(t):
-        raise InputError(f"trip {progress.trip_id!r}: timestamp {t} is not finite")
+        raise InputError(f"trip {shown(repr(progress.trip_id))}: timestamp {t} is not finite")
     seg = net.segment(segment)
     prefix_km = progress.prefix_km
     if progress.last_segment is not None:
         prev_seg = net.segment(progress.last_segment)
         if prev_seg.to_node != seg.from_node:
             raise InputError(
-                f"trip {progress.trip_id!r}: segment {segment!r} does not connect "
+                f"trip {shown(repr(progress.trip_id))}: segment {segment!r} does not connect "
                 f"to {progress.last_segment!r}"
             )
         if t <= progress.last_t:
-            raise InputError(f"trip {progress.trip_id!r}: timestamps must strictly increase")
+            raise InputError(
+                f"trip {shown(repr(progress.trip_id))}: timestamps must strictly increase")
         prefix_km += prev_seg.length
 
     path, times, k = progress.plan_path, progress.plan_times, progress.plan_index

@@ -46,14 +46,15 @@ class AbstractTrajectory:
 
     def __post_init__(self):
         if not self.steps:
-            raise InputError(f"trajectory {self.trip_id!r} is empty")
+            raise InputError(f"trajectory {shown(repr(self.trip_id))} is empty")
         for i, step in enumerate(self.steps):
             if not math.isfinite(step.t):
-                raise InputError(f"trajectory {self.trip_id!r}: step {i} timestamp {step.t} "
-                                 "is not finite")
+                raise InputError(f"trajectory {shown(repr(self.trip_id))}: step {i} timestamp "
+                                 f"{step.t} is not finite")
             if i and step.t <= self.steps[i - 1].t:
                 raise InputError(
-                    f"trajectory {self.trip_id!r}: timestamps not increasing at step {i}"
+                    f"trajectory {shown(repr(self.trip_id))}: timestamps not increasing at "
+                    f"step {i}"
                 )
 
 
@@ -79,9 +80,9 @@ class TripRecord:
     behavior: str | None = None
 
     def __post_init__(self):
+        where = f"trip {shown(repr(self.trip_id))}"
         if self.label not in LABELS:
-            raise InputError(f"trip {self.trip_id!r}: unknown label {shown(repr(self.label))}")
-        where = f"trip {self.trip_id!r}"
+            raise InputError(f"{where}: unknown label {shown(repr(self.label))}")
         for name, dest in (("recorded", self.recorded_destination),
                            ("actual", self.actual_destination)):
             check_coordinates(dest.lat, dest.lng, f"{where}: {name} destination")
@@ -134,7 +135,7 @@ def trajectory_distance_km(net: RoadNetwork, atr: AbstractTrajectory) -> float:
         seg = net.segment(steps[i].segment)
         if prev.to_node != seg.from_node:
             raise InputError(
-                f"trajectory {atr.trip_id!r}: segments {prev.id!r} -> {seg.id!r} "
+                f"trajectory {shown(repr(atr.trip_id))}: segments {prev.id!r} -> {seg.id!r} "
                 f"are not connected (step {i})"
             )
         total += prev.length
@@ -156,7 +157,7 @@ def destination_change_probability(trip: TripRecord, dist_km: float) -> float:
     travelled, which is returned as-is.
     """
     if dist_km <= 0.0:
-        raise InputError(f"trip {trip.trip_id!r}: zero-length trajectory")
+        raise InputError(f"trip {shown(repr(trip.trip_id))}: zero-length trajectory")
     gap = haversine_km(trip.actual_destination, trip.recorded_destination)
     return 1.0 - gap / dist_km
 
@@ -268,11 +269,11 @@ def trip_from_dict(d: dict) -> TripRecord:
     )
     # files written by older versions repeat the first step's timestamp
     if "start_time" in d and read_number(d["start_time"], "start_time") != atr.steps[0].t:
-        raise InputError(f"trip {trip_id!r}: start_time {d['start_time']} is not the first "
-                         f"step's timestamp {atr.steps[0].t}")
+        raise InputError(f"trip {shown(repr(trip_id))}: start_time {d['start_time']} is not "
+                         f"the first step's timestamp {atr.steps[0].t}")
     plans = read_array(d["plans"], "plans")
     if not plans:
-        raise InputError(f"trip {atr.trip_id!r}: 'plans' must be a non-empty list")
+        raise InputError(f"trip {shown(repr(atr.trip_id))}: 'plans' must be a non-empty list")
     raw = d.get("raw_gps")
     return TripRecord(
         trip_id=trip_id,

@@ -1,5 +1,7 @@
 import gc
+import hashlib
 import itertools
+import json
 import math
 import time
 import weakref
@@ -404,7 +406,8 @@ def test_decode_asks_for_fewer_distances_than_full_evaluation(km_requests):
     cfg = MatchConfig()
     net, traces = noisy_traces(7, (10, 10), 10.0, 20)
     asked = km_requests
-    decoded_total = full_total = 0
+    requests = []  # every decode's requests, in order
+    full_total = 0
     for points in traces:
         asked.clear()
         full = []
@@ -412,13 +415,18 @@ def test_decode_asks_for_fewer_distances_than_full_evaluation(km_requests):
         assert decoded == reference_viterbi(net, points, cfg, asked=full)
         # the decoder reads a subset of the transitions full evaluation reads
         assert Counter(asked) <= Counter(full)
-        decoded_total += len(asked)
+        requests += asked
         full_total += len(full)
         # windows short enough to enumerate every candidate sequence
         for start in range(0, len(points) - 4, 9):
             window = points[start:start + 5]
             assert viterbi_decode(net, window, cfg) == enumeration_best(net, window, cfg)
-    assert decoded_total < full_total
+    assert len(requests) < full_total
+    # the requests themselves, pinned: a decoder that reorders, adds or drops
+    # one fails here, not only one that asks for more than full evaluation
+    assert len(requests) == 4271
+    assert hashlib.sha256(json.dumps(requests).encode()).hexdigest() == \
+        "8358ebe2ee4dae2b3b46d075fad31305fe641cddca2cafa67a7f36c7acbdca81"
 
 
 def test_decode_breaks_exact_ties_toward_the_lower_index(monkeypatch, km_requests):

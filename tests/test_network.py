@@ -1,5 +1,8 @@
+import contextlib
 import json
 import math
+import re
+import signal
 
 import pytest
 from hypothesis import given, strategies as st
@@ -394,6 +397,44 @@ def test_network_file_with_a_bad_speed_profile_exits_3(small_grid, tmp_path, cap
     path.write_text(json.dumps(data))
     # gen-trips reads the file with load_network
     assert main(["gen-trips", "--network", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.strip().endswith(f"segment {seg['id']!r}: {reason}")
+
+
+@contextlib.contextmanager
+def time_cap(seconds):
+    """TimeoutError when the block runs longer than ``seconds``, so a loop
+    that never ends fails the test instead of hanging it."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("length, profile, slowest", [
+    (1e308, [[0.0, 30.0], [360.0, 20.0]], 20.0),
+    (1.0, [[0.0, 1e-300], [360.0, 2e-300]], 1e-300),
+], ids=["huge_length", "tiny_speeds"])
+def test_a_segment_that_takes_over_a_week_to_traverse_exits_3(small_grid, tmp_path, capsys,
+                                                              length, profile, slowest):
+    # every speed change on such a segment is lost to rounding: a query
+    # across one looped forever when the network loaded
+    data = network_to_dict(small_grid)
+    seg = data["segments"][0]
+    seg["length_km"] = length
+    seg["speed_profile"] = [{"start_min": start, "speed_kmh": kmh} for start, kmh in profile]
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(data))
+    reason = f"{length} km at {slowest} km/h takes more than 10080.0 minutes"  # a week
+    with time_cap(10):
+        with pytest.raises(InputError, match=f"segment {seg['id']!r}: {re.escape(reason)}"):
+            load_network(path)
+        assert main(["gen-trips", "--network", str(path), "--out", str(tmp_path / "out")]) == 3
     assert capsys.readouterr().err.strip().endswith(f"segment {seg['id']!r}: {reason}")
 
 

@@ -165,6 +165,23 @@ def test_degenerate_initial_plan_rejected(loop_net):
         step(loop_net, BEIJING, progress, "e0", T0)
 
 
+@pytest.mark.parametrize("dest, steps", [
+    ("e7", [("e0", 0.0), ("e1", float("nan"))]),
+    ("e7", [("e0", 0.0), ("e5", 60.0)]),
+    ("e7", [("e0", 0.0), ("e1", 0.0)]),
+    ("e0", [("e0", 0.0)]),
+], ids=["non_finite_time", "disconnected", "time_does_not_advance", "degenerate_plan"])
+def test_a_long_trip_id_is_cut_in_the_message(loop_net, dest, steps):
+    progress = TripProgress("t" * 5000, dest)
+    *taken, (segment, seconds) = steps
+    for sid, s in taken:
+        step(loop_net, BEIJING, progress, sid, T0 + s)
+    with pytest.raises(InputError) as err:
+        step(loop_net, BEIJING, progress, segment, T0 + seconds)
+    message = str(err.value)
+    assert message.startswith("trip '" + "t" * 79 + "...: ") and len(message) < 200
+
+
 def test_stage_auc_final_stage_matches_offline(sim_dataset):
     net, trips, _ = sim_dataset
     subset = trips[:120]

@@ -359,6 +359,25 @@ def test_load_cuts_a_long_bad_value_in_the_message(tmp_path, where, bad, shown):
     assert str(err.value) == f"trip file {path}, line 2: {shown}"
 
 
+@pytest.mark.parametrize("where, bad, reason", [
+    (("label",), "maybe", ": unknown label 'maybe'"),
+    (("atr",), [], " is empty"),
+    (("plans",), [], ": 'plans' must be a non-empty list"),
+], ids=["unknown_label", "empty_atr", "no_plans"])
+def test_load_cuts_a_long_trip_id_in_the_message(tmp_path, where, bad, reason):
+    net = line_network([1.0] * 3)
+    d = trip_to_dict(chain_trip(net, 2, 300.0, trip_id="x" * 5000))
+    _set(d, where, bad)
+    path = tmp_path / "trips.jsonl"
+    path.write_text(json.dumps(d) + "\n", encoding="utf-8")
+    with pytest.raises(DataFormatError) as err:
+        load_trips(path)
+    prefix = f"trip file {path}, line 1: "
+    assert str(err.value).startswith(prefix)
+    message = str(err.value)[len(prefix):]
+    assert message.endswith("'" + "x" * 79 + "..." + reason) and len(message) < 200
+
+
 @pytest.mark.parametrize("bad, message", [
     (lambda d: _set(d, ("atr",), []), "trajectory 't0' is empty"),
     (lambda d: _set(d, ("atr", 1, "t"), d["atr"][0]["t"]),
