@@ -191,9 +191,8 @@ def cmd_filter(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     trips_mod.save_trips(kept, out / "kept.jsonl")
     with (out / "rejected.jsonl").open("w", encoding="utf-8") as fh:
-        for trip, reason in rejected:
-            record = {"reason": reason, "trip": trips_mod.trip_to_dict(trip)}
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+        for trip, reason in rejected:  # {"reason": ..., "trip": ...} with sorted keys
+            fh.write(f'{{"reason": {json.dumps(reason)}, "trip": {trips_mod.trip_json(trip)}}}\n')
     print(f"kept={len(kept)} rejected={len(rejected)} -> {out}")
     return 0
 

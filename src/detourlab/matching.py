@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from . import trips
-from .errors import InputError, MatchError, NoRouteError
+from .errors import InputError, MatchError, NoRouteError, shown
 from .network import EARTH_RADIUS_KM, RoadNetwork, Segment, check_gps, haversine_km
 from .routing import RoutingWeights, check_contiguous, km_table, km_via, route_plan
 
@@ -330,7 +330,8 @@ def match_trajectory(
                     plan = route_plan(net, prev.segment, sid, prev.t, RoutingWeights(1.0, 0.0))
                 except NoRouteError:
                     raise MatchError(
-                        f"matched segments {prev.segment!r} -> {sid!r} cannot be connected",
+                        f"matched segments {shown(repr(prev.segment))} -> "
+                        f"{shown(repr(sid))} cannot be connected",
                         point_index=i,
                     ) from None
                 covered = a.length  # plan.path[0] is prev.segment itself

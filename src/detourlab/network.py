@@ -88,12 +88,14 @@ def check_coordinates(lat: float, lng: float, what: str = "point") -> None:
 
 
 def check_gps(points, where: str) -> None:
-    """InputError unless every GPS fix is finite and later than the one before."""
+    """InputError unless every GPS fix has in-range coordinates, as
+    ``check_coordinates`` asks of a node, and a finite time later than the
+    fix before.  A NaN or infinite coordinate is out of range."""
     prev = -math.inf
     for i, p in enumerate(points):
-        if not (math.isfinite(p.lat) and math.isfinite(p.lng) and prev < p.t < math.inf):
-            raise InputError(f"{where}: GPS point {i} ({p.lat}, {p.lng}, t={p.t}) is not "
-                             "finite or not later than the point before")
+        if not (-90.0 <= p.lat <= 90.0 and -180.0 <= p.lng <= 180.0 and prev < p.t < math.inf):
+            raise InputError(f"{where}: GPS point {i} ({p.lat}, {p.lng}, t={p.t}) is out of "
+                             "range, not finite or not later than the point before")
         prev = p.t
 
 
@@ -115,20 +117,23 @@ def haversine_km(p, q) -> float:
 def _validate_profile(seg: Segment) -> None:
     prof = seg.speed_profile
     if not prof:
-        raise InputError(f"segment {seg.id!r}: empty speed profile")
+        raise InputError(f"segment {shown(repr(seg.id))}: empty speed profile")
     if prof[0][0] != 0.0:
         raise InputError(
-            f"segment {seg.id!r}: speed profile does not cover the day "
+            f"segment {shown(repr(seg.id))}: speed profile does not cover the day "
             f"(first bucket starts at {prof[0][0]}, not 0)"
         )
     prev = -1.0
     for start, kmh in prof:
         if not (0.0 <= start < DAY_MINUTES):
-            raise InputError(f"segment {seg.id!r}: bucket start {start} outside [0, 1440)")
+            raise InputError(f"segment {shown(repr(seg.id))}: bucket start {start} outside "
+                             "[0, 1440)")
         if start <= prev:
-            raise InputError(f"segment {seg.id!r}: speed buckets must be sorted and non-overlapping")
+            raise InputError(f"segment {shown(repr(seg.id))}: speed buckets must be sorted and "
+                             "non-overlapping")
         if not (math.isfinite(kmh) and kmh > 0.0):
-            raise InputError(f"segment {seg.id!r}: speed {kmh} is not a finite positive number")
+            raise InputError(f"segment {shown(repr(seg.id))}: speed {kmh} is not a finite "
+                             "positive number")
         prev = start
     slowest = min(kmh for _, kmh in prof)
     if seg.length / slowest * 60.0 > MAX_TRAVERSAL_MINUTES:  # an overflow to inf included
@@ -220,9 +225,9 @@ class RoadNetwork:
     def __init__(self, nodes, segments):
         node_map: dict[str, Node] = {}
         for n in nodes:
-            check_coordinates(n.lat, n.lng, f"node {n.id!r}")
+            check_coordinates(n.lat, n.lng, f"node {shown(repr(n.id))}")
             if n.id in node_map:
-                raise InputError(f"duplicate node id {n.id!r}")
+                raise InputError(f"duplicate node id {shown(repr(n.id))}")
             node_map[n.id] = n
 
         seg_map: dict[str, Segment] = {}
@@ -230,11 +235,12 @@ class RoadNetwork:
         inc: dict[str, list[Segment]] = {nid: [] for nid in node_map}
         for s in segments:
             if s.id in seg_map:
-                raise InputError(f"duplicate segment id {s.id!r}")
+                raise InputError(f"duplicate segment id {shown(repr(s.id))}")
             if s.from_node not in node_map or s.to_node not in node_map:
-                raise InputError(f"segment {s.id!r} references an unknown node")
+                raise InputError(f"segment {shown(repr(s.id))} references an unknown node")
             if not (math.isfinite(s.length) and s.length > 0.0):
-                raise InputError(f"segment {s.id!r} must have finite positive length")
+                raise InputError(f"segment {shown(repr(s.id))} must have finite positive "
+                                 "length")
             _validate_profile(s)
             seg_map[s.id] = s
             out[s.from_node].append(s)

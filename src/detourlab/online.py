@@ -92,8 +92,8 @@ def step(net: RoadNetwork, model: LogitModel, progress: TripProgress,
         prev_seg = net.segment(progress.last_segment)
         if prev_seg.to_node != seg.from_node:
             raise InputError(
-                f"trip {shown(repr(progress.trip_id))}: segment {segment!r} does not connect "
-                f"to {progress.last_segment!r}"
+                f"trip {shown(repr(progress.trip_id))}: segment {shown(repr(segment))} does "
+                f"not connect to {shown(repr(progress.last_segment))}"
             )
         if t <= progress.last_t:
             raise InputError(

@@ -119,7 +119,12 @@ class RatioUtilityFit:
 
 
 def fit_ratio_utility(points) -> RatioUtilityFit:
-    """Least squares of detour ratio on detour utility."""
+    """Least squares of detour ratio on detour utility.
+
+    Too few points or constant utilities raise FitError: the fit is
+    degenerate.  Points too large for the sums of squares to stay finite
+    floats, as utilities beyond about 1e154 are, raise InputError.
+    """
     pts = list(points)
     if len(pts) < 3:
         raise FitError("ratio/utility fit needs at least 3 points")
@@ -127,14 +132,20 @@ def fit_ratio_utility(points) -> RatioUtilityFit:
     rs = [float(r) for _, r in pts]
     u_mean = sum(us) / len(us)
     r_mean = sum(rs) / len(rs)
-    suu = sum((u - u_mean) ** 2 for u in us)
-    if suu == 0.0:
-        raise FitError("utility values are constant; fit is degenerate")
-    sur = sum((u - u_mean) * (r - r_mean) for u, r in zip(us, rs))
-    coef = sur / suu
-    intercept = r_mean - coef * u_mean
-    ss_res = sum((r - (intercept + coef * u)) ** 2 for u, r in zip(us, rs))
-    ss_tot = sum((r - r_mean) ** 2 for r in rs)
+    try:
+        suu = sum((u - u_mean) ** 2 for u in us)
+        if suu == 0.0:
+            raise FitError("utility values are constant; fit is degenerate")
+        sur = sum((u - u_mean) * (r - r_mean) for u, r in zip(us, rs))
+        coef = sur / suu
+        intercept = r_mean - coef * u_mean
+        ss_res = sum((r - (intercept + coef * u)) ** 2 for u, r in zip(us, rs))
+        ss_tot = sum((r - r_mean) ** 2 for r in rs)
+    except OverflowError:  # a square beyond the largest float
+        coef = intercept = ss_res = ss_tot = math.inf
+    if not all(map(math.isfinite, (coef, intercept, ss_res, ss_tot))):
+        raise InputError(f"ratio/utility fit: utilities up to {max(map(abs, us))} or ratios up "
+                         f"to {max(map(abs, rs))} are too large to fit")
     r2 = 1.0 if ss_tot == 0.0 and ss_res == 0.0 else (1.0 - ss_res / ss_tot if ss_tot else 0.0)
     u0 = -intercept / coef if coef != 0.0 else None
     return RatioUtilityFit(coef, intercept, u0, r2)
@@ -163,7 +174,9 @@ def solve_price_adjustment(
     (so the rate change offsets the base-fare change over the mean excess
     distance), and the post-change utility must equal ``u0`` once the
     base-fare change has fed back into the opportunity cost.  Closed form,
-    verified here by residual substitution.
+    verified here by residual substitution: both residuals must be below
+    1e-9, which amounts far from a tariff's scale (a utility near 1e12, a
+    rate near 2**63) break by rounding, and then InputError is raised.
     """
     if mean_excess_km <= 0.0:
         raise InputError("interval unsolvable: mean excess distance is zero")
@@ -177,10 +190,9 @@ def solve_price_adjustment(
 
     price_residual = delta_f0 + delta_rate * mean_excess_km
     utility_residual = (utility + delta_rate * serving_speed - delta_alpha4) - u0
-    if abs(price_residual) >= 1e-9 or abs(utility_residual) >= 1e-9:
-        raise ArithmeticError(
-            f"adjustment residuals out of contract: {price_residual}, {utility_residual}"
-        )
+    if not (abs(price_residual) < 1e-9 and abs(utility_residual) < 1e-9):  # NaN fails too
+        raise InputError(f"adjustment residuals {price_residual}, {utility_residual} are not "
+                         "below 1e-9: the interval's amounts are too large to re-price")
     return PriceAdjustment(delta_f0, delta_rate, delta_alpha4, price_residual, utility_residual)
 
 

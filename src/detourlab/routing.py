@@ -13,6 +13,12 @@ later.  So the label search keeps per node a small front of labels that no
 other label there beats under one rule, from those slope bounds
 (``route_plan``), and a recommended route never passes through a node
 twice.  A distance-only query needs no search: it walks the km table.
+
+Every walk of a path in time, the search's relaxations, ``entry_times`` and
+the walks inside ``route_plan``, reads a segment's minutes the same way:
+from its traversal row (``_NetworkTables``), the bucket's full-traversal
+minutes unless the traversal reaches a speed change, and only then from
+``segment_travel_time``, which gives the same float either way.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .errors import InputError, NoRouteError
+from .errors import InputError, NoRouteError, shown
 from .network import (DAY_MINUTES, RoadNetwork, Segment, full_traversals, minute_of_day,
                       segment_travel_time)
 
@@ -95,12 +101,19 @@ def entry_times(net: RoadNetwork, path, depart: float) -> list[float]:
 
     Entry times evolve forward: each segment is entered the moment the
     previous one finishes, and takes the FIFO time ``segment_travel_time``
-    gives from that entry minute.
+    gives from that entry minute.  The minutes are read as the label search
+    reads them, from the network's traversal rows (``_leave``), which give
+    the same floats.  An unknown segment id raises InputError.
     """
+    rows = _traversal_rows(net)
     times = [depart]
+    t = depart
     for sid in path:
-        t = times[-1]
-        times.append(t + 60.0 * segment_travel_time(net.segment(sid), minute_of_day(t)))
+        row = rows.get(sid)
+        if row is None:
+            net.segment(sid)  # raises the InputError of an unknown id
+        t = _leave(row, t)
+        times.append(t)
     return times
 
 
@@ -123,20 +136,26 @@ class _NetworkTables(OrderedDict):
     finds it, so it lives as long as the network and never goes stale.
 
     ``incoming`` is the reverse graph of the km tables (``_lower_bounds``).
-    ``forward`` holds per node id its outgoing segments, in ``net.outgoing``
-    order, as ``(to_node, length, id, segment, starts, fulls, changes)``:
-    the columns of ``network.full_traversals``.  ``changes`` is the sorted
+    ``traversals`` holds per segment id the row ``(segment, starts, fulls,
+    changes)``: the segment and the columns of ``network.full_traversals``,
+    from which every path walk (``_leave``) and the label search read
+    segment minutes.  ``forward`` holds per node id its outgoing segments,
+    in ``net.outgoing`` order, as ``(to_node, length, id)`` and the
+    segment's traversal row.  ``changes`` is the sorted
     minutes of the day at which some segment's speed changes, ``slopes`` per
     change ``(min(1, least ratio), max(1, greatest ratio))`` of a segment's
     speed before it to its speed after it, and ``pace`` the minutes-per-km
     bound per speed regime (``_pace``).  Each is O(segments), kept for the
-    network's lifetime and never evicted.  The first time-weighted (w2 > 0)
-    ``route_plan`` builds ``forward``, ``changes`` and ``slopes``.
+    network's lifetime and never evicted.  The first path walk builds
+    ``traversals``; the first time-weighted (w2 > 0) ``route_plan`` builds
+    ``forward``, ``changes`` and ``slopes``, which a distance-only query
+    never reads.
     """
 
     def __init__(self):
         super().__init__()
         self.incoming = None
+        self.traversals = None
         self.forward = None
         self.changes = None
         self.slopes = None
@@ -150,15 +169,36 @@ def _tables(net: RoadNetwork) -> _NetworkTables:
     return tables
 
 
+def _traversal_rows(net: RoadNetwork) -> dict[str, tuple]:
+    """``_tables(net).traversals``, compiled on first use."""
+    tables = _tables(net)
+    rows = tables.traversals
+    if rows is None:
+        rows = tables.traversals = {sid: (seg, *zip(*full_traversals(seg)))
+                                    for sid, seg in net.segments.items()}
+    return rows
+
+
+def _leave(row, t: float) -> float:
+    """The time a vehicle that enters the traversal row's segment at ``t``
+    leaves it: the bucket's full-traversal minutes, or ``segment_travel_time``
+    where the traversal reaches a speed change, as the label search reads
+    them.  Both give the same float."""
+    seg, starts, fulls, changes = row
+    minute = minute_of_day(t)
+    i = bisect_right(starts, minute) - 1
+    mins = fulls[i]
+    if minute + mins > changes[i]:
+        mins = segment_travel_time(seg, minute)
+    return t + 60.0 * mins
+
+
 def _compile_forward(net: RoadNetwork, tables: _NetworkTables) -> None:
     """Fill ``tables.forward``, ``tables.changes`` and ``tables.slopes`` from ``net``."""
-    forward = {}
-    for nid in net.nodes:
-        rows = []
-        for seg in net.outgoing(nid):
-            starts, fulls, changes = zip(*full_traversals(seg))
-            rows.append((seg.to_node, seg.length, seg.id, seg, starts, fulls, changes))
-        forward[nid] = tuple(rows)
+    rows = _traversal_rows(net)
+    forward = {nid: tuple((seg.to_node, seg.length, seg.id) + rows[seg.id]
+                          for seg in net.outgoing(nid))
+               for nid in net.nodes}
     ratios = {}
     for seg in net.segments.values():
         prof = seg.speed_profile
@@ -213,7 +253,7 @@ def _lower_bounds(net: RoadNetwork, goal: str) -> dict[str, float]:
     ids, index, incoming = tables.incoming
     start = index.get(goal)
     if start is None:
-        raise InputError(f"unknown node id {goal!r}")
+        raise InputError(f"unknown node id {shown(repr(goal))}")
     heappush, heappop = heapq.heappush, heapq.heappop
     dist = [math.inf] * len(ids)
     dist[start] = 0.0
@@ -291,11 +331,12 @@ def _km_and_arrival(net, path, depart: float) -> tuple[float, float]:
     """``path``'s km and its arrival when entered at ``depart``, summed
     forward in one pass and in the order ``path_km`` and ``entry_times`` add
     them, so each is the float those give."""
+    rows = _traversal_rows(net)
     km, t = 0.0, depart
     for sid in path:
-        seg = net.segment(sid)
-        km += seg.length
-        t += 60.0 * segment_travel_time(seg, minute_of_day(t))
+        row = rows[sid]
+        km += row[0].length
+        t = _leave(row, t)
     return km, t
 
 
@@ -331,6 +372,11 @@ def _horizon(net, tables, h_km, o: Segment, goal: str, k0: float, depart: float,
         k += 1
         c = min(c, _pace(net, tables, k % n))
     return rho, big, c
+
+
+def _no_route(origin: str, dest: str) -> NoRouteError:
+    return NoRouteError(f"no route from segment {shown(repr(origin))} to segment "
+                        f"{shown(repr(dest))}")
 
 
 def route_plan(
@@ -390,10 +436,12 @@ def route_plan(
     The A* bound adds to g the remaining km to the goal, from a static
     table, times w1 + w2 * c, c the least minutes per km of any segment in
     any speed regime within H: it holds on every route that can still be
-    optimal.  Segment minutes come from an adjacency compiled once per
-    network that holds each bucket's full-traversal minutes and the next
-    minute the segment's speed changes; only a traversal that reaches that
-    change calls ``segment_travel_time``, and both give the same float.
+    optimal.  Segment minutes, the origin's included, come from the
+    traversal rows compiled once per network, through an adjacency that
+    holds each outgoing segment's row: each bucket's full-traversal minutes
+    and the next minute the segment's speed changes; only a traversal that
+    reaches that change calls ``segment_travel_time``, and both give the
+    same float.
     """
     if not math.isfinite(depart):
         raise InputError(f"departure time {depart!r} is not a finite number")
@@ -406,7 +454,7 @@ def route_plan(
     h_km = _lower_bounds(net, goal)
     k0 = km_via(o, dest, h_km)
     if k0 is None:
-        raise NoRouteError(f"no route from segment {origin!r} to segment {dest!r}")
+        raise _no_route(origin, dest)
     w1, w2 = weights.w1, weights.w2
     if w2 == 0.0:
         path = _km_path(net, h_km, o, goal)
@@ -427,7 +475,7 @@ def route_plan(
     # The proof needs only that the beating label's path exists, so a label
     # the new one beats goes even if a later one beats the new one.  Raw km
     # and arrivals are compared in the first case, never weighted sums.
-    t0 = depart + 60.0 * segment_travel_time(o, minute_of_day(depart))
+    t0 = _leave(_traversal_rows(net)[origin], depart)
     g0 = w1 * o.length + w2 * ((t0 - depart) / 60.0)
     start = [g0, o.length if w1 else 0.0, t0, (origin,), True]
     fronts: dict[str, list[list]] = {o.to_node: [start]}
@@ -478,4 +526,4 @@ def route_plan(
                 fronts[to] = kept
                 heapq.heappush(heap, (g + hk * scale, npath, to, nd, nt, new))
 
-    raise NoRouteError(f"no route from segment {origin!r} to segment {dest!r}")
+    raise _no_route(origin, dest)

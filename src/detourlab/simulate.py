@@ -60,7 +60,7 @@ class SimConfig:
 
     def __post_init__(self):
         if self.seed < 0:
-            raise InputError(f"seed must be non-negative, got {self.seed}")
+            raise InputError(f"seed must be non-negative, got {shown(str(self.seed))}")
         rows, cols = self.grid_dims
         if rows < 2 or cols < 2:
             raise InputError("grid_dims must be at least (2, 2)")
@@ -72,12 +72,13 @@ class SimConfig:
                    "gps_period_s": self.gps_period_s,
                    "gps_noise_m": self.gps_noise_m,
                    "night_detour_boost": self.night_detour_boost,
-                   **{f"behavior_mix[{b!r}]": v for b, v in self.behavior_mix.items()}}
+                   **{f"behavior_mix[{shown(repr(b))}]": v
+                      for b, v in self.behavior_mix.items()}}
         for name, value in amounts.items():
             check_non_negative(name, value)
         unknown = set(self.behavior_mix) - set(BEHAVIORS)
         if unknown:
-            raise InputError(f"unknown behaviors in mix: {sorted(unknown)}")
+            raise InputError(f"unknown behaviors in mix: {shown(repr(sorted(unknown)))}")
         total = sum(self.behavior_mix.values())
         if abs(total - 1.0) > 1e-9:
             raise InputError(f"behavior_mix must sum to 1, got {total}")

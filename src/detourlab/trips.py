@@ -10,14 +10,15 @@ stored network file.
 from __future__ import annotations
 
 import io
-import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .errors import (InputError, read_array, read_file_once, read_jsonl, read_number,
                      read_string, shown)
-from .network import GpsPoint, LatLng, RoadNetwork, check_coordinates, check_gps, haversine_km
+from .network import (GpsPoint, LatLng, RoadNetwork, _json_scalar, check_coordinates, check_gps,
+                      haversine_km)
 from .routing import RoutePlanStep, RoutingWeights, check_contiguous
 
 LABELS = ("detour", "normal", "unlabeled")
@@ -135,8 +136,8 @@ def trajectory_distance_km(net: RoadNetwork, atr: AbstractTrajectory) -> float:
         seg = net.segment(steps[i].segment)
         if prev.to_node != seg.from_node:
             raise InputError(
-                f"trajectory {shown(repr(atr.trip_id))}: segments {prev.id!r} -> {seg.id!r} "
-                f"are not connected (step {i})"
+                f"trajectory {shown(repr(atr.trip_id))}: segments {shown(repr(prev.id))} -> "
+                f"{shown(repr(seg.id))} are not connected (step {i})"
             )
         total += prev.length
         prev = seg
@@ -293,10 +294,64 @@ def trip_from_dict(d: dict) -> TripRecord:
     )
 
 
+def _same_float(a, b) -> bool:
+    """True when ``a`` and ``b`` are one float value, so that both have one
+    text: equal, and of one sign, which tells 0.0 from -0.0."""
+    return (a is b or type(a) is float is type(b) and a == b
+            and math.copysign(1.0, a) == math.copysign(1.0, b))
+
+
+def trip_json(trip: TripRecord) -> str:
+    """``json.dumps(trip_to_dict(trip), sort_keys=True)``, written by a
+    formatter for that one shape, as ``network._network_json`` writes
+    networks.
+
+    Keys are in sorted order, strings are ASCII-escaped as ``json.dumps``
+    escapes them, and numbers are written as it writes them.  A trip's
+    numbers are floats and its ids strings, which are written directly; a
+    trip built by hand with another type there is written again by
+    ``network._json_scalar``, which covers every scalar.  A float's text is
+    written once and reused where another field holds the same float: the
+    plan's ``planned_at``, which is the first step's timestamp, and an
+    actual destination equal to the recorded one.
+    """
+    try:
+        return _trip_text(trip, float.__repr__, encode_basestring_ascii)
+    except TypeError:  # a number that is not a float, or an id that is not a string
+        return _trip_text(trip, _json_scalar, _json_scalar)
+
+
+def _trip_text(trip: TripRecord, num, text) -> str:
+    """``trip_json``'s line, with floats written by ``num`` and strings by ``text``."""
+    steps = trip.atr.steps
+    first_t = num(steps[0].t)
+    atr = ", ".join([f'{{"segment": {text(steps[0].segment)}, "t": {first_t}}}']
+                    + [f'{{"segment": {text(s.segment)}, "t": {num(s.t)}}}' for s in steps[1:]])
+    plan = trip.plan
+    planned_at = first_t if _same_float(plan.planned_at, steps[0].t) else num(plan.planned_at)
+    w = plan.weights
+    weights = "" if w is None else f', "weights": {{"w1": {num(w.w1)}, "w2": {num(w.w2)}}}'
+    rec, act = trip.recorded_destination, trip.actual_destination
+    recorded = f'{{"lat": {num(rec.lat)}, "lng": {num(rec.lng)}}}'
+    actual = (recorded if _same_float(act.lat, rec.lat) and _same_float(act.lng, rec.lng)
+              else f'{{"lat": {num(act.lat)}, "lng": {num(act.lng)}}}')
+    behavior = "" if trip.behavior is None else f'"behavior": {text(trip.behavior)}, '
+    raw_gps = "" if trip.raw_gps is None else '"raw_gps": [{}], '.format(", ".join(
+        [f'{{"lat": {num(p.lat)}, "lng": {num(p.lng)}, "t": {num(p.t)}}}'
+         for p in trip.raw_gps]))
+    return (f'{{"actual_destination": {actual}, "atr": [{atr}], {behavior}'
+            f'"driver_id": {text(trip.driver_id)}, "label": {text(trip.label)}, '
+            f'"plans": [{{"distance_km": {num(plan.distance)}, "est_time_min": '
+            f'{num(plan.est_time)}, "path": [{", ".join([text(sid) for sid in plan.path])}], '
+            f'"planned_at": {planned_at}{weights}}}], {raw_gps}'
+            f'"recorded_destination": {recorded}, "trip_id": {text(trip.trip_id)}}}')
+
+
 def save_trips(trips, path) -> None:
+    """Write ``trips`` to ``path`` as JSONL: per trip, one line of
+    ``json.dumps(trip_to_dict(trip), sort_keys=True)``, by ``trip_json``."""
     with Path(path).open("w", encoding="utf-8") as fh:
-        for trip in trips:
-            fh.write(json.dumps(trip_to_dict(trip), sort_keys=True) + "\n")
+        fh.write("".join([trip_json(trip) + "\n" for trip in trips]))
 
 
 def _parse_trips(data: bytes, path) -> tuple[TripRecord, ...]:

@@ -594,6 +594,39 @@ def test_trip_file_with_a_bad_gps_number_exits_3_naming_the_line(pipeline_dir, t
     assert f"line 3: raw_gps lng {reason}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [("lat", 95.0), ("lng", -180.5)], ids=["lat", "lng"])
+def test_trip_file_with_an_out_of_range_gps_fix_exits_3_naming_the_line(pipeline_dir, tmp_path,
+                                                                       capsys, field, value):
+    root, net, data, filt, model = pipeline_dir
+    lines = (data / "trips.jsonl").read_text().splitlines()[:3]
+    d = json.loads(lines[2])
+    d["raw_gps"][1][field] = value
+    lines[2] = json.dumps(d)
+    trips = tmp_path / "trips.jsonl"
+    trips.write_text("\n".join(lines) + "\n")
+    assert run(["filter", "--network", net, "--trips", trips, "--out", tmp_path / "out"]) == 3
+    err = capsys.readouterr().err
+    assert "line 3: " in err and "GPS point 1 " in err and "is out of range" in err
+
+
+@pytest.mark.parametrize("rate", [1e200, 2**63], ids=["overflow", "rounding"])
+def test_pricing_exits_3_when_the_schedule_breaks_the_arithmetic(pipeline_dir, tmp_path, capsys,
+                                                                rate):
+    # 1e200 per km overflows the ratio/utility fit's squares; 2**63 leaves
+    # the adjustment's residuals far above 1e-9 by rounding alone
+    from detourlab.pricing import DEFAULT_SCHEDULES
+
+    root, net, data, filt, model = pipeline_dir
+    schedule = schedule_json(DEFAULT_SCHEDULES["beijing"])
+    for iv in schedule["intervals"]:
+        iv["rate_per_km"] = rate
+    schedule_path = tmp_path / "tariff.json"
+    schedule_path.write_text(json.dumps(schedule))
+    assert run(["pricing", "--network", net, "--trips", filt / "kept.jsonl",
+                "--schedule", schedule_path, "--out", tmp_path / "intervals.csv"]) == 3
+    assert capsys.readouterr().err.startswith("error: InputError: ")
+
+
 @pytest.mark.parametrize("text, reason", [
     ("[1, 2]", "expected a JSON object, got an array"),
     ('{"id": 1}', "missing key 'nodes'"),

@@ -358,6 +358,31 @@ def test_non_finite_gps_point_rejected(t_junction, field, bad):
         viterbi_decode(t_junction, points)
 
 
+@pytest.mark.parametrize("lat, lng", [(95.0, 0.0), (-95.0, 0.0), (0.0, 190.0), (1e300, 0.0)],
+                         ids=["north", "south", "east", "far_north"])
+def test_out_of_range_gps_point_rejected(t_junction, lat, lng):
+    # an out-of-range fix is bad input even with a radius that would reach it
+    points = [offset_point(0.0, -0.3 / KM_PER_DEG, 2.0, 0.0, BASE_T),
+              GpsPoint(lat, lng, BASE_T + 10.0)]
+    with pytest.raises(InputError, match="GPS point 1 .* is out of range"):
+        viterbi_decode(t_junction, points, MatchConfig(candidate_radius=1e306))
+
+
+def test_unconnectable_jump_cuts_long_segment_ids():
+    long = "s" * 5000
+    nodes = [Node("a", 0.0, 0.0), Node("b", 0.0, 0.01), Node("c", 0.01, 0.0),
+             Node("d", 0.01, 0.01)]
+    net = RoadNetwork(nodes, [Segment(long + "1", "a", "b", 1.0, flat(40.0)),
+                              Segment(long + "2", "c", "d", 1.0, flat(40.0))])
+    points = [offset_point(0.0, 0.0, 0.0, 0.0, BASE_T + 10.0 * i) for i in range(2)]
+    cut = "'" + "s" * 79 + "..."
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matching, "viterbi_decode", lambda net, tr, cfg: [long + "1", long + "2"])
+        with pytest.raises(MatchError) as err:
+            match_trajectory(net, points)
+    assert str(err.value) == f"matched segments {cut} -> {cut} cannot be connected"
+
+
 # ---------------------------------------------------------------------------
 # the decode against the transition-at-a-time reference, and the km memo
 

@@ -14,6 +14,7 @@ from detourlab.network import (
     Node,
     RoadNetwork,
     Segment,
+    check_gps,
     full_traversals,
     haversine_km,
     load_network,
@@ -468,3 +469,42 @@ def test_unknown_lookups_raise(small_grid):
         small_grid.node("missing")
     with pytest.raises(InputError):
         small_grid.outgoing("missing")
+
+
+_LONG = "s" * 5000
+_CUT = "'" + "s" * 79 + "..."
+
+
+@pytest.mark.parametrize("nodes, segments, want", [
+    ([], [Segment(_LONG, "a", "b", 1.0, ())], f"segment {_CUT}: empty speed profile"),
+    ([], [Segment(_LONG, "a", "b", 1.0, ((10.0, 50.0),))],
+     f"segment {_CUT}: speed profile does not cover the day (first bucket starts at 10.0, not 0)"),
+    ([], [Segment(_LONG, "a", "b", 1.0, ((0.0, 50.0), (1440.0, 40.0)))],
+     f"segment {_CUT}: bucket start 1440.0 outside [0, 1440)"),
+    ([], [Segment(_LONG, "a", "b", 1.0, ((0.0, 50.0), (0.0, 40.0)))],
+     f"segment {_CUT}: speed buckets must be sorted and non-overlapping"),
+    ([], [Segment(_LONG, "a", "b", 1.0, ((0.0, -5.0),))],
+     f"segment {_CUT}: speed -5.0 is not a finite positive number"),
+    ([], [Segment(_LONG, "a", "nowhere", 1.0, flat(50.0))],
+     f"segment {_CUT} references an unknown node"),
+    ([], [Segment(_LONG, "a", "b", -1.0, flat(50.0))],
+     f"segment {_CUT} must have finite positive length"),
+    ([], [Segment(_LONG, "a", "b", 1.0, flat(50.0))] * 2, f"duplicate segment id {_CUT}"),
+    ([Node(_LONG, 0.0, 0.0)] * 2, [], f"duplicate node id {_CUT}"),
+    ([Node(_LONG, 95.0, 0.0)], [], f"node {_CUT} has out-of-range coordinates (95.0, 0.0)"),
+], ids=["empty_profile", "gap", "bucket_start", "unsorted", "speed", "unknown_node",
+        "length", "duplicate_segment", "duplicate_node", "node_coordinates"])
+def test_network_messages_cut_a_long_id(nodes, segments, want):
+    with pytest.raises(InputError) as err:
+        RoadNetwork(_nodes_ab() + nodes, segments)
+    assert str(err.value) == want
+
+
+@pytest.mark.parametrize("lat, lng", [(95.0, 0.5), (-90.5, 0.5), (0.5, 180.5), (0.5, -1e300)],
+                         ids=["north", "south", "east", "far_west"])
+def test_check_gps_rejects_out_of_range_coordinates(lat, lng):
+    points = [GpsPoint(0.0, 0.0, 10.0), GpsPoint(lat, lng, 20.0)]
+    with pytest.raises(InputError) as err:
+        check_gps(points, "here")
+    assert str(err.value).startswith(f"here: GPS point 1 ({lat}, {lng}, t=20.0) is out of range")
+    check_gps([GpsPoint(90.0, -180.0, 10.0), GpsPoint(-90.0, 180.0, 20.0)], "here")

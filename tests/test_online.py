@@ -182,6 +182,19 @@ def test_a_long_trip_id_is_cut_in_the_message(loop_net, dest, steps):
     assert message.startswith("trip '" + "t" * 79 + "...: ") and len(message) < 200
 
 
+def test_the_connect_message_cuts_long_segment_ids():
+    long = "e" * 5000
+    nodes = [Node(n, 0.0, 0.01 * i) for i, n in enumerate("abcd")]
+    net = RoadNetwork(nodes, [Segment(long + str(i), a, b, 1.0, flat(60.0))
+                              for i, (a, b) in enumerate(("ab", "bc", "cd"))])
+    progress = TripProgress("t", long + "2")
+    step(net, BEIJING, progress, long + "0", T0)
+    with pytest.raises(InputError) as err:
+        step(net, BEIJING, progress, long + "2", T0 + 60.0)
+    cut = "'" + "e" * 79 + "..."
+    assert str(err.value) == f"trip 't': segment {cut} does not connect to {cut}"
+
+
 def test_stage_auc_final_stage_matches_offline(sim_dataset):
     net, trips, _ = sim_dataset
     subset = trips[:120]

@@ -129,6 +129,24 @@ def test_fit_degenerate_inputs():
         fit_ratio_utility([(1.0, 0.1), (2.0, 0.2)])
 
 
+@pytest.mark.parametrize("points", [
+    [(1e200, 0.1), (-1e200, 0.2), (0.0, 0.3)],
+    [(1.0, 1e200), (2.0, -1e200), (3.0, 0.0)],
+    [(math.inf, 0.1), (1.0, 0.2), (2.0, 0.3)],
+], ids=["huge_utility", "huge_ratio", "infinite_utility"])
+def test_fit_too_large_to_square_is_an_input_error(points):
+    # ** 2 would raise OverflowError, and an infinite utility gives NaN sums
+    with pytest.raises(InputError, match="too large to fit"):
+        fit_ratio_utility(points)
+
+
+@pytest.mark.parametrize("utility, u0", [(2.0**63, 0.1), (1e12, 0.1), (math.nan, 0.0)],
+                         ids=["2**63", "1e12", "nan"])
+def test_solver_residuals_above_contract_are_an_input_error(utility, u0):
+    with pytest.raises(InputError, match="residuals .* are not below 1e-9"):
+        solve_price_adjustment(utility, u0, 0.45, 1.7, 500, 40)
+
+
 def test_solver_no_change_at_target():
     adj = solve_price_adjustment(0.2, 0.2, 0.5, 5.0, 300, 10)
     assert adj.delta_base_fare == 0.0

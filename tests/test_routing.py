@@ -815,3 +815,96 @@ def test_bad_weights_rejected():
         RoutingWeights(0.0, 0.0)
     with pytest.raises(InputError):
         RoutingWeights(-1.0, 2.0)
+
+
+def test_long_ids_are_cut_in_the_no_route_and_unknown_node_messages():
+    long = "s" * 5000
+    cut = "'" + "s" * 79 + "..."
+    net = RoadNetwork(
+        [Node("a", 0.0, 0.0), Node("b", 0.0, 0.01), Node("c", 0.0, 0.02), Node("d", 0.0, 0.03)],
+        [Segment(long + "1", "a", "b", 1.0, flat(50.0)),
+         Segment(long + "2", "c", "d", 1.0, flat(50.0))])
+    for weights in (RoutingWeights(1.0, 0.0), RoutingWeights()):
+        with pytest.raises(NoRouteError) as err:
+            route_plan(net, long + "1", long + "2", BASE_T, weights)
+        assert str(err.value) == f"no route from segment {cut} to segment {cut}"
+    with pytest.raises(InputError) as err:
+        routing._lower_bounds(net, long)
+    assert str(err.value) == f"unknown node id {cut}"
+    with pytest.raises(NoRouteError) as err:  # short ids are written in full
+        route_plan(RoadNetwork(net.nodes.values(), [Segment("s1", "a", "b", 1.0, flat(50.0)),
+                                                    Segment("s2", "c", "d", 1.0, flat(50.0))]),
+                   "s1", "s2", BASE_T)
+    assert str(err.value) == "no route from segment 's1' to segment 's2'"
+
+
+# ---------------------------------------------------------------------------
+# path walks read the traversal rows
+
+
+def walk_times(net, path, depart):
+    """Entry times along ``path``, one ``segment_travel_time`` per segment."""
+    times = [depart]
+    for sid in path:
+        t = times[-1]
+        times.append(t + 60.0 * segment_travel_time(net.segment(sid), minute_of_day(t)))
+    return times
+
+
+def random_profile_chain(rng, n_segments):
+    """A one-way chain whose segments have random lengths and random speed
+    profiles: up to six buckets at whole minutes, a few speeds, so that some
+    bucket boundaries keep the speed and some traversals run past midnight."""
+    segments = []
+    for i in range(n_segments):
+        starts = sorted({0.0, *map(float, rng.integers(1, 1440, size=rng.integers(0, 6)))})
+        speeds = rng.choice([8.0, 20.0, 20.0, 35.0, 60.0], size=len(starts))
+        length = float(rng.choice([rng.uniform(0.05, 1.0), rng.uniform(1.0, 40.0)]))
+        segments.append(Segment(f"s{i}", f"v{i}", f"v{i + 1}", length,
+                                tuple(zip(starts, map(float, speeds)))))
+    nodes = [Node(f"v{i}", 0.0, 0.01 * i) for i in range(n_segments + 1)]
+    return RoadNetwork(nodes, segments)
+
+
+def test_entry_times_equal_the_segment_walk_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(32)
+    fallbacks = 0
+    real = routing.segment_travel_time
+
+    def counted(seg, minute):
+        nonlocal fallbacks
+        fallbacks += 1
+        return real(seg, minute)
+
+    monkeypatch.setattr(routing, "segment_travel_time", counted)
+    walked = 0
+    for _ in range(60):
+        net = random_profile_chain(rng, 6)
+        path = sorted(net.segments, key=lambda sid: int(sid[1:]))
+        # departures at every speed change and bucket start of the first
+        # segment, just before and after midnight, and at random minutes
+        departs = [BASE_T + 60.0 * start + day
+                   for start, _ in net.segment(path[0]).speed_profile for day in (0.0, 86400.0)]
+        departs += [BASE_T - 1e-6, BASE_T - 0.5, BASE_T + 86400.0 - 1e-3, BASE_T + 1e-6]
+        departs += list(BASE_T + rng.uniform(0.0, 2 * 86400.0, size=10))
+        for depart in departs:
+            for k in range(len(path)):
+                want = walk_times(net, path[k:], depart)
+                got = routing.entry_times(net, path[k:], depart)
+                assert [t.hex() for t in got] == [t.hex() for t in want]
+                km, arrival = routing._km_and_arrival(net, path[k:], depart)
+                assert (km, arrival.hex()) == (routing.path_km(net, path[k:]), want[-1].hex())
+                walked += len(path) - k
+    # entry_times and _km_and_arrival each made ``walked`` traversals; the
+    # rows answer most, and only those that reach a speed change call the walk
+    assert 0 < fallbacks < walked
+
+
+def test_entry_times_rejects_an_unknown_segment_as_the_lookup_does(small_grid):
+    with pytest.raises(InputError) as err:
+        routing.entry_times(small_grid, ["nope"], BASE_T)
+    assert str(err.value) == "unknown segment id 'nope'"
+    first = sorted(small_grid.segments)[0]
+    with pytest.raises(InputError) as err:
+        routing.entry_times(small_grid, [first, "s" * 5000], BASE_T)
+    assert str(err.value) == "unknown segment id '" + "s" * 79 + "..."

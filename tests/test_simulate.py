@@ -127,6 +127,28 @@ def test_driver_count_fits_the_int64_bound_drivers_are_drawn_below():
         SimConfig(n_drivers=2**63 + 1)
 
 
+def test_config_messages_cut_a_long_seed_or_behavior():
+    # 4,000 digits: str() of an int refuses more than 4,300 on Python 3.11+
+    seed = -int("9" * 4000)
+    with pytest.raises(InputError) as err:
+        SimConfig(seed=seed)
+    assert str(err.value) == "seed must be non-negative, got " + "-" + "9" * 79 + "..."
+    long = "b" * 5000
+    cut = "'" + "b" * 79 + "..."
+    with pytest.raises(InputError) as err:
+        SimConfig(behavior_mix={"normal": 1.0, long: -1.0})
+    assert str(err.value) == f"behavior_mix[{cut}] must be finite and non-negative, got -1.0"
+    with pytest.raises(InputError) as err:
+        SimConfig(behavior_mix={"normal": 0.5, long: 0.5})
+    assert str(err.value) == "unknown behaviors in mix: ['" + "b" * 78 + "..."
+    with pytest.raises(InputError) as err:  # short values are written in full
+        SimConfig(seed=-1, behavior_mix={"normal": 0.5, "teleport": 0.5})
+    assert str(err.value) == "seed must be non-negative, got -1"
+    with pytest.raises(InputError) as err:
+        SimConfig(behavior_mix={"normal": 0.5, "teleport": 0.5})
+    assert str(err.value) == "unknown behaviors in mix: ['teleport']"
+
+
 def test_bad_mix_rejected():
     with pytest.raises(InputError):
         SimConfig(behavior_mix={"normal": 0.5})

@@ -1,16 +1,18 @@
 import dataclasses
 import json
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from detourlab import trips as trips_module
 from detourlab.classifier import LogitModel
 from detourlab.errors import DataFormatError, InputError, read_number
-from detourlab.network import LatLng
+from detourlab.network import GpsPoint, LatLng, Node, RoadNetwork, Segment
 from detourlab.online import run_trip
-from detourlab.routing import RoutingWeights
+from detourlab.routing import RoutePlanStep, RoutingWeights
 from detourlab.simulate import SimConfig, generate_network, generate_trips
 from detourlab.trips import (
     REJECT_DESTINATION,
@@ -30,7 +32,7 @@ from detourlab.trips import (
     trip_to_dict,
 )
 
-from conftest import KM_PER_DEG, line_network, make_trip
+from conftest import KM_PER_DEG, flat, line_network, make_trip
 
 T0 = 1543622400.0
 
@@ -583,3 +585,104 @@ def test_changing_a_loaded_trip_list_does_not_change_the_next_load(tmp_path):
 def test_load_missing_trips_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_trips(tmp_path / "nope.jsonl")
+
+
+# ---------------------------------------------------------------------------
+# the fixed-shape trip line
+
+
+_ODD_TEXT = ['"', "\\", "\n", "é", " ", 'a"b\\c\nd', "\ud800\x00\x7f\t", "", "n0_1>n0_2"]
+_ODD_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1543622400.123, 90.0, -180.0]
+
+
+def _random_trip(rng) -> trips_module.TripRecord:
+    """A trip of random shape and awkward values: ids with quotes, escapes,
+    non-ASCII and U+2028, signed zeros, subnormals, the largest floats, and
+    now and then an int or a numpy float where a float belongs."""
+    def text():
+        return "".join(rng.choice(_ODD_TEXT) for _ in range(rng.randrange(3)))
+
+    def number(lo, hi):
+        pick = rng.random()
+        if pick < 0.4:
+            x = rng.choice([f for f in _ODD_FLOATS if lo <= f <= hi])
+        elif pick < 0.8:
+            x = rng.uniform(max(lo, -1e12), min(hi, 1e12))
+        else:
+            x = float(rng.randrange(int(max(lo, -1e6)), int(min(hi, 1e6)) + 1))
+        kind = rng.random()
+        if kind < 0.1 and x.is_integer():
+            return int(x)
+        return np.float64(x) if kind < 0.2 else x
+
+    def times(n):
+        ts = sorted({number(-1e308, 1e308) for _ in range(n)})
+        return [t for i, t in enumerate(ts) if i == 0 or ts[i - 1] < t]
+
+    def point():
+        return LatLng(number(-90.0, 90.0), number(-180.0, 180.0))
+
+    steps = tuple(TrajStep(text(), t) for t in times(rng.randrange(1, 6)))
+    path = (steps[0].segment, *(text() for _ in range(rng.randrange(4)))) if rng.random() < 0.8 \
+        else ()
+    planned_at = 0.0 if steps[0].t == 0.0 and rng.random() < 0.5 else steps[0].t
+    weights = None if rng.random() < 0.3 else RoutingWeights(
+        rng.choice([-0.0, 0.0, 5e-324, 0.5, 1e308]), rng.choice([5e-324, 0.5, 1.0, 1e308]))
+    plan = RoutePlanStep(path, planned_at, number(0.0, 1e308), number(0.0, 1e308), weights)
+    recorded = point()
+    actual = rng.choice([recorded, LatLng(recorded.lat, recorded.lng), point(),
+                         LatLng(-recorded.lat if isinstance(recorded.lat, float) else 0.0,
+                                recorded.lng)])
+    raw_gps = None if rng.random() < 0.3 else tuple(
+        GpsPoint(p.lat, p.lng, t) for p, t in ((point(), t) for t in times(rng.randrange(4))))
+    return trips_module.TripRecord(
+        trip_id=text(), driver_id=text(), atr=AbstractTrajectory("t", steps), plan=plan,
+        recorded_destination=recorded, actual_destination=actual,
+        label=rng.choice(trips_module.LABELS), raw_gps=raw_gps,
+        behavior=None if rng.random() < 0.4 else text())
+
+
+def test_trip_json_is_json_dumps_of_the_dict_form():
+    rng = random.Random(20261021)
+    for _ in range(3000):
+        trip = _random_trip(rng)
+        assert trips_module.trip_json(trip) == json.dumps(trip_to_dict(trip), sort_keys=True)
+
+
+def test_trip_json_keeps_signed_zeros_apart():
+    # the plan is issued at 0.0, which equals the first step's -0.0, and the
+    # actual destination equals the recorded one except in the zero's sign:
+    # no text is shared between them
+    net = line_network([1.0] * 3)
+    trip = dataclasses.replace(chain_trip(net, 2, 300.0), recorded_destination=LatLng(-0.0, 0.0),
+                               actual_destination=LatLng(0.0, -0.0))
+    steps = ((TrajStep("e0", -0.0), *trip.atr.steps[1:]))
+    trip = dataclasses.replace(trip, atr=AbstractTrajectory("t0", steps),
+                               plan=dataclasses.replace(trip.plan, planned_at=0.0))
+    line = trips_module.trip_json(trip)
+    assert line == json.dumps(trip_to_dict(trip), sort_keys=True)
+    assert '"t": -0.0}' in line and '"planned_at": 0.0' in line
+    assert '"recorded_destination": {"lat": -0.0, "lng": 0.0}' in line
+    assert '"actual_destination": {"lat": 0.0, "lng": -0.0}' in line
+
+
+def test_save_trips_writes_one_json_dumps_line_per_trip(tmp_path):
+    cfg = SimConfig(seed=3, grid_dims=(5, 5), n_trips=60, gps_period_s=15.0)
+    net = generate_network(cfg)
+    sim_trips, _ = generate_trips(net, cfg)
+    path = tmp_path / "trips.jsonl"
+    save_trips(sim_trips, path)
+    assert path.read_text(encoding="utf-8") == "".join(
+        json.dumps(trip_to_dict(t), sort_keys=True) + "\n" for t in sim_trips)
+
+
+def test_unconnected_segments_message_cuts_long_ids():
+    long = "e" * 5000
+    nodes = [Node("a", 0.0, 0.0), Node("b", 0.0, 0.01), Node("c", 0.0, 0.02)]
+    net = RoadNetwork(nodes, [Segment(long, "a", "b", 1.0, flat(60.0)),
+                              Segment(long + "2", "a", "c", 1.0, flat(60.0))])
+    atr = AbstractTrajectory("t0", (TrajStep(long, T0), TrajStep(long + "2", T0 + 60.0)))
+    with pytest.raises(InputError) as err:
+        trajectory_distance_km(net, atr)
+    cut = "'" + "e" * 79 + "..."
+    assert str(err.value) == f"trajectory 't0': segments {cut} -> {cut} are not connected (step 1)"
