@@ -308,9 +308,10 @@ def trip_json(trip: TripRecord) -> str:
 
     Keys are in sorted order, strings are ASCII-escaped as ``json.dumps``
     escapes them, and numbers are written as it writes them.  A trip's
-    numbers are floats and its ids strings, which are written directly; a
-    trip built by hand with another type there is written again by
-    ``network._json_scalar``, which covers every scalar.  A float's text is
+    numbers are floats, finite as ``TripRecord`` checks, so each is its
+    ``repr``, and its ids are strings; a trip built by hand with another
+    type there is written again by ``network._json_scalar``, which writes
+    every scalar as ``json.dumps`` does.  A float's text is
     written once and reused where another field holds the same float: the
     plan's ``planned_at``, which is the first step's timestamp, and an
     actual destination equal to the recorded one.
