@@ -73,7 +73,8 @@ def main() -> int:
          "--trips", filtered / "kept.jsonl", "--schedule", args.schedule,
          "--out", report])
 
-    print(f"== done; see {report}/ for roc.csv, stage_auc.csv, intervals.csv and charts")
+    print(f"== done; see {report}/ for roc.csv, stage_auc.csv, behaviors.csv, intervals.csv "
+          "and charts")
     return 0
 
 

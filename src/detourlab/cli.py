@@ -17,7 +17,7 @@ import functools
 import json
 import sys
 from contextlib import ExitStack
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from . import trips as trips_mod
@@ -293,25 +293,22 @@ def cmd_detect(args) -> int:
     return 0
 
 
-def _write_stage_auc(path, net, model, trips, weights) -> list[tuple]:
-    """Write stage_auc.csv; returns its (stage, auc, warned_count) rows."""
-    from . import online
-
-    rows = [(r.stage, r.auc, r.warned_trips)
-            for r in online.stage_auc(net, model, trips, weights)]
-    _write_csv(path, ("stage", "auc", "warned_count"), rows)
-    return rows
+def _write_stage_auc(path, results) -> None:
+    """Write stage_auc.csv from ``online.StageResult`` rows."""
+    _write_csv(path, ("stage", "auc", "warned_count"),
+               [(r.stage, r.auc, r.warned_trips) for r in results])
 
 
 def cmd_stage_report(args) -> int:
-    from . import classifier
+    from . import classifier, online
 
     config = _config_for(args)
     net = load_network(args.network)
     model = classifier.load_model(args.model)
     trips = trips_mod.load_trips(args.trips)
-    rows = _write_stage_auc(args.out, net, model, trips, config.weights)
-    print(f"stages={len(rows)} final_auc={rows[-1][1]:.6f} -> {args.out}")
+    results = online.stage_auc(net, model, trips, config.weights)
+    _write_stage_auc(args.out, results)
+    print(f"stages={len(results)} final_auc={results[-1].auc:.6f} -> {args.out}")
     return 0
 
 
@@ -357,7 +354,7 @@ def cmd_pricing(args) -> int:
 
 
 def cmd_report(args) -> int:
-    from . import charts, classifier
+    from . import charts, classifier, online
 
     config = _config_for(args)
     net = load_network(args.network)
@@ -368,7 +365,12 @@ def cmd_report(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     auc, _ = _write_roc(out / "roc.csv", net, model, trips)
-    stage_rows = _write_stage_auc(out / "stage_auc.csv", net, model, trips, config.weights)
+    # one replay of every trip feeds both warning tables
+    histories = [online.run_trip(net, model, trip, config.weights) for trip in trips]
+    stages = online.stage_results(trips, histories)
+    _write_stage_auc(out / "stage_auc.csv", stages)
+    _write_csv(out / "behaviors.csv", [f.name for f in fields(online.BehaviorRow)],
+               map(astuple, online.behavior_table(trips, histories)))
     rows, _ = _write_intervals(out / "intervals.csv", net, schedule, trips)
 
     # interval_report gives one row per interval, in schedule order
@@ -390,7 +392,7 @@ def cmd_report(args) -> int:
                             [("base fare change", f0_pts), ("km rate change", a1_pts)],
                             "hour", "change")
 
-    print(f"auc={auc:.6f} stage_final={stage_rows[-1][1]:.6f} -> {out}")
+    print(f"auc={auc:.6f} stage_final={stages[-1].auc:.6f} -> {out}")
     return 0
 
 

@@ -7,20 +7,26 @@ leaves the plan it holds; while the driver enters each planned segment at
 its planned time, the current plan is the held plan's suffix.  On the final
 step the remaining plan is empty, so the live scores reduce to the offline
 features of the finished trip.
+
+``step`` is the one home of the warning rule: a step warns while its score
+is strictly positive.  Everything downstream (``stage_results``,
+``behavior_table``, the ``detect`` stream) reads the decision's ``action``.
 """
 
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 
 from .classifier import LogitModel, excess_ratios, rank_auc
 from .errors import FitError, InputError, shown
 from .network import RoadNetwork
-from .routing import (RoutePlanStep, RoutingWeights, entry_times, path_distance, path_km,
+from .routing import (RoutePlanStep, RoutingWeights, entry_times, first_gap, path_km,
                       route_plan)
 
 STAGES = 10  # completeness stages of stage_auc: the first 10%, 20%, ..., 100% of steps
+_WARNING_ON = ("warn_issued", "warn_maintained")  # the actions of a step that warns
 
 
 @dataclass(frozen=True)
@@ -116,7 +122,8 @@ def step(net: RoadNetwork, model: LogitModel, progress: TripProgress,
     fv = excess_ratios(prefix_km + plan_km, (t - initial.planned_at) / 60.0 + plan_min,
                        initial, progress.trip_id)
     theta = model.log_odds(fv)
-    if theta > 0.0:
+    warn = theta > 0.0
+    if warn:
         action = "warn_maintained" if progress.warning_active else "warn_issued"
     else:
         action = "warn_cancelled" if progress.warning_active else "none"
@@ -127,7 +134,7 @@ def step(net: RoadNetwork, model: LogitModel, progress: TripProgress,
     progress.last_segment = segment
     progress.last_t = t
     progress.prefix_km = prefix_km
-    progress.warning_active = theta > 0.0
+    progress.warning_active = warn
     progress.plan_path, progress.plan_times, progress.plan_index = path, times, k + 1
 
     x1, x2 = fv.extra_distance_ratio, fv.extra_time_ratio
@@ -140,20 +147,27 @@ def run_trip(net: RoadNetwork, model: LogitModel, trip,
 
     The stored pickup plan seeds the detector's held plan when it is the
     planner's answer under these ``weights`` on this network: it recorded the
-    same weights, it is not empty, it ends where the destination segment
-    starts, and re-walking it reproduces its distance and time bit for bit.
-    The first step then needs no route search.
+    same weights, it is not empty, each of its segments starts where the one
+    before ends and the last ends where the destination segment starts, and
+    re-walking it reproduces its distance and time bit for bit.  The first
+    step then needs no route search; any other plan is not seeded, and the
+    first step searches.  An unknown segment id in the plan raises InputError.
     """
     dest = trip.atr.steps[-1].segment
     progress = TripProgress(trip.trip_id, dest, weights)
     plan = trip.plan
-    if (plan.weights == weights and plan.path
-            and net.segment(plan.path[-1]).to_node == net.segment(dest).from_node):
+    if plan.weights == weights and plan.path and first_gap(net, (*plan.path, dest)) is None:
         times = tuple(entry_times(net, plan.path, plan.planned_at))
-        if (path_distance(net, plan.path) == plan.distance
+        if (path_km(net, plan.path) == plan.distance
                 and (times[-1] - plan.planned_at) / 60.0 == plan.est_time):
             progress.plan_path, progress.plan_times = plan.path, times
     return [step(net, model, progress, st.segment, st.t) for st in trip.atr.steps]
+
+
+def _first_warning(decisions) -> int:
+    """Index of the first decision that issued a warning, or the count when none did."""
+    return next((i for i, d in enumerate(decisions) if d.action == "warn_issued"),
+                len(decisions))
 
 
 @dataclass(frozen=True)
@@ -165,31 +179,72 @@ class StageResult:
 
 def stage_auc(net: RoadNetwork, model: LogitModel, trips,
               weights: RoutingWeights = RoutingWeights()) -> list[StageResult]:
-    """Detection quality by trip completeness.
+    """Detection quality by trip completeness: ``stage_results`` of each
+    labeled trip's replay (``run_trip``)."""
+    trips = [t for t in trips if t.label != "unlabeled"]
+    return stage_results(trips, [run_trip(net, model, trip, weights) for trip in trips])
+
+
+def stage_results(trips, histories) -> list[StageResult]:
+    """Per-stage AUC and warned count from each trip's replayed decisions.
 
     Each trip is scored at the last step inside the first k/``STAGES`` of its
     steps (ceiling); the per-stage AUC ranks those scores against the labels.
-    A trip counts as warned at stage k if any warning was active at or
-    before that step.  Unlabeled trips are left out, as in the offline
-    evaluation.
+    A trip counts as warned at stage k if it issued a warning at or before
+    that step.  Unlabeled trips are left out, as in the offline evaluation.
     """
-    trips = [t for t in trips if t.label != "unlabeled"]
-    labels = [1 if t.label == "detour" else 0 for t in trips]
+    pairs = [(t, h) for t, h in zip(trips, histories) if t.label != "unlabeled"]
+    labels = [1 if t.label == "detour" else 0 for t, _ in pairs]
     if sum(labels) in (0, len(labels)):
         raise FitError("stage AUC is undefined without both classes")
 
-    thetas = [[d.theta for d in run_trip(net, model, trip, weights)] for trip in trips]
-    # per trip, the index of its first warning, or its length when none is raised
-    first_warning = [next((i for i, v in enumerate(trip_thetas) if v > 0.0), len(trip_thetas))
-                     for trip_thetas in thetas]
+    histories = [h for _, h in pairs]
+    first_warning = [_first_warning(h) for h in histories]
     results = []
     for stage in range(1, STAGES + 1):
         scores = []
         warned = 0
-        for trip_thetas, first in zip(thetas, first_warning):
-            idx = math.ceil(len(trip_thetas) * stage / STAGES)
-            scores.append(trip_thetas[idx - 1])
+        for decisions, first in zip(histories, first_warning):
+            idx = math.ceil(len(decisions) * stage / STAGES)
+            scores.append(decisions[idx - 1].theta)
             warned += first < idx
         auc, _ = rank_auc(scores, labels)
         results.append(StageResult(stage, auc, warned))
     return results
+
+
+@dataclass(frozen=True)
+class BehaviorRow:
+    """One row of ``behavior_table``; its fields are the columns of behaviors.csv."""
+
+    behavior: str
+    trips: int
+    warned: int  # trips that issued a warning at any step
+    warned_at_end: int  # trips whose last step warns
+    median_first_warning: float | None  # first warning's step / step count; None if none warned
+    mean_x1: float  # final extra-distance ratio: the offline feature
+    mean_x2: float  # final extra-time ratio
+
+
+def behavior_table(trips, histories) -> list[BehaviorRow]:
+    """Warnings per behaviour, one row per key (``trip.behavior``, else
+    ``trip.label``) sorted by key, from each trip's replayed decisions.
+
+    Every trip counts, labeled or not.  The median first-warning position
+    is taken over the warned trips, its position the 1-based step over the
+    trip's step count.
+    """
+    groups: dict[str, list[list[StepDecision]]] = {}
+    for trip, decisions in zip(trips, histories):
+        groups.setdefault(trip.behavior or trip.label, []).append(decisions)
+    rows = []
+    for key in sorted(groups):
+        group = groups[key]
+        firsts = [(first + 1) / len(h)
+                  for first, h in zip(map(_first_warning, group), group) if first < len(h)]
+        rows.append(BehaviorRow(
+            key, len(group), len(firsts), sum(h[-1].action in _WARNING_ON for h in group),
+            statistics.median(firsts) if firsts else None,
+            statistics.fmean(h[-1].extra_distance_ratio for h in group),
+            statistics.fmean(h[-1].extra_time_ratio for h in group)))
+    return rows

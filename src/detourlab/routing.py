@@ -69,14 +69,20 @@ class RoutePlanStep:
     weights: RoutingWeights | None = None
 
 
+def first_gap(net: RoadNetwork, path) -> int | None:
+    """Position of the first segment of ``path`` that does not start where the
+    one before ends, or None when each does.  Every id is looked up first, so
+    an unknown one raises InputError wherever it sits."""
+    segs = [net.segment(sid) for sid in path]
+    return next((i for i in range(1, len(segs)) if segs[i - 1].to_node != segs[i].from_node),
+                None)
+
+
 def check_contiguous(net: RoadNetwork, path) -> None:
     """InputError unless each segment of ``path`` starts where the one before ends."""
-    prev = None
-    for i, sid in enumerate(path):
-        seg = net.segment(sid)
-        if prev is not None and prev.to_node != seg.from_node:
-            raise InputError(f"path is not contiguous between positions {i - 1} and {i}")
-        prev = seg
+    i = first_gap(net, path)
+    if i is not None:
+        raise InputError(f"path is not contiguous between positions {i - 1} and {i}")
 
 
 def path_km(net: RoadNetwork, path) -> float:

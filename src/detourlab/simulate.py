@@ -34,6 +34,11 @@ BASE_EPOCH = 1543622400.0  # 2018-12-01T00:00:00Z, start of the simulated day
 _BASE_LAT = 39.90
 _BASE_LNG = 116.40
 _KM_PER_DEG_LAT = EARTH_RADIUS_KM * math.pi / 180.0
+# The shortest GPS period other than 0, which turns GPS off.  Far shorter
+# periods emit hundreds of thousands of fixes per trip, and next to an epoch
+# time a period below the timestamp's ulp (about 2.4e-7 s) never advances the
+# sampling clock at all.
+MIN_GPS_PERIOD_S = 1.0
 
 
 @dataclass(frozen=True)
@@ -49,7 +54,7 @@ class SimConfig:
                                  "avoid_congestion": 0.1, "shortcut": 0.1}
     )
     detour_inflation: float = 0.3  # planted extra-distance fraction
-    gps_period_s: float = 10.0  # 0 disables raw GPS emission
+    gps_period_s: float = 10.0  # 0 disables raw GPS emission; else at least MIN_GPS_PERIOD_S
     gps_noise_m: float = 10.0
     n_drivers: int = 40
     # Scales the detour share of trips starting in the small hours (00:00 to
@@ -76,6 +81,9 @@ class SimConfig:
                       for b, v in self.behavior_mix.items()}}
         for name, value in amounts.items():
             check_non_negative(name, value)
+        if 0.0 < self.gps_period_s < MIN_GPS_PERIOD_S:
+            raise InputError(f"gps_period_s must be 0 (no GPS) or at least {MIN_GPS_PERIOD_S} s, "
+                             f"got {self.gps_period_s}")
         unknown = set(self.behavior_mix) - set(BEHAVIORS)
         if unknown:
             raise InputError(f"unknown behaviors in mix: {shown(repr(sorted(unknown)))}")

@@ -1,4 +1,6 @@
+import contextlib
 import math
+import signal
 
 import pytest
 
@@ -19,6 +21,22 @@ def path_est_time(net, path, depart: float) -> float:
     forward sum of ``entry_times``, as ``route_plan`` makes it."""
     check_contiguous(net, path)
     return (entry_times(net, path, depart)[-1] - depart) / 60.0
+
+
+@contextlib.contextmanager
+def time_cap(seconds):
+    """TimeoutError when the block runs longer than ``seconds``, so a loop
+    that never ends fails the test instead of hanging it."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def schedule_json(schedule) -> dict:

@@ -13,7 +13,7 @@ from detourlab.online import run_trip
 from detourlab.simulate import SimConfig, generate_network
 from detourlab.trips import load_trips
 
-from conftest import schedule_json
+from conftest import schedule_json, time_cap
 
 
 HUGE_INT = "1" + "0" * 400  # a JSON integer too large for a float
@@ -472,7 +472,7 @@ def test_report_emits_all_outputs(pipeline_dir):
     assert run(["report", "--network", net, "--model", model,
                 "--trips", filt / "kept.jsonl", "--schedule", "beijing",
                 "--out", out]) == 0
-    for name in ("roc.csv", "stage_auc.csv", "intervals.csv",
+    for name in ("roc.csv", "stage_auc.csv", "behaviors.csv", "intervals.csv",
                  "detour_ratio.svg", "utility.svg", "adjustments.svg"):
         assert (out / name).exists()
 
@@ -796,6 +796,24 @@ def test_bad_config_file_exits_3(tmp_path, text):
     config = tmp_path / "config.json"
     config.write_text(text)
     assert run(["gen-network", "--config", config, "--out", tmp_path / "net.json"]) == 3
+
+
+@pytest.mark.parametrize("period", [1e-300, 1e-3, 0.999])
+def test_gps_period_below_the_floor_exits_3(tmp_path, capsys, period):
+    # next to an epoch time a period below the timestamp's ulp (about 2.4e-7
+    # s) never advanced the sampling clock, so gen-trips appended fixes until
+    # memory ran out; at 1e-3 s five trips on a 3x3 grid took 795,488 fixes
+    net = tmp_path / "net.json"
+    assert run(["gen-network", "--rows", 3, "--cols", 3, "--out", net]) == 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"sim": {"grid_dims": [3, 3], "n_trips": 5,
+                                          "gps_period_s": period}}))
+    with time_cap(3):
+        assert run(["gen-trips", "--config", config, "--network", net,
+                    "--out", tmp_path / "data"]) == 3
+    assert capsys.readouterr().err.strip().endswith(
+        f"gps_period_s must be 0 (no GPS) or at least 1.0 s, got {period}")
+    assert not (tmp_path / "data").exists()
 
 
 @pytest.mark.parametrize("text, message", [

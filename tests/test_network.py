@@ -1,8 +1,6 @@
-import contextlib
 import json
 import math
 import re
-import signal
 
 import pytest
 from hypothesis import given, strategies as st
@@ -27,7 +25,7 @@ from detourlab.network import (
 from detourlab.routing import entry_times
 from detourlab.simulate import SimConfig, generate_network
 
-from conftest import flat, line_network
+from conftest import flat, line_network, time_cap
 
 
 def reference_haversine(lat1, lng1, lat2, lng2, radius=6371.0):
@@ -399,22 +397,6 @@ def test_network_file_with_a_bad_speed_profile_exits_3(small_grid, tmp_path, cap
     # gen-trips reads the file with load_network
     assert main(["gen-trips", "--network", str(path), "--out", str(tmp_path / "out")]) == 3
     assert capsys.readouterr().err.strip().endswith(f"segment {seg['id']!r}: {reason}")
-
-
-@contextlib.contextmanager
-def time_cap(seconds):
-    """TimeoutError when the block runs longer than ``seconds``, so a loop
-    that never ends fails the test instead of hanging it."""
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.parametrize("length, profile, slowest", [

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from detourlab import online, routing
+from detourlab import online
 from detourlab.classifier import LogitModel, evaluate_roc_auc, offline_features
 from detourlab.errors import FitError, InputError
 from detourlab.network import Node, RoadNetwork, Segment
@@ -290,11 +290,11 @@ def test_on_plan_steps_do_not_recheck_contiguity(sim_dataset, monkeypatch):
     # detector; the on-plan steps take suffixes of that path unchecked
     net, trips, _ = sim_dataset
     checked = []
-    monkeypatch.setattr(routing, "check_contiguous", lambda net, path: checked.append(path))
+    monkeypatch.setattr(online, "first_gap", lambda net, path: checked.append(path))
     followers = [t for t in trips if t.behavior == "normal"][:30]
     for trip in followers:
         run_trip(net, BEIJING, trip)
-    assert checked == [t.plan.path for t in followers]
+    assert checked == [(*t.plan.path, t.atr.steps[-1].segment) for t in followers]
 
 
 @pytest.mark.parametrize("weights", [None, RoutingWeights(1.0, 0.0)],
@@ -316,6 +316,29 @@ def test_plan_from_another_network_is_not_seeded(sim_dataset, searches):
     plan = dataclasses.replace(trip.plan, distance=trip.plan.distance + 1.0)
     run_trip(net, BEIJING, dataclasses.replace(trip, plan=plan))
     assert searches == [(trip.atr.steps[0].segment, trip.atr.steps[-1].segment)]
+
+
+def test_plan_that_does_not_connect_is_not_seeded(sim_dataset, searches):
+    # a stored plan whose middle segment is swapped for one elsewhere: it
+    # cannot be the planner's answer, so the first step searches
+    net, trips, _ = sim_dataset
+    trip = next(t for t in trips if t.behavior == "normal" and len(t.plan.path) >= 3)
+    path = trip.plan.path
+    stray = next(s.id for s in net.segments.values()
+                 if s.from_node != net.segment(path[0]).to_node)
+    plan = dataclasses.replace(trip.plan, path=(path[0], stray, *path[2:]))
+    assert run_trip(net, BEIJING, dataclasses.replace(trip, plan=plan)) == run_trip(
+        net, BEIJING, trip)
+    assert searches == [(trip.atr.steps[0].segment, trip.atr.steps[-1].segment)]
+
+
+def test_plan_with_an_unknown_segment_is_rejected(sim_dataset):
+    net, trips, _ = sim_dataset
+    trip = next(t for t in trips if t.behavior == "normal" and len(t.plan.path) >= 3)
+    path = trip.plan.path
+    plan = dataclasses.replace(trip.plan, path=(path[0], "nowhere", *path[2:]))
+    with pytest.raises(InputError, match="nowhere"):
+        run_trip(net, BEIJING, dataclasses.replace(trip, plan=plan))
 
 
 def test_late_entry_onto_the_held_plan_replans(loop_net, searches):

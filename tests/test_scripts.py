@@ -1,10 +1,15 @@
-import json
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from detourlab.classifier import load_model, offline_features
+from detourlab.network import load_network
+from detourlab.online import run_trip
+from detourlab.trips import load_trips
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p.stem for p in (ROOT / "src" / "detourlab").glob("*.py")
@@ -38,29 +43,44 @@ def pipeline_out(tmp_path_factory):
     return out
 
 
-def replay(out, *args):
-    return run_script("replay_warnings.py", "--network", out / "network.json",
-                      "--model", out / "model.json",
-                      "--trips", out / "filtered" / "kept.jsonl", *args)
+def csv_rows(path):
+    header, *rows = path.read_text().splitlines()
+    return [dict(zip(header.split(","), row.split(","))) for row in rows]
 
 
-def test_pipeline_then_replay(pipeline_out):
+def test_pipeline_behaviors_table(pipeline_out):
     kept = pipeline_out / "filtered" / "kept.jsonl"
-    behaviors = {json.loads(line)["behavior"] for line in kept.read_text().splitlines()}
+    trips = load_trips(kept)
+    rows = csv_rows(pipeline_out / "report" / "behaviors.csv")
+    keys = [row["behavior"] for row in rows]
+    assert keys == sorted({t.behavior or t.label for t in trips})
+    assert sum(int(row["trips"]) for row in rows) == len(trips)
+    stages = csv_rows(pipeline_out / "report" / "stage_auc.csv")
+    assert stages[-1]["stage"] == "10"
+    assert sum(int(row["warned"]) for row in rows) == int(stages[-1]["warned_count"])
 
-    done = replay(pipeline_out)
-    assert done.returncode == 0, done.stderr
-    header, *rows = done.stdout.splitlines()
-    assert header.split() == ["behavior", "trips", "warned", "at", "end", "first", "warn"]
-    assert sorted(row.split()[0] for row in rows) == sorted(behaviors)
 
-
-def test_replay_limit(pipeline_out):
-    done = replay(pipeline_out, "--limit", 3)
-    assert done.returncode == 0, done.stderr
-    assert sum(int(row.split()[1]) for row in done.stdout.splitlines()[1:]) == 3
-    # 0 is not "no limit", and a negative count does not slice from the end
-    for bad in ("0", "-5"):
-        done = replay(pipeline_out, "--limit", bad)
-        assert done.returncode == 2, (bad, done.stdout)
-        assert "--limit" in done.stderr
+def test_behaviors_table_counts_the_replayed_actions(pipeline_out):
+    # each row is what the live detector's decisions say, counted by action;
+    # its mean ratios are those of the offline features
+    net = load_network(pipeline_out / "network.json")
+    model = load_model(pipeline_out / "model.json")
+    want = {}
+    for trip in load_trips(pipeline_out / "filtered" / "kept.jsonl"):
+        actions = [d.action for d in run_trip(net, model, trip)]
+        row = want.setdefault(trip.behavior or trip.label, [0, 0, 0, [], [], []])
+        row[0] += 1
+        if "warn_issued" in actions:
+            row[1] += 1
+            row[3].append((actions.index("warn_issued") + 1) / len(actions))
+        row[2] += actions[-1] in ("warn_issued", "warn_maintained")
+        fv = offline_features(net, trip)
+        row[4].append(fv.extra_distance_ratio)
+        row[5].append(fv.extra_time_ratio)
+    want = {key: [str(n), str(warned), str(at_end),
+                  repr(statistics.median(firsts)) if firsts else "",
+                  repr(statistics.fmean(x1)), repr(statistics.fmean(x2))]
+            for key, (n, warned, at_end, firsts, x1, x2) in want.items()}
+    got = {row.pop("behavior"): list(row.values())
+           for row in csv_rows(pipeline_out / "report" / "behaviors.csv")}
+    assert got == want

@@ -177,6 +177,24 @@ def test_all_normal_trips_have_zero_features():
         assert fv.extra_time_ratio == 0.0
 
 
+@pytest.mark.parametrize("period", [0.0, 1.0])
+def test_gps_period_floor_keeps_zero_and_one_second(period):
+    # 0 turns GPS off; the floor itself still samples, one fix per second
+    cfg = SimConfig(seed=2, grid_dims=(3, 3), n_trips=3, gps_period_s=period)
+    trips, _ = generate_trips(generate_network(cfg), cfg)
+    for trip in trips:
+        if period == 0.0:
+            assert trip.raw_gps is None
+        else:
+            minutes = trajectory_minutes(trip.atr)
+            assert len(trip.raw_gps) >= int(minutes * 60.0)
+
+
+def test_gps_period_below_the_floor_is_rejected():
+    with pytest.raises(InputError, match=r"at least 1\.0 s, got 0\.5"):
+        SimConfig(gps_period_s=0.5)
+
+
 def test_detour_trips_hit_inflation_target():
     cfg = SimConfig(seed=3, grid_dims=(6, 6), n_trips=60, detour_inflation=0.3,
                     behavior_mix={"detour": 1.0}, gps_period_s=0.0)
