@@ -190,11 +190,6 @@ def test_gps_period_floor_keeps_zero_and_one_second(period):
             assert len(trip.raw_gps) >= int(minutes * 60.0)
 
 
-def test_gps_period_below_the_floor_is_rejected():
-    with pytest.raises(InputError, match=r"at least 1\.0 s, got 0\.5"):
-        SimConfig(gps_period_s=0.5)
-
-
 def test_detour_trips_hit_inflation_target():
     cfg = SimConfig(seed=3, grid_dims=(6, 6), n_trips=60, detour_inflation=0.3,
                     behavior_mix={"detour": 1.0}, gps_period_s=0.0)
